@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import warnings
+from pathlib import Path
 from typing import List, Optional
 
 from . import closed_form, concentration, fitting, frontier
 from .errors import DataValidationError, EconModelError
 from .optimizers import OptimizerConfig
 from .production import RdDeterminants
-from .reports import RunReport, ingest_costs, read_numeric_csv, run_table
+from .reports import RunReport, ingest_costs, parse_number, read_numeric_csv, read_rows, run_table
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -70,10 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(p)
         _add_optimizer_flags(p)
         if name == "profit":
-            p.add_argument("--weights", default=None,
-                           help="CSV of year,w1,w2 for the linear-cost comparison")
-            p.add_argument("--reference", action="store_true",
-                           help="build the table from bundled reference objectives")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--weights", default=None,
+                                help="CSV of year,w1,w2 for the linear-cost comparison")
+            source.add_argument("--reference", action="store_true",
+                                help="build the table from bundled reference objectives "
+                                     "and weights")
 
     p = sub.add_parser("revenue-max-closed")
     _add_common_flags(p)
@@ -255,37 +259,21 @@ def _cmd_fit(args) -> RunReport:
 
 
 def _cmd_hhi(args) -> RunReport:
-    import csv as _csv
-    import warnings as _warnings
-    from pathlib import Path
-
-    path = Path(args.input)
-    if not path.exists():
-        raise DataValidationError(f"input file not found: {path}")
-    entries = []
-    with path.open(newline="") as handle:
-        reader = _csv.DictReader(handle)
-        if reader.fieldnames is None or "firm" not in reader.fieldnames \
-                or "share_percent" not in reader.fieldnames:
-            raise DataValidationError(f"{path}: expected header firm,share_percent[,included]")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                share = float(row["share_percent"])
-            except (TypeError, ValueError):
-                raise DataValidationError(f"{path}:{line_no}: non-numeric share") from None
-            included = str(row.get("included") or "true").strip().lower() in ("1", "true", "yes")
-            entries.append(concentration.ShareEntry(row["firm"], share, included))
-    if not entries:
-        raise DataValidationError(f"{path}: no data rows")
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+    entries = [
+        concentration.ShareEntry(
+            row["firm"], parse_number(args.input, line, row, "share_percent"),
+            (row.get("included") or "true").strip().lower() in ("1", "true", "yes"))
+        for line, row in read_rows(args.input, ["firm", "share_percent"])
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         shares = concentration.MarketShares(tuple(entries))
     index = concentration.hhi(shares)
     rows = [{"firm": e.firm, "share": e.share, "included": e.included,
              "contribution": e.share ** 2 if e.included else 0.0}
             for e in shares.entries]
     summary = {"hhi": index, "classification": concentration.classify_hhi(index).value}
-    return RunReport(command="hhi", config={"input": str(path)}, rows=rows,
+    return RunReport(command="hhi", config={"input": str(Path(args.input))}, rows=rows,
                      warnings=[str(w.message) for w in caught], summary=summary)
 
 

@@ -77,8 +77,6 @@ def revenue_max(problem: BudgetProblem, rd: Optional[RdDeterminants] = None) -> 
     """
     p = problem
     n = p.alpha + p.beta
-    if n == 0:
-        raise DegenerateProblemError("alpha + beta must be positive")
     A = p.alpha * p.m / (p.w1 * p.R * n)
     B = p.beta * p.m / (p.w2 * p.I * n)
     objective = math.exp(p.alpha * math.log(A * p.R) + p.beta * math.log(B * p.I))

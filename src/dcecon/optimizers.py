@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Mapping, Optional, Sequence, Tuple
 
 from .errors import EconModelError, ParameterError
 from .production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
@@ -114,8 +114,6 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
     L, K = record.server_cost, record.power_cooling_cost
     log_L, log_K = math.log(L), math.log(K)
     alpha, beta = config.initial_point()
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("initial elasticities must be positive")
     if cap is not None and alpha + beta >= cap:
         raise ParameterError(
             f"initial alpha + beta = {alpha + beta} already violates the cap {cap}"
@@ -169,38 +167,57 @@ def sga_revenue_max(record: CostRecord, config: OptimizerConfig) -> OptimResult:
 
 
 Interval = Tuple[float, float]
+Observer = Callable[[str, int, OptimResult], None]
+
+
+def run_year(runner, record: CostRecord, config: OptimizerConfig,
+              observe: Optional[Observer], command: str) -> OptimResult:
+    """One run with the year prefixed to its errors; observe, if given, sees the result."""
+    try:
+        result = runner(record, config)
+    except EconModelError as exc:
+        raise type(exc)(f"year {record.year}: {exc}") from exc
+    if observe is not None:
+        observe(command, record.year, result)
+    return result
 
 
 def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval, w2_bounds: Interval,
                         config: OptimizerConfig) -> Tuple[float, float, float]:
-    """Minimize w1*L + w2*K over a weight box by projected gradient descent.
+    """Minimize w1*L + w2*K over a weight box.
 
-    The gradient is constant (L, K), so iterates march to the lower corner and
-    are clipped to the box each step. A degenerate box (lo == hi) pins the
-    weights, which turns the call into pure evaluation at fixed weights.
+    The gradient (L, K) is positive, so the minimum is the box's lower corner;
+    a degenerate box (lo == hi) pins the weights. config is unused and kept for
+    signature compatibility.
     """
     for name, (lo, hi) in (("w1_bounds", w1_bounds), ("w2_bounds", w2_bounds)):
         if lo < 0 or hi < 0:
             raise ParameterError(f"{name} must be non-negative, got ({lo}, {hi})")
         if lo > hi:
             raise ParameterError(f"{name} is an empty interval: ({lo}, {hi})")
-    L, K = record.server_cost, record.power_cooling_cost
-    # start at the upper corner; the constant gradient (L, K) pulls both weights down
-    w1, w2 = w1_bounds[1], w2_bounds[1]
-    for _ in range(config.max_iters):
-        next_w1 = min(max(w1 - config.learning_rate * L, w1_bounds[0]), w1_bounds[1])
-        next_w2 = min(max(w2 - config.learning_rate * K, w2_bounds[0]), w2_bounds[1])
-        if (next_w1, next_w2) == (w1, w2):
-            break
-        w1, w2 = next_w1, next_w2
-    return w1, w2, linear_cost(w1, w2, L, K)
+    w1, w2 = w1_bounds[0], w2_bounds[0]
+    return w1, w2, linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)
+
+
+def profit_row(max_rev: float, min_cost: float, min_cost_linear: float) -> Dict[str, float]:
+    """One profit-table row: revenue minus the Cobb-Douglas and the linear cost."""
+    return {
+        "max_rev_cd": max_rev,
+        "min_cost_cd": min_cost,
+        "profit_cd": max_rev - min_cost,
+        "min_cost_linear": min_cost_linear,
+        "profit_linear": max_rev - min_cost_linear,
+    }
 
 
 def profit_table(records: Sequence[CostRecord], config: OptimizerConfig,
-                 linear_weights: Mapping[int, Tuple[float, float]]) -> Dict[int, Dict[str, float]]:
+                 linear_weights: Mapping[int, Tuple[float, float]],
+                 observe: Optional[Observer] = None) -> Dict[int, Dict[str, float]]:
     """Per-year profit rows: ascent revenue minus descent cost, plus the linear-cost variant.
 
     linear_weights maps year -> (w1, w2) for the linear comparison column.
+    observe, when given, is called as observe(command, year, result) after each
+    run, with command "revenue_max" or "cost_min".
     """
     if not records:
         raise ParameterError("records must be non-empty")
@@ -209,18 +226,9 @@ def profit_table(records: Sequence[CostRecord], config: OptimizerConfig,
         raise ParameterError(f"linear weights missing for years {missing}")
     rows: Dict[int, Dict[str, float]] = {}
     for record in sorted(records, key=lambda r: r.year):
-        try:
-            revenue = sga_revenue_max(record, config)
-            cost = sgd_cost_min(record, config)
-        except EconModelError as exc:
-            raise type(exc)(f"year {record.year}: {exc}") from exc
+        revenue = run_year(sga_revenue_max, record, config, observe, "revenue_max")
+        cost = run_year(sgd_cost_min, record, config, observe, "cost_min")
         w1, w2 = linear_weights[record.year]
         cost_linear = linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)
-        rows[record.year] = {
-            "max_rev_cd": revenue.objective,
-            "min_cost_cd": cost.objective,
-            "profit_cd": revenue.objective - cost.objective,
-            "min_cost_linear": cost_linear,
-            "profit_linear": revenue.objective - cost_linear,
-        }
+        rows[record.year] = profit_row(revenue.objective, cost.objective, cost_linear)
     return rows

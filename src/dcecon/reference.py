@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from .optimizers import profit_row
 from .production import CostRecord, linear_cost
 
 
@@ -97,15 +98,7 @@ def reference_profit_rows() -> Dict[int, Dict[str, float]]:
     rows: Dict[int, Dict[str, float]] = {}
     for year in YEARS:
         record = COST_RECORDS[year]
-        max_rev = MAX_REVENUE_TABLE[year].objective
-        min_cost = MIN_COST_TABLE[year].objective
         w1, w2, _ = LINEAR_COST_TABLE[year]
-        min_cost_linear = linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)
-        rows[year] = {
-            "max_rev_cd": max_rev,
-            "min_cost_cd": min_cost,
-            "profit_cd": max_rev - min_cost,
-            "min_cost_linear": min_cost_linear,
-            "profit_linear": max_rev - min_cost_linear,
-        }
+        rows[year] = profit_row(MAX_REVENUE_TABLE[year].objective, MIN_COST_TABLE[year].objective,
+                                linear_cost(w1, w2, record.server_cost, record.power_cooling_cost))
     return rows

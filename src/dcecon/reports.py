@@ -13,57 +13,88 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import reference
-from .errors import DataValidationError, EconModelError, ParameterError
-from .optimizers import OptimizerConfig, OptimResult, profit_table, sga_revenue_max, sgd_cost_min
-from .production import CostRecord, linear_cost
+from .errors import DataValidationError, ParameterError
+from .optimizers import (Observer, OptimizerConfig, OptimResult, profit_table, run_year,
+                         sga_revenue_max, sgd_cost_min)
+from .production import CostRecord
 
 COST_HEADER = ["year", "new_server_cost", "power_cooling_cost"]
 
 
+def read_rows(path, columns: Sequence[str]) -> List[Tuple[int, Dict[str, str]]]:
+    """Read a headed CSV into (line number, row) pairs, checking its shape.
+
+    The file must exist and its header must name every one of columns (extra
+    columns are allowed). Every data row must have as many fields as the
+    header; blank rows are skipped. Values stay strings, see parse_number.
+    """
+    if not Path(path).exists():
+        raise DataValidationError(f"input file not found: {path}")
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = [cell.strip() for cell in next(reader, [])]
+        if not any(header):
+            raise DataValidationError(f"{path}: empty file")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataValidationError(f"{path}: expected header with columns "
+                                      f"{','.join(columns)!r}, missing columns {missing}")
+        rows = []
+        for line, cells in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in cells):
+                continue
+            if len(cells) != len(header):
+                raise DataValidationError(
+                    f"{path}:{line}: expected {len(header)} fields, got {len(cells)}")
+            rows.append((line, dict(zip(header, cells))))
+    if not rows:
+        raise DataValidationError(f"{path}: no data rows")
+    return rows
+
+
+def parse_number(path, line: int, row: Mapping[str, str], column: str,
+                 kind: Callable[[str], float] = float) -> float:
+    """Parse row[column] as a finite number; errors name file:line and the column."""
+    try:
+        value = kind(row[column])
+    except ValueError:
+        raise DataValidationError(
+            f"{path}:{line}: non-numeric value {row[column]!r} in column {column!r}") from None
+    if not math.isfinite(value):
+        raise DataValidationError(
+            f"{path}:{line}: non-finite value {row[column]!r} in column {column!r}")
+    return value
+
+
 def ingest_costs(path) -> List[CostRecord]:
     """Parse and validate a `year,new_server_cost,power_cooling_cost` CSV, sorted by year."""
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"input file not found: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != COST_HEADER:
+    records: Dict[int, CostRecord] = {}
+    for line, row in read_rows(path, COST_HEADER):
+        year = parse_number(path, line, row, "year", int)
+        server = parse_number(path, line, row, "new_server_cost")
+        power = parse_number(path, line, row, "power_cooling_cost")
+        if server <= 0 or power <= 0:
             raise DataValidationError(
-                f"{path}: expected header {','.join(COST_HEADER)!r}, got {','.join(header)!r}"
-            )
-        records: List[CostRecord] = []
-        seen_years = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DataValidationError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            try:
-                year = int(row[0])
-                server = float(row[1])
-                power = float(row[2])
-            except ValueError as exc:
-                raise DataValidationError(f"{path}:{line_no}: {exc}") from None
-            if server <= 0 or power <= 0:
-                raise DataValidationError(
-                    f"{path}:{line_no}: costs must be strictly positive, got ({server}, {power})"
-                )
-            if year in seen_years:
-                raise DataValidationError(f"{path}:{line_no}: duplicate year {year}")
-            seen_years.add(year)
-            records.append(CostRecord(year=year, server_cost=server, power_cooling_cost=power))
-    if not records:
-        raise DataValidationError(f"{path}: no data rows")
-    return sorted(records, key=lambda r: r.year)
+                f"{path}:{line}: costs must be strictly positive, got ({server}, {power})")
+        if year in records:
+            raise DataValidationError(f"{path}:{line}: duplicate year {year}")
+        records[year] = CostRecord(year=year, server_cost=server, power_cooling_cost=power)
+    return [records[year] for year in sorted(records)]
+
+
+def read_numeric_csv(path, columns: Sequence[str]) -> Dict[str, List[float]]:
+    """Read named numeric columns from a CSV with a header row."""
+    data: Dict[str, List[float]] = {c: [] for c in columns}
+    for line, row in read_rows(path, columns):
+        for column in columns:
+            data[column].append(parse_number(path, line, row, column))
+    return data
 
 
 @dataclass
@@ -115,31 +146,18 @@ class RunReport:
         raise ParameterError(f"unknown format {fmt!r}")
 
 
-def _config_dict(config: OptimizerConfig) -> Dict:
-    return dataclasses.asdict(config.resolved())
-
-
-def _result_row(year: int, result: OptimResult, objective_key: str) -> Dict:
-    return {
-        "year": year,
-        "alpha": result.alpha,
-        "beta": result.beta,
-        objective_key: result.objective,
-        "iterations": result.iterations,
-        "terminated_by": result.terminated_by.value,
-    }
-
-
-def _write_trace(trace_dir, command: str, year: int,
-                 trajectory: Sequence[Tuple[float, float, float]]) -> None:
+def _trace_writer(trace_dir) -> Observer:
+    """Observer that writes each run's trajectory to trace_dir/<command>_<year>.csv."""
     trace_dir = Path(trace_dir)
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    target = trace_dir / f"{command}_{year}.csv"
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["iteration", "alpha", "beta", "objective"])
-        for i, (alpha, beta, objective) in enumerate(trajectory):
-            writer.writerow([i, repr(alpha), repr(beta), repr(objective)])
+
+    def write(command: str, year: int, result: OptimResult) -> None:
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        with (trace_dir / f"{command}_{year}.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["iteration", "alpha", "beta", "objective"])
+            for i, (alpha, beta, objective) in enumerate(result.trajectory):
+                writer.writerow([i, repr(alpha), repr(beta), repr(objective)])
+    return write
 
 
 def _reference_note(records: Sequence[CostRecord], table: str) -> Optional[str]:
@@ -154,105 +172,49 @@ def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConf
     """Run one optimizer command over a year series and assemble the report.
 
     command is one of cost_min, revenue_max, profit. Traces are written as one
-    CSV per year when trace_dir is given. For profit, use_reference swaps fresh
-    optimizer runs for the bundled reference objectives, and linear_weights
-    defaults to the bundled reference weights for reference years.
+    CSV per run and year when trace_dir is given. For profit, use_reference
+    swaps fresh optimizer runs for the bundled reference objectives, and
+    linear_weights defaults to the bundled reference weights for reference years.
     """
     if not records:
         raise ParameterError("records must be non-empty")
     records = sorted(records, key=lambda r: r.year)
+    observe = None
     if trace_dir is not None:
         config = dataclasses.replace(config, record_trajectory=True)
-    resolved = _config_dict(config)
+        observe = _trace_writer(trace_dir)
+    resolved = dataclasses.asdict(config.resolved())
     rows: List[Dict] = []
     warnings: List[str] = []
 
-    if command == "cost_min":
-        note = _reference_note(records, "cost-minimization table")
+    if command in ("cost_min", "revenue_max"):
+        if command == "cost_min":
+            runner, key, table = sgd_cost_min, "min_cost", "cost-minimization table"
+        else:
+            runner, key, table = sga_revenue_max, "max_revenue", "revenue-maximization table"
+        note = _reference_note(records, table)
         for record in records:
-            result = _run_year(sgd_cost_min, record, config)
-            rows.append(_result_row(record.year, result, "min_cost"))
-            if trace_dir is not None:
-                _write_trace(trace_dir, command, record.year, result.trajectory)
-    elif command == "revenue_max":
-        note = _reference_note(records, "revenue-maximization table")
-        for record in records:
-            result = _run_year(sga_revenue_max, record, config)
-            rows.append(_result_row(record.year, result, "max_revenue"))
-            if trace_dir is not None:
-                _write_trace(trace_dir, command, record.year, result.trajectory)
+            result = run_year(runner, record, config, observe, command)
+            rows.append({"year": record.year, "alpha": result.alpha, "beta": result.beta,
+                         key: result.objective, "iterations": result.iterations,
+                         "terminated_by": result.terminated_by.value})
     elif command == "profit":
         note = _reference_note(records, "profit table")
-        weights = dict(linear_weights) if linear_weights else {}
-        for record in records:
-            if record.year not in weights:
-                if record.year in reference.LINEAR_COST_TABLE:
-                    w1, w2, _ = reference.LINEAR_COST_TABLE[record.year]
-                    weights[record.year] = (w1, w2)
-                else:
-                    raise ParameterError(f"no linear weights available for year {record.year}")
         if use_reference:
             missing = [r.year for r in records if r.year not in reference.YEARS]
             if missing:
                 raise ParameterError(f"reference mode has no data for years {missing}")
             all_rows = reference.reference_profit_rows()
-            per_year = {year: all_rows[year] for year in (r.year for r in records)}
+            per_year = {r.year: all_rows[r.year] for r in records}
             warnings.append("profit computed from bundled reference objectives, not fresh runs")
-        elif trace_dir is not None:
-            per_year = {}
-            for record in records:
-                revenue = _run_year(sga_revenue_max, record, config)
-                cost = _run_year(sgd_cost_min, record, config)
-                _write_trace(trace_dir, "revenue_max", record.year, revenue.trajectory)
-                _write_trace(trace_dir, "cost_min", record.year, cost.trajectory)
-                w1, w2 = weights[record.year]
-                cost_linear = linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)
-                per_year[record.year] = {
-                    "max_rev_cd": revenue.objective,
-                    "min_cost_cd": cost.objective,
-                    "profit_cd": revenue.objective - cost.objective,
-                    "min_cost_linear": cost_linear,
-                    "profit_linear": revenue.objective - cost_linear,
-                }
         else:
-            per_year = profit_table(records, config, weights)
-        for year in sorted(per_year):
-            rows.append({"year": year, **per_year[year]})
+            weights = {r.year: reference.LINEAR_COST_TABLE[r.year][:2] for r in records
+                       if r.year in reference.LINEAR_COST_TABLE}
+            weights.update(linear_weights or {})
+            per_year = profit_table(records, config, weights, observe)
+        rows = [{"year": year, **per_year[year]} for year in sorted(per_year)]
     else:
         raise ParameterError(f"unknown command {command!r}")
 
     return RunReport(command=command, config=resolved, rows=rows,
                      warnings=warnings, reference_note=note)
-
-
-def _run_year(runner, record: CostRecord, config: OptimizerConfig) -> OptimResult:
-    try:
-        return runner(record, config)
-    except EconModelError as exc:
-        raise type(exc)(f"year {record.year}: {exc}") from exc
-
-
-def read_numeric_csv(path, columns: Sequence[str]) -> Dict[str, List[float]]:
-    """Read named numeric columns from a CSV with a header row."""
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"input file not found: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataValidationError(f"{path}: empty file")
-        missing = [c for c in columns if c not in reader.fieldnames]
-        if missing:
-            raise DataValidationError(f"{path}: missing columns {missing}")
-        data: Dict[str, List[float]] = {c: [] for c in columns}
-        for line_no, row in enumerate(reader, start=2):
-            for column in columns:
-                try:
-                    data[column].append(float(row[column]))
-                except (TypeError, ValueError):
-                    raise DataValidationError(
-                        f"{path}:{line_no}: non-numeric value in column {column!r}"
-                    ) from None
-    if not data[columns[0]]:
-        raise DataValidationError(f"{path}: no data rows")
-    return data

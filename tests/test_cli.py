@@ -99,6 +99,32 @@ class TestOptimizerCommands:
             assert row["min_cost_linear"] == pytest.approx(
                 w1 * record.server_cost + w2 * record.power_cooling_cost)
 
+    def test_weights_and_reference_are_exclusive(self, capsys):
+        code, out, err = run_cli(capsys, "profit", "--input", str(DATA_DIR / "tables.csv"),
+                                 "--weights", str(DATA_DIR / "linear_weights.csv"),
+                                 "--reference")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--reference" in err
+
+    def test_profit_trace_matches_single_runs(self, tmp_path, capsys):
+        common = ("--input", str(DATA_DIR / "tables.csv"), "--seed", "3", *FAST)
+        _, profit_out, _ = run_cli(capsys, "profit", *common, "--trace", str(tmp_path / "p"))
+        _, cost_out, _ = run_cli(capsys, "cost-min", *common, "--trace", str(tmp_path / "s"))
+        _, revenue_out, _ = run_cli(capsys, "revenue-max", *common,
+                                    "--trace", str(tmp_path / "s"))
+        names = sorted(p.name for p in (tmp_path / "p").iterdir())
+        assert len(names) == 8
+        assert names == sorted(p.name for p in (tmp_path / "s").iterdir())
+        for name in names:
+            assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+        rows = zip(json.loads(profit_out)["rows"], json.loads(cost_out)["rows"],
+                   json.loads(revenue_out)["rows"])
+        for profit, cost, revenue in rows:
+            assert profit["year"] == cost["year"] == revenue["year"]
+            assert profit["max_rev_cd"] == revenue["max_revenue"]
+            assert profit["min_cost_cd"] == cost["min_cost"]
+
     def test_trace_writes_files(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "revenue-max", "--input", str(DATA_DIR / "tables.csv"),
                              "--trace", str(tmp_path), *FAST)
@@ -248,8 +274,39 @@ class TestHhiCommand:
         payload = json.loads(out)
         assert payload["summary"]["hhi"] == pytest.approx(2500.0)
 
+    def test_ragged_row_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("firm,share_percent\na,50\nb,30,extra\n")
+        code, out, err = run_cli(capsys, "hhi", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:3:" in err
+
     def test_bad_header_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("name,pct\na,50\n")
         code, _, _ = run_cli(capsys, "hhi", "--input", str(path))
         assert code == 2
+
+
+COST_HEADER = "year,new_server_cost,power_cooling_cost\n"
+FIT_HEADER = "new_server_cost,power_cooling_cost,output\n"
+
+
+@pytest.mark.parametrize("command, text, line, column", [
+    (("revenue-max", *FAST), COST_HEADER + "1997,65,5\n2002,nan,15\n", 3, "new_server_cost"),
+    (("revenue-max", "--format", "csv", *FAST), COST_HEADER + "1997,65,inf\n", 2,
+     "power_cooling_cost"),
+    (("hhi",), "firm,share_percent\na,50\nb,nan\n", 3, "share_percent"),
+    (("fit",), FIT_HEADER + "10,20,30\n11,nan,31\n12,22,33\n13,23,37\n", 3,
+     "power_cooling_cost"),
+], ids=["nan-cost", "inf-cost", "nan-share", "nan-fit"])
+def test_non_finite_input_is_data_error(tmp_path, capsys, command, text, line, column):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("data error: ")
+    assert f"{path}:{line}:" in err
+    assert repr(column) in err

@@ -50,6 +50,25 @@ class TestIngest:
         with pytest.raises(DataValidationError, match="expected header"):
             ingest_costs(path)
 
+    def test_extra_columns_allowed(self, tmp_path):
+        path = write(tmp_path, "c.csv",
+                     "year,new_server_cost,power_cooling_cost,note\n1997,65,5,x\n")
+        assert ingest_costs(path) == [CostRecord(1997, 65.0, 5.0)]
+
+    @pytest.mark.parametrize("row", ["1997,65", "1997,65,5,1"])
+    def test_ragged_row_rejected(self, tmp_path, row):
+        path = write(tmp_path, "c.csv",
+                     f"year,new_server_cost,power_cooling_cost\n2002,45,15\n{row}\n")
+        with pytest.raises(DataValidationError, match=":3: expected 3 fields"):
+            ingest_costs(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cost_rejected(self, tmp_path, value):
+        path = write(tmp_path, "c.csv",
+                     f"year,new_server_cost,power_cooling_cost\n1997,65,{value}\n")
+        with pytest.raises(DataValidationError, match=":2: non-finite .* 'power_cooling_cost'"):
+            ingest_costs(path)
+
     def test_malformed_row_names_line_number(self, tmp_path):
         path = write(tmp_path, "c.csv",
                      "year,new_server_cost,power_cooling_cost\n1997,65,5\n2002,x,15\n")
@@ -193,3 +212,17 @@ class TestReadNumericCsv:
         path = write(tmp_path, "d.csv", "a,b\n1,2\nx,4\n")
         with pytest.raises(DataValidationError, match=":3:"):
             read_numeric_csv(path, ["a", "b"])
+
+    def test_non_finite_value_names_line_and_column(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n3,NaN\n")
+        with pytest.raises(DataValidationError, match=":3: non-finite value 'NaN' in column 'b'"):
+            read_numeric_csv(path, ["a", "b"])
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n3\n")
+        with pytest.raises(DataValidationError, match=":3: expected 2 fields, got 1"):
+            read_numeric_csv(path, ["a", "b"])
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n\n3,4\n")
+        assert read_numeric_csv(path, ["a", "b"]) == {"a": [1.0, 3.0], "b": [2.0, 4.0]}

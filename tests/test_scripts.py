@@ -1,0 +1,38 @@
+"""Smoke tests for the command-line scripts under scripts/, run as subprocesses."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_reproduce_tables_prints_all_four_tables():
+    proc = run_script("reproduce_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    for title in ("cost minimization", "revenue maximization", "linear cost",
+                  "profit from reference objectives"):
+        assert title in proc.stdout
+    # the 1997 and 2002 published profit rows are the documented deviations
+    assert proc.stdout.count("known deviation") == 2
+
+
+def test_trace_revenue_surface_writes_trajectory_and_grid(tmp_path):
+    proc = run_script("trace_revenue_surface.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    steps = int(re.search(r"after (\d+) steps", proc.stdout).group(1))
+    trajectory = (tmp_path / "revenue_max_2012.csv").read_text().splitlines()
+    assert trajectory[0] == "iteration,alpha,beta,objective"
+    assert len(trajectory) == steps + 2
+    surface = (tmp_path / "revenue_surface_2012.csv").read_text().splitlines()
+    assert surface[0] == "alpha,beta,revenue"
+    assert len(surface) == 60 * 60 + 1
