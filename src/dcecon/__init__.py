@@ -4,7 +4,13 @@ Cobb-Douglas production modeling with labor/capital-augmenting technological
 progress, closed-form and gradient-based optima for cost, revenue, and profit,
 stochastic-frontier elasticity recovery, least-squares and constrained QP
 fitting, and market-concentration (HHI) measurement.
+
+The fitting module is the only one that needs numpy. It and the names it
+exports are loaded on first access, so importing dcecon (and running any CLI
+command but fit) loads neither numpy nor scipy.
 """
+
+import importlib
 
 from .closed_form import (
     BudgetProblem,
@@ -24,17 +30,6 @@ from .errors import (
     ParameterError,
     SingularSystemError,
     UnboundedProblemError,
-)
-from .fitting import (
-    DesignMatrix,
-    FitResult,
-    QuadraticProgram,
-    certify_solution,
-    ols_fit,
-    predict,
-    qp_fit,
-    qp_solve,
-    r_squared,
 )
 from .frontier import (
     FrontierSpec,
@@ -72,6 +67,28 @@ from .production import (
 from .reports import RunReport, ingest_costs, run_table
 
 __version__ = "0.1.0"
+
+_FITTING_NAMES = frozenset({
+    "DesignMatrix",
+    "FitResult",
+    "QuadraticProgram",
+    "certify_solution",
+    "ols_fit",
+    "predict",
+    "qp_fit",
+    "qp_solve",
+    "r_squared",
+})
+
+
+def __getattr__(name):
+    # importlib, not `from . import fitting`: that looks the name up on this
+    # package first, which calls __getattr__ again without end
+    if name == "fitting" or name in _FITTING_NAMES:
+        fitting = importlib.import_module(".fitting", __name__)
+        return fitting if name == "fitting" else getattr(fitting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BudgetProblem",

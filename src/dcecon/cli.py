@@ -16,7 +16,7 @@ import warnings
 from pathlib import Path
 from typing import List, Optional
 
-from . import closed_form, concentration, fitting, frontier
+from . import closed_form, concentration, frontier
 from .errors import DataValidationError, EconModelError
 from .optimizers import OptimizerConfig
 from .production import RdDeterminants
@@ -239,6 +239,8 @@ def _cmd_sfa(args) -> RunReport:
 
 
 def _cmd_fit(args) -> RunReport:
+    from . import fitting  # numpy is loaded only by the command that needs it
+
     data = read_numeric_csv(args.input, [args.x1, args.x2, args.target])
     builder = fitting.DesignMatrix.log_scale if args.scale == "log" else fitting.DesignMatrix.raw_scale
     design = builder(data[args.x1], data[args.x2], data[args.target],
@@ -295,16 +297,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = _cmd_fit(args)
         else:
             report = _cmd_hhi(args)
+        output = report.render(args.format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataValidationError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except EconModelError as exc:
+    except (EconModelError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    sys.stdout.write(report.render(args.format))
+    sys.stdout.write(output)
     return 0
 
 

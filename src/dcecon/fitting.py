@@ -7,18 +7,20 @@ linear inequality constraints become a small dense quadratic program
 
     min x^T H x + f^T x   s.t.  C x <= b  (and optional C_eq x = b_eq)
 
-with H = A^T A and f = -2 A^T y, solved exactly by enumerating active sets
-(dimension 3, few constraints). Every QP solution is certified post hoc against
-the KKT conditions.
+with H = A^T A and f = -2 A^T y, solved exactly by enumerating working sets:
+every set of at most n - n_eq inequality constraints, sum_{k <= n - n_eq} C(m, k)
+of them (1,351 at m = 20 and n = 3). Every QP solution is certified post hoc
+against the KKT conditions. This is the only module that needs numpy; scipy is
+imported only to classify a QP without a KKT point and in certify_solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateProblemError,
@@ -209,20 +211,24 @@ def kkt_certificate(qp: QuadraticProgram, x: np.ndarray, lam: np.ndarray,
 def qp_solve(qp: QuadraticProgram) -> np.ndarray:
     """Exact active-set enumeration for a small dense convex QP.
 
-    Every subset of inequality constraints is tried as the working set (equalities
-    are always active); each candidate comes from the corresponding KKT linear
-    system and is accepted only if the full KKT certificate passes. The best
-    certified candidate is the global minimum for PSD H.
+    Every set of at most n - n_eq inequality constraints is tried as the working
+    set (equalities are always active), sum_{k <= n - n_eq} C(m, k) candidates;
+    each comes from the corresponding KKT linear system and is accepted only if
+    the full KKT certificate passes. The best certified candidate is the global
+    minimum for PSD H. Working sets are tried in the order of their bit masks
+    (sum of 2^i over members), so ties between equal objectives always go to the
+    same candidate.
     """
     n = qp.H.shape[0]
     m = qp.C.shape[0] if qp.C.size else 0
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
+    working_sets = sorted(
+        (members for k in range(min(m, n - n_eq) + 1) for members in combinations(range(m), k)),
+        key=lambda members: sum(1 << i for i in members))
     best_x: Optional[np.ndarray] = None
     best_value = np.inf
-    for mask in range(1 << m):
-        active = [i for i in range(m) if mask >> i & 1]
-        if len(active) + n_eq > n:
-            continue
+    for members in working_sets:
+        active = list(members)
         rows = []
         if n_eq:
             rows.append(qp.C_eq)
@@ -287,6 +293,8 @@ def certify_solution(qp: QuadraticProgram, x: np.ndarray) -> bool:
 
 def _classify_failure(qp: QuadraticProgram) -> None:
     """No certified KKT point exists; decide between infeasible and unbounded."""
+    from scipy.optimize import linprog
+
     n = qp.H.shape[0]
     check = linprog(
         c=np.zeros(n),

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import reference
-from .errors import DataValidationError, ParameterError
+from .errors import DataValidationError, EconModelError, ParameterError
 from .optimizers import (Observer, OptimizerConfig, OptimResult, profit_table, run_year,
                          sga_revenue_max, sgd_cost_min)
 from .production import CostRecord
@@ -123,7 +123,7 @@ class RunReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -139,11 +139,32 @@ class RunReport:
         return buffer.getvalue()
 
     def render(self, fmt: str = "json") -> str:
+        """The report as JSON or CSV; a NaN or infinite value anywhere is an error."""
+        field_name = _non_finite_field(vars(self))
+        if field_name is not None:
+            raise EconModelError(f"non-finite value in report field {field_name}")
         if fmt == "json":
             return self.to_json()
         if fmt == "csv":
             return self.to_csv()
         raise ParameterError(f"unknown format {fmt!r}")
+
+
+def _non_finite_field(value, path: str = "") -> Optional[str]:
+    """Path (such as rows[0].objective) of the first NaN or infinity in value, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else str(key), item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    for item_path, item in items:
+        found = _non_finite_field(item, item_path)
+        if found is not None:
+            return found
+    return None
 
 
 def _trace_writer(trace_dir) -> Observer:

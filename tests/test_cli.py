@@ -47,6 +47,28 @@ class TestExitCodes:
         assert code == 3
         assert "numerical error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sfa", "--S", "2", "--I", "3", "--alpha", "0.5", "--beta", "0.5",
+         "--intercept", "800", "--synthesize", "2"),
+        ("profit-max-closed", "--w1", "1e-300", "--w2", "1e-300", "--recurring", "1",
+         "--infrastructure", "1", "--alpha", "0.45", "--beta", "0.5"),
+    ], ids=["sfa-synthesize", "profit-max-closed"])
+    def test_float_overflow_is_numerical_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "numerical error: math range error\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_numerical_error(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "revenue-max-closed", "--budget", "1e300", "--w1", "1e-300",
+            "--w2", "1e-300", "--recurring", "1e300", "--infrastructure", "1e300",
+            "--alpha", "0.9", "--beta", "0.9", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err == "numerical error: non-finite value in report field rows[0].objective\n"
+
     def test_success_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "hhi", "--input", str(DATA_DIR / "apac_shares.csv"))
         assert code == 0

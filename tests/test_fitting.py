@@ -13,7 +13,9 @@ from dcecon.fitting import (
     DesignMatrix,
     FitResult,
     QuadraticProgram,
+    _classify_failure,
     certify_solution,
+    kkt_certificate,
     ols_fit,
     predict,
     qp_fit,
@@ -129,6 +131,109 @@ class TestQpSolve:
         with pytest.raises(ParameterError):
             QuadraticProgram(H=[[1.0, 0.5], [0.2, 1.0]], f=[0.0, 0.0],
                              C=np.zeros((0, 2)), b=[])
+
+
+def mask_order_qp_solve(qp):
+    """Reference for qp_solve: walk all 2^m bit masks and solve those small enough."""
+    n = qp.H.shape[0]
+    m = qp.C.shape[0] if qp.C.size else 0
+    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
+    best_x = None
+    best_value = np.inf
+    for mask in range(1 << m):
+        active = [i for i in range(m) if mask >> i & 1]
+        if len(active) + n_eq > n:
+            continue
+        rows = []
+        if n_eq:
+            rows.append(qp.C_eq)
+        if active:
+            rows.append(qp.C[active])
+        n_active = n_eq + len(active)
+        kkt = np.zeros((n + n_active, n + n_active))
+        kkt[:n, :n] = 2.0 * qp.H
+        rhs = np.concatenate([-qp.f, qp.b_eq if n_eq else np.zeros(0),
+                              qp.b[active] if active else np.zeros(0)])
+        if n_active:
+            G = np.vstack(rows)
+            kkt[:n, n:] = G.T
+            kkt[n:, :n] = G
+        try:
+            solution = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            if np.linalg.norm(kkt @ solution - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+                continue
+        x = solution[:n]
+        mu = solution[n:n + n_eq] if n_eq else None
+        lam = np.zeros(m)
+        lam[active] = solution[n + n_eq:]
+        if kkt_certificate(qp, x, lam, mu) and qp.objective(x) < best_value:
+            best_x, best_value = x, qp.objective(x)
+    if best_x is not None:
+        return best_x
+    _classify_failure(qp)
+    raise UnboundedProblemError("no KKT point over a non-empty feasible set")
+
+
+QP_KINDS = ("plain", "tight", "duplicated", "equality", "infeasible", "unbounded")
+
+
+def random_qp(seed):
+    """A seeded small QP of kind QP_KINDS[seed % 6], feasible at x0 unless infeasible.
+
+    Every fourth round of kinds draws up to 14 inequality rows, the others up to
+    9: the reference walks 2^m masks, so the large ones dominate the test's time.
+    """
+    rng = np.random.default_rng(seed)
+    kind = QP_KINDS[seed % len(QP_KINDS)]
+    n = int(rng.choice([2, 3, 3, 3, 4]))
+    m = int(rng.integers(0, 15 if seed // len(QP_KINDS) % 4 == 0 else 10))
+    x0 = rng.normal(size=n)
+    A = rng.normal(size=(n + 2, n))
+    H = A.T @ A
+    f = 3.0 * rng.normal(size=n)
+    C = rng.normal(size=(m, n))
+    slack = np.abs(rng.normal(size=m))
+    if kind == "unbounded":
+        # H is flat along d, f descends along d, and every row keeps x0 + t*d feasible
+        d = rng.normal(size=n)
+        H = H - np.outer(H @ d, H @ d) / (d @ H @ d)
+        H = (H + H.T) / 2.0
+        f = -d + (np.eye(n) - np.outer(d, d) / (d @ d)) @ f
+        C = C - np.outer(C @ d + np.abs(rng.normal(size=m)), d) / (d @ d)
+    if kind in ("tight", "duplicated"):
+        # many rows active at x0 make degenerate vertices and ties between working sets
+        slack[rng.random(m) < 0.6] = 0.0
+    b = C @ x0 + slack
+    C_eq = b_eq = None
+    if kind == "duplicated" and m:
+        repeat = rng.integers(0, m, size=int(rng.integers(1, 4)))
+        C, b = np.vstack([C, C[repeat]]), np.concatenate([b, b[repeat]])
+    elif kind == "equality":
+        C_eq = rng.normal(size=(int(rng.integers(1, n)), n))
+        b_eq = C_eq @ x0
+    elif kind == "infeasible":
+        row = rng.normal(size=n)
+        C, b = np.vstack([C, row, -row]), np.concatenate([b, [-1.0, -1.0]])
+    return QuadraticProgram(H=H, f=f, C=C, b=b, C_eq=C_eq, b_eq=b_eq)
+
+
+def test_working_sets_match_mask_order_bit_for_bit():
+    outcomes = set()
+    for seed in range(204):
+        qp = random_qp(seed)
+        try:
+            expected = mask_order_qp_solve(qp)
+        except (InfeasibleProblemError, UnboundedProblemError) as exc:
+            with pytest.raises(type(exc)):
+                qp_solve(qp)
+            outcomes.add(type(exc))
+            continue
+        got = qp_solve(qp)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()], seed
+        outcomes.add(np.ndarray)
+    assert outcomes == {np.ndarray, InfeasibleProblemError, UnboundedProblemError}
 
 
 RTS_CONSTRAINTS = (

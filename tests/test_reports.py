@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from dcecon import reference
-from dcecon.errors import DataValidationError, ParameterError
+from dcecon.errors import DataValidationError, EconModelError, ParameterError
 from dcecon.optimizers import OptimizerConfig
 from dcecon.production import CostRecord
 from dcecon.reports import RunReport, ingest_costs, read_numeric_csv, run_table
@@ -119,6 +120,24 @@ class TestRunReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ParameterError):
             self.sample().render("yaml")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused_with_its_field(self, fmt, value):
+        report = self.sample()
+        report.rows[1]["min_cost"] = value
+        with pytest.raises(EconModelError, match=r"report field rows\[1\]\.min_cost$"):
+            report.render(fmt)
+        report = self.sample()
+        report.summary = {"nested": [1.0, {"x": value}]}
+        with pytest.raises(EconModelError, match=r"report field summary\.nested\[1\]\.x$"):
+            report.render(fmt)
+
+    def test_json_never_encodes_non_finite_values(self):
+        report = self.sample()
+        report.config["learning_rate"] = math.nan
+        with pytest.raises(ValueError):
+            report.to_json()
 
 
 class TestRunTable:

@@ -1,0 +1,84 @@
+"""Start-up contract: only fit loads numpy, and no successful call loads scipy.
+
+Each case runs in a fresh interpreter, because this test process has long since
+imported numpy and scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
+
+# prints which heavy packages the preceding statements left in sys.modules
+LOADED = ("import json, sys; print(json.dumps(sorted({name.split('.')[0] for name in sys.modules}"
+          " & {'numpy', 'scipy'})))")
+
+
+def run_python(*args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def loaded_after(code):
+    return json.loads(run_python("-c", f"{code}\n{LOADED}").stdout.splitlines()[-1])
+
+
+def cli_call(*argv):
+    return ("import contextlib, io\nfrom dcecon.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0\n")
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    assert loaded_after("import dcecon.cli") == []
+
+
+def test_python_m_dcecon_hhi_imports_neither_numpy_nor_scipy():
+    proc = run_python("-X", "importtime", "-m", "dcecon", "hhi",
+                      "--input", str(DATA_DIR / "iaas_shares.csv"))
+    # -X importtime logs "import time: self | cumulative | <indent>module" per import
+    imported = {line.rsplit("|", 1)[1].strip().split(".")[0]
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "dcecon" in imported
+    assert not imported & {"numpy", "scipy"}
+
+
+def test_fit_loads_numpy_but_not_scipy(tmp_path):
+    data = tmp_path / "fit.csv"
+    data.write_text("new_server_cost,power_cooling_cost,output\n"
+                    "2,3,5.1\n4,3,7.9\n3,5,8.2\n6,2,9.0\n5,6,13.1\n")
+    assert loaded_after(cli_call("fit", "--input", str(data))) == ["numpy"]
+    assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
+                                 str(DATA_DIR / "constraints_rts.csv"))) == ["numpy"]
+
+
+def test_fitting_names_still_resolve_from_the_package():
+    out = run_python(
+        "-c",
+        "import dcecon\n"
+        "from dcecon import qp_solve\n"
+        "namespace = {}\n"
+        "exec('from dcecon import *', namespace)\n"
+        "assert all(name in namespace for name in dcecon.__all__)\n"
+        "assert namespace['qp_solve'] is qp_solve is dcecon.fitting.qp_solve\n"
+        "assert dcecon.DesignMatrix is dcecon.fitting.DesignMatrix\n"
+        "print(qp_solve.__module__)\n").stdout
+    assert out.strip() == "dcecon.fitting"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    out = run_python(
+        "-c",
+        "import dcecon\n"
+        "try:\n"
+        "    dcecon.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n").stdout
+    assert out.strip() == "module 'dcecon' has no attribute 'no_such_name'"
