@@ -5,9 +5,9 @@ progress, closed-form and gradient-based optima for cost, revenue, and profit,
 stochastic-frontier elasticity recovery, least-squares and constrained QP
 fitting, and market-concentration (HHI) measurement.
 
-The fitting module is the only one that needs numpy. It and the names it
-exports are loaded on first access, so importing dcecon (and running any CLI
-command but fit) loads neither numpy nor scipy.
+numpy is the only dependency, and the fitting module is the only one that
+needs it. It and the names it exports are loaded on first access, so importing
+dcecon (and running any CLI command but fit) does not load numpy.
 """
 
 import importlib

@@ -9,16 +9,17 @@ linear inequality constraints become a small dense quadratic program
 
 with H = A^T A and f = -2 A^T y, solved exactly by enumerating working sets:
 every set of at most n - n_eq inequality constraints, sum_{k <= n - n_eq} C(m, k)
-of them (1,351 at m = 20 and n = 3). Every QP solution is certified post hoc
-against the KKT conditions. This is the only module that needs numpy; scipy is
-imported only to classify a QP without a KKT point and in certify_solution.
+of them (1,351 at m = 20 and n = 3). The same enumeration tells an infeasible
+QP from an unbounded one (by minimising ||x||^2 under the same constraints) and
+certifies a claimed solution post hoc against the KKT conditions. This is the
+only module that needs numpy, the package's only dependency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,26 +209,21 @@ def kkt_certificate(qp: QuadraticProgram, x: np.ndarray, lam: np.ndarray,
     return True
 
 
-def qp_solve(qp: QuadraticProgram) -> np.ndarray:
-    """Exact active-set enumeration for a small dense convex QP.
+def _working_sets(rows: Sequence[int], size: int) -> List[Tuple[int, ...]]:
+    """Every subset of at most size of rows, in the order of its bit mask (sum of 2^i)."""
+    return sorted((members for k in range(min(len(rows), size) + 1)
+                   for members in combinations(rows, k)),
+                  key=lambda members: sum(1 << i for i in members))
 
-    Every set of at most n - n_eq inequality constraints is tried as the working
-    set (equalities are always active), sum_{k <= n - n_eq} C(m, k) candidates;
-    each comes from the corresponding KKT linear system and is accepted only if
-    the full KKT certificate passes. The best certified candidate is the global
-    minimum for PSD H. Working sets are tried in the order of their bit masks
-    (sum of 2^i over members), so ties between equal objectives always go to the
-    same candidate.
-    """
+
+def _least_kkt_point(qp: QuadraticProgram) -> Optional[np.ndarray]:
+    """The certified KKT point with the least objective over all working sets, or None."""
     n = qp.H.shape[0]
-    m = qp.C.shape[0] if qp.C.size else 0
+    m = qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
-    working_sets = sorted(
-        (members for k in range(min(m, n - n_eq) + 1) for members in combinations(range(m), k)),
-        key=lambda members: sum(1 << i for i in members))
     best_x: Optional[np.ndarray] = None
     best_value = np.inf
-    for members in working_sets:
+    for members in _working_sets(range(m), n - n_eq):
         active = list(members)
         rows = []
         if n_eq:
@@ -255,57 +251,60 @@ def qp_solve(qp: QuadraticProgram) -> np.ndarray:
         lam[active] = solution[n + n_eq:]
         if kkt_certificate(qp, x, lam, mu) and qp.objective(x) < best_value:
             best_x, best_value = x, qp.objective(x)
-    if best_x is not None:
-        return best_x
-    _classify_failure(qp)
-    raise UnboundedProblemError("no KKT point over a non-empty feasible set")
+    return best_x
+
+
+def qp_solve(qp: QuadraticProgram) -> np.ndarray:
+    """Exact active-set enumeration for a small dense convex QP.
+
+    Every set of at most n - n_eq inequality constraints is tried as the working
+    set (equalities are always active), sum_{k <= n - n_eq} C(m, k) candidates;
+    each comes from the corresponding KKT linear system and is accepted only if
+    the full KKT certificate passes. The best certified candidate is the global
+    minimum for PSD H. Working sets are tried in the order of their bit masks
+    (sum of 2^i over members), so ties between equal objectives always go to the
+    same candidate.
+    """
+    x = _least_kkt_point(qp)
+    if x is None:
+        _classify_failure(qp)
+        raise UnboundedProblemError("no KKT point over a non-empty feasible set")
+    return x
 
 
 def certify_solution(qp: QuadraticProgram, x: np.ndarray) -> bool:
     """Post-hoc KKT certificate for a claimed solution.
 
-    Reconstructs non-negative multipliers on the constraints active at x
-    (non-negative least squares on the stationarity equation) and checks the
-    full certificate. A claimed optimum that fails this check is a defect.
+    For each working set of at most n - n_eq constraints active at x, solves the
+    stationarity equation for the equality and working-set multipliers by least
+    squares and checks the full certificate. A claimed optimum that fails this
+    check for every working set is a defect.
     """
-    from scipy.optimize import nnls
-
     x = np.asarray(x, dtype=float)
-    m = qp.C.shape[0] if qp.C.size else 0
+    n, m = qp.H.shape[0], qp.C.shape[0]
+    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     grad = 2.0 * qp.H @ x + qp.f
     active = [i for i in range(m) if qp.C[i] @ x - qp.b[i] > -DUAL_TOL]
-    lam = np.zeros(m)
-    mu = None
-    if qp.C_eq is not None:
-        # unconstrained-sign equality multipliers first, then sign-constrained ones
-        basis = [qp.C_eq.T] + ([qp.C[active].T] if active else [])
-        stacked = np.hstack(basis)
-        sol, *_ = np.linalg.lstsq(stacked, -grad, rcond=None)
-        n_eq = qp.C_eq.shape[0]
-        mu = sol[:n_eq]
-        if active:
-            lam[active] = np.maximum(sol[n_eq:], 0.0)
-    elif active:
-        sol, _ = nnls(qp.C[active].T, -grad)
-        lam[active] = sol
-    return kkt_certificate(qp, x, lam, mu)
+    for members in _working_sets(active, n - n_eq):
+        basis = ([qp.C_eq.T] if n_eq else []) + [qp.C[list(members)].T]
+        sol, *_ = np.linalg.lstsq(np.hstack(basis), -grad, rcond=None)
+        lam = np.zeros(m)
+        lam[list(members)] = sol[n_eq:]
+        if kkt_certificate(qp, x, lam, sol[:n_eq] if n_eq else None):
+            return True
+    return False
 
 
 def _classify_failure(qp: QuadraticProgram) -> None:
-    """No certified KKT point exists; decide between infeasible and unbounded."""
-    from scipy.optimize import linprog
+    """No certified KKT point exists; decide between infeasible and unbounded.
 
+    min ||x||^2 under the same constraints is bounded below, so it has a KKT
+    point exactly when the constraint set is non-empty.
+    """
     n = qp.H.shape[0]
-    check = linprog(
-        c=np.zeros(n),
-        A_ub=qp.C if qp.C.size else None,
-        b_ub=qp.b if qp.C.size else None,
-        A_eq=qp.C_eq,
-        b_eq=qp.b_eq,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    if check.status == 2:
+    nearest = QuadraticProgram(H=np.eye(n), f=np.zeros(n), C=qp.C, b=qp.b,
+                               C_eq=qp.C_eq, b_eq=qp.b_eq)
+    if _least_kkt_point(nearest) is None:
         raise InfeasibleProblemError("constraint set is empty")
 
 

@@ -119,12 +119,10 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
             f"initial alpha + beta = {alpha + beta} already violates the cap {cap}"
         )
 
-    def objective_at(a: float, b: float) -> float:
-        return evaluate_output(CobbDouglasParams(P=1.0, alpha=a, beta=b), L, K)
-
+    # trajectory points use the inline form of evaluate_output (ln P = 0), bit for bit
     trajectory: List[Tuple[float, float, float]] = []
     if config.record_trajectory:
-        trajectory.append((alpha, beta, objective_at(alpha, beta)))
+        trajectory.append((alpha, beta, math.exp(alpha * log_L + beta * log_K)))
 
     terminated_by = Termination.MAX_ITERS
     iterations = 0
@@ -144,9 +142,10 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
         alpha, beta = next_alpha, next_beta
         iterations += 1
         if config.record_trajectory:
-            trajectory.append((alpha, beta, objective_at(alpha, beta)))
+            trajectory.append((alpha, beta, math.exp(alpha * log_L + beta * log_K)))
 
-    return OptimResult(alpha=alpha, beta=beta, objective=objective_at(alpha, beta),
+    objective = evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), L, K)
+    return OptimResult(alpha=alpha, beta=beta, objective=objective,
                        iterations=iterations, trajectory=trajectory,
                        terminated_by=terminated_by)
 

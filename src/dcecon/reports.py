@@ -123,7 +123,8 @@ class RunReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        # vars(self) holds the same fields in the same order as to_dict, without its deep copy
+        return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

@@ -236,6 +236,51 @@ def test_working_sets_match_mask_order_bit_for_bit():
     assert outcomes == {np.ndarray, InfeasibleProblemError, UnboundedProblemError}
 
 
+def nnls_certify_solution(qp, x, nnls):
+    """Reference for certify_solution: the scipy version, lstsq with equalities, nnls without."""
+    m = qp.C.shape[0]
+    grad = 2.0 * qp.H @ x + qp.f
+    active = [i for i in range(m) if qp.C[i] @ x - qp.b[i] > -1e-8]
+    lam = np.zeros(m)
+    mu = None
+    if qp.C_eq is not None:
+        stacked = np.hstack([qp.C_eq.T] + ([qp.C[active].T] if active else []))
+        sol, *_ = np.linalg.lstsq(stacked, -grad, rcond=None)
+        n_eq = qp.C_eq.shape[0]
+        mu = sol[:n_eq]
+        if active:
+            lam[active] = np.maximum(sol[n_eq:], 0.0)
+    elif active:
+        lam[active], _ = nnls(qp.C[active].T, -grad)
+    return kkt_certificate(qp, x, lam, mu)
+
+
+def test_classification_and_certificates_match_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    outcomes = set()
+    for seed in range(204):
+        qp = random_qp(seed)
+        n = qp.H.shape[0]
+        # a zero objective: status 2 exactly when the constraint set is empty
+        status = optimize.linprog(np.zeros(n), A_ub=qp.C if qp.C.size else None,
+                                  b_ub=qp.b if qp.C.size else None, A_eq=qp.C_eq,
+                                  b_eq=qp.b_eq, bounds=[(None, None)] * n,
+                                  method="highs").status
+        try:
+            x = qp_solve(qp)
+        except (InfeasibleProblemError, UnboundedProblemError) as exc:
+            assert (status == 2) == (type(exc) is InfeasibleProblemError), seed
+            outcomes.add(type(exc))
+            continue
+        assert status == 0, seed
+        assert certify_solution(qp, x) and nnls_certify_solution(qp, x, optimize.nnls), seed
+        perturbed = x + 1e-3
+        assert not certify_solution(qp, perturbed), seed
+        assert not nnls_certify_solution(qp, perturbed, optimize.nnls), seed
+        outcomes.add(np.ndarray)
+    assert outcomes == {np.ndarray, InfeasibleProblemError, UnboundedProblemError}
+
+
 RTS_CONSTRAINTS = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 1.0]]),
     np.array([0.0, 0.0, 1.0]),

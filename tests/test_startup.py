@@ -1,4 +1,4 @@
-"""Start-up contract: only fit loads numpy, and no successful call loads scipy.
+"""Start-up contract: only fit loads numpy, and no call loads scipy.
 
 Each case runs in a fresh interpreter, because this test process has long since
 imported numpy and scipy.
@@ -30,10 +30,10 @@ def loaded_after(code):
     return json.loads(run_python("-c", f"{code}\n{LOADED}").stdout.splitlines()[-1])
 
 
-def cli_call(*argv):
+def cli_call(*argv, exit_code=0):
     return ("import contextlib, io\nfrom dcecon.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({list(argv)!r}) == 0\n")
+            f"    assert main({list(argv)!r}) == {exit_code}\n")
 
 
 def test_import_loads_neither_numpy_nor_scipy():
@@ -57,6 +57,11 @@ def test_fit_loads_numpy_but_not_scipy(tmp_path):
     assert loaded_after(cli_call("fit", "--input", str(data))) == ["numpy"]
     assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
                                  str(DATA_DIR / "constraints_rts.csv"))) == ["numpy"]
+    # alpha <= -1 and alpha >= 1: the QP is infeasible, a numerical error (exit 3)
+    infeasible = tmp_path / "infeasible.csv"
+    infeasible.write_text("c1,c2,c3,b\n0,1,0,-1\n0,-1,0,-1\n")
+    assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
+                                 str(infeasible), exit_code=3)) == ["numpy"]
 
 
 def test_fitting_names_still_resolve_from_the_package():
