@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     EconModelError,
     InfeasibleProblemError,
+    NumericalOverflowError,
     ParameterError,
     SingularSystemError,
     UnboundedProblemError,
@@ -105,6 +106,7 @@ __all__ = [
     "FrontierSpec",
     "InfeasibleProblemError",
     "MarketShares",
+    "NumericalOverflowError",
     "OptimResult",
     "OptimizerConfig",
     "ParameterError",

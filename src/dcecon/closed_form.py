@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateProblemError, DomainError, ParameterError
+from .errors import DegenerateProblemError, DomainError, ParameterError, overflow_as_error
 from .production import RdDeterminants, invert_harrod, invert_solow
 
 
@@ -35,7 +35,7 @@ class BudgetProblem:
     def __post_init__(self):
         for name in ("m", "w1", "w2", "R", "I", "alpha", "beta"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:
                 raise ParameterError(f"{name} must be strictly positive, got {value}")
 
 
@@ -99,7 +99,7 @@ def cost_min(y_tar: float, w1: float, w2: float, R: float, I: float,
     """
     for name, value in (("y_tar", y_tar), ("w1", w1), ("w2", w2), ("R", R),
                         ("I", I), ("alpha", alpha), ("beta", beta)):
-        if value <= 0:
+        if not value > 0:
             raise DomainError(f"{name} must be strictly positive, got {value}")
     n = alpha + beta
     log_y = math.log(y_tar) / n
@@ -111,6 +111,7 @@ def cost_min(y_tar: float, w1: float, w2: float, R: float, I: float,
                               L_star=L_star, K_star=K_star)
 
 
+@overflow_as_error
 def profit_max(w1: float, w2: float, R: float, I: float,
                alpha: float, beta: float, P: float = 1.0,
                rd: Optional[RdDeterminants] = None) -> ProfitSolution:
@@ -126,7 +127,7 @@ def profit_max(w1: float, w2: float, R: float, I: float,
     """
     for name, value in (("w1", w1), ("w2", w2), ("R", R), ("I", I),
                         ("alpha", alpha), ("beta", beta), ("P", P)):
-        if value <= 0:
+        if not value > 0:
             raise DomainError(f"{name} must be strictly positive, got {value}")
     n = alpha + beta
     if n >= 1.0:

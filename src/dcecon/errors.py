@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+import functools
+
 
 class EconModelError(Exception):
     """Base class for all library errors."""
@@ -31,3 +33,18 @@ class UnboundedProblemError(EconModelError):
 
 class DataValidationError(EconModelError):
     """An input data file failed validation."""
+
+
+class NumericalOverflowError(EconModelError, OverflowError):
+    """A result lies outside the double range (math.exp overflowed)."""
+
+
+def overflow_as_error(fn):
+    """fn, with an OverflowError it raises re-raised as NumericalOverflowError (same message)."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise NumericalOverflowError(str(exc)) from exc
+    return checked

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .errors import DomainError, SingularSystemError
+from .errors import DomainError, SingularSystemError, overflow_as_error
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class FrontierSpec:
             object.__setattr__(self, "n", self.alpha + self.beta)
 
 
+@overflow_as_error
 def frontier_output(spec: FrontierSpec, S: float, I: float) -> float:
     """y = exp(K + alpha*ln S + beta*ln I + v - u)."""
     if S <= 0 or I <= 0:

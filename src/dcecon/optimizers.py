@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, List, Literal, Mapping, Optional, Sequence, Tuple
 
-from .errors import EconModelError, ParameterError
+from .errors import EconModelError, ParameterError, overflow_as_error
 from .production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
 
 GradientMode = Literal["marginal", "analytic"]
@@ -54,18 +54,14 @@ class OptimizerConfig:
     record_trajectory: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.cap <= 0:
-            raise ParameterError(f"cap must be positive, got {self.cap}")
+        for name in ("learning_rate", "cap", "init_alpha", "init_beta"):
+            value = getattr(self, name)
+            if value is not None and (not value > 0 or not math.isfinite(value)):
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.mode not in ("marginal", "analytic"):
             raise ParameterError(f"unknown gradient mode {self.mode!r}")
-        for name in ("init_alpha", "init_beta"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ParameterError(f"{name} must be positive when given, got {value}")
 
     def initial_point(self) -> Tuple[float, float]:
         """Resolve the starting elasticities (seed-driven when not fixed)."""
@@ -97,20 +93,18 @@ class OptimResult:
     terminated_by: Termination = Termination.MAX_ITERS
 
 
-def _gradients(mode: GradientMode, alpha: float, beta: float,
-               log_L: float, log_K: float) -> Tuple[float, float]:
-    if mode == "marginal":
-        g_alpha = alpha * math.exp((alpha - 1.0) * log_L + beta * log_K)
-        g_beta = beta * math.exp((beta - 1.0) * log_L + alpha * log_K)
-    else:
-        value = math.exp(alpha * log_L + beta * log_K)
-        g_alpha = log_L * value
-        g_beta = log_K * value
-    return g_alpha, g_beta
-
-
+@overflow_as_error
 def _run(record: CostRecord, config: OptimizerConfig, direction: float,
          cap: Optional[float]) -> OptimResult:
+    """The update loop; every float operation is the documented update rule's.
+
+    A marginal descent reaches a steady phase: once alpha - 1.0 and beta - 1.0
+    round to -1.0 and both exp arguments round to -ln L, rounding is monotone and
+    alpha, beta only shrink, so both arguments stay exactly -ln L. From there the
+    loop computes exp(-ln L) once. In that phase a step that leaves alpha and
+    beta unchanged is repeated on every later iteration, so the run jumps to
+    max_iters, repeating that point in the trajectory.
+    """
     L, K = record.server_cost, record.power_cooling_cost
     log_L, log_K = math.log(L), math.log(K)
     alpha, beta = config.initial_point()
@@ -119,17 +113,36 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
             f"initial alpha + beta = {alpha + beta} already violates the cap {cap}"
         )
 
+    exp = math.exp
+    step = direction * config.learning_rate  # direction * lr * g is (direction * lr) * g
+    max_iters = config.max_iters
+    marginal = config.mode == "marginal"
+    descent = direction < 0
+    neg_log_L = -log_L
+    recording = config.record_trajectory
     # trajectory points use the inline form of evaluate_output (ln P = 0), bit for bit
     trajectory: List[Tuple[float, float, float]] = []
-    if config.record_trajectory:
-        trajectory.append((alpha, beta, math.exp(alpha * log_L + beta * log_K)))
+    append = trajectory.append
+    if recording:
+        append((alpha, beta, exp(alpha * log_L + beta * log_K)))
 
     terminated_by = Termination.MAX_ITERS
+    steady_exp = None
     iterations = 0
-    for _ in range(config.max_iters):
-        g_alpha, g_beta = _gradients(config.mode, alpha, beta, log_L, log_K)
-        next_alpha = alpha + direction * config.learning_rate * g_alpha
-        next_beta = beta + direction * config.learning_rate * g_beta
+    for iterations in range(max_iters):
+        if marginal:
+            arg_alpha = (alpha - 1.0) * log_L + beta * log_K
+            arg_beta = (beta - 1.0) * log_L + alpha * log_K
+            if (arg_alpha == neg_log_L and arg_beta == neg_log_L and descent
+                    and alpha - 1.0 == -1.0 and beta - 1.0 == -1.0):
+                steady_exp = exp(neg_log_L)
+                break
+            next_alpha = alpha + step * (alpha * exp(arg_alpha))
+            next_beta = beta + step * (beta * exp(arg_beta))
+        else:
+            value = exp(alpha * log_L + beta * log_K)
+            next_alpha = alpha + step * (log_L * value)
+            next_beta = beta + step * (log_K * value)
         if next_alpha <= 0:
             terminated_by = Termination.BOUNDARY_ALPHA
             break
@@ -140,9 +153,32 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
             terminated_by = Termination.CAP_REACHED
             break
         alpha, beta = next_alpha, next_beta
-        iterations += 1
-        if config.record_trajectory:
-            trajectory.append((alpha, beta, math.exp(alpha * log_L + beta * log_K)))
+        if recording:
+            append((alpha, beta, exp(alpha * log_L + beta * log_K)))
+    else:
+        iterations = max_iters
+
+    if steady_exp is not None:
+        for iterations in range(iterations, max_iters):
+            next_alpha = alpha + step * (alpha * steady_exp)
+            next_beta = beta + step * (beta * steady_exp)
+            if next_alpha <= 0:
+                terminated_by = Termination.BOUNDARY_ALPHA
+                break
+            if next_beta <= 0:
+                terminated_by = Termination.BOUNDARY_BETA
+                break
+            if next_alpha == alpha and next_beta == beta:
+                if recording:
+                    point = (alpha, beta, exp(alpha * log_L + beta * log_K))
+                    trajectory.extend([point] * (max_iters - iterations))
+                iterations = max_iters
+                break
+            alpha, beta = next_alpha, next_beta
+            if recording:
+                append((alpha, beta, exp(alpha * log_L + beta * log_K)))
+        else:
+            iterations = max_iters
 
     objective = evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), L, K)
     return OptimResult(alpha=alpha, beta=beta, objective=objective,
@@ -181,13 +217,12 @@ def run_year(runner, record: CostRecord, config: OptimizerConfig,
     return result
 
 
-def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval, w2_bounds: Interval,
-                        config: OptimizerConfig) -> Tuple[float, float, float]:
+def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval,
+                        w2_bounds: Interval) -> Tuple[float, float, float]:
     """Minimize w1*L + w2*K over a weight box.
 
     The gradient (L, K) is positive, so the minimum is the box's lower corner;
-    a degenerate box (lo == hi) pins the weights. config is unused and kept for
-    signature compatibility.
+    a degenerate box (lo == hi) pins the weights.
     """
     for name, (lo, hi) in (("w1_bounds", w1_bounds), ("w2_bounds", w2_bounds)):
         if lo < 0 or hi < 0:

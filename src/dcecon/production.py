@@ -39,9 +39,9 @@ class CobbDouglasParams:
     beta: float
 
     def __post_init__(self):
-        if self.P <= 0:
+        if not self.P > 0:
             raise ParameterError(f"total factor productivity must be positive, got {self.P}")
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ParameterError(f"elasticities must be non-negative, got ({self.alpha}, {self.beta})")
 
 
@@ -119,10 +119,9 @@ class CostRecord:
     power_cooling_cost: float
 
     def __post_init__(self):
-        if self.server_cost <= 0 or self.power_cooling_cost <= 0:
-            raise DomainError(
-                f"costs must be strictly positive, got ({self.server_cost}, {self.power_cooling_cost})"
-            )
+        costs = (self.server_cost, self.power_cooling_cost)
+        if not all(cost > 0 and math.isfinite(cost) for cost in costs):
+            raise DomainError(f"costs must be strictly positive and finite, got {costs}")
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -131,7 +130,7 @@ def _check_unit_interval(name: str, value: float) -> None:
 
 
 def _check_positive(name: str, value: float) -> None:
-    if value <= 0:
+    if not value > 0:
         raise DomainError(f"{name} must be strictly positive, got {value}")
 
 

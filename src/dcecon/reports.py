@@ -108,9 +108,6 @@ class RunReport:
     reference_note: Optional[str] = None
     summary: Optional[Dict] = None
 
-    def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunReport":
         return cls(
@@ -123,7 +120,7 @@ class RunReport:
         )
 
     def to_json(self) -> str:
-        # vars(self) holds the same fields in the same order as to_dict, without its deep copy
+        # vars(self) holds the fields in declaration order; dataclasses.asdict would deep-copy them
         return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
 
     @classmethod
@@ -175,10 +172,10 @@ def _trace_writer(trace_dir) -> Observer:
     def write(command: str, year: int, result: OptimResult) -> None:
         trace_dir.mkdir(parents=True, exist_ok=True)
         with (trace_dir / f"{command}_{year}.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["iteration", "alpha", "beta", "objective"])
-            for i, (alpha, beta, objective) in enumerate(result.trajectory):
-                writer.writerow([i, repr(alpha), repr(beta), repr(objective)])
+            # float reprs hold no comma or quote, so these are the rows csv.writer writes
+            handle.write("iteration,alpha,beta,objective\n")
+            handle.writelines(f"{i},{alpha!r},{beta!r},{objective!r}\n"
+                              for i, (alpha, beta, objective) in enumerate(result.trajectory))
     return write
 
 

@@ -59,6 +59,35 @@ class TestExitCodes:
         assert out == ""
         assert err == "numerical error: math range error\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("cost-min", "--learning-rate", "nan"), "learning_rate must be positive and finite, got nan"),
+        (("revenue-max", "--cap", "nan"), "cap must be positive and finite, got nan"),
+        (("cost-min", "--init-alpha", "nan"), "init_alpha must be positive and finite, got nan"),
+        (("revenue-max", "--init-beta", "inf"), "init_beta must be positive and finite, got inf"),
+    ], ids=["learning-rate", "cap", "init-alpha", "init-beta"])
+    def test_non_finite_optimizer_parameter_is_numerical_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--input", str(DATA_DIR / "tables.csv"))
+        assert code == 3
+        assert out == ""
+        assert err == f"numerical error: {message}\n"
+
+    def test_kernel_overflow_names_the_year(self, tmp_path, capsys):
+        costs = tmp_path / "costs.csv"
+        costs.write_text("year,new_server_cost,power_cooling_cost\n2000,1e300,1e300\n")
+        code, out, err = run_cli(capsys, "revenue-max", "--input", str(costs),
+                                 "--init-alpha", "0.6", "--init-beta", "0.6")
+        assert code == 3
+        assert out == ""
+        assert err == "numerical error: year 2000: math range error\n"
+
+    def test_nan_closed_form_input_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "profit-max-closed", "--w1", "nan", "--w2", "1", "--recurring", "1",
+            "--infrastructure", "1", "--alpha", "0.25", "--beta", "0.25")
+        assert code == 3
+        assert out == ""
+        assert err == "numerical error: w1 must be strictly positive, got nan\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_numerical_error(self, capsys, fmt):
         code, out, err = run_cli(

@@ -10,7 +10,8 @@ from dcecon.closed_form import (
     profit_max,
     revenue_max,
 )
-from dcecon.errors import DegenerateProblemError, DomainError, ParameterError
+from dcecon.errors import (DegenerateProblemError, DomainError, NumericalOverflowError,
+                           ParameterError)
 from dcecon.production import RdDeterminants, harrod_progress, solow_progress
 
 ORACLE_POINTS = 10_000
@@ -94,6 +95,8 @@ class TestRevenueMax:
             BudgetProblem(m=0, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)
         with pytest.raises(ParameterError):
             BudgetProblem(m=1, w1=1, w2=1, R=1, I=1, alpha=-1, beta=1)
+        with pytest.raises(ParameterError):
+            BudgetProblem(m=1, w1=math.nan, w2=1, R=1, I=1, alpha=1, beta=1)
 
 
 class TestCostMin:
@@ -156,6 +159,8 @@ class TestCostMin:
             cost_min(0.0, 1, 1, 1, 1, 0.5, 0.5)
         with pytest.raises(DomainError):
             cost_min(1.0, 1, 1, 1, 1, 0.5, 0.0)
+        with pytest.raises(DomainError):
+            cost_min(math.nan, 1, 1, 1, 1, 0.5, 0.5)
 
 
 def refine_profit_grid(w1, w2, alpha, beta, P):
@@ -229,6 +234,12 @@ class TestProfitMax:
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(DomainError):
             profit_max(0.0, 1, 1, 1, 0.25, 0.25)
+        with pytest.raises(DomainError):
+            profit_max(1, 1, 1, 1, 0.25, math.nan)
+
+    def test_overflow_is_numerical_overflow_error(self):
+        with pytest.raises(NumericalOverflowError, match="^math range error$"):
+            profit_max(1e-300, 1e-300, 1, 1, 0.45, 0.5)
 
     def test_rd_back_out(self):
         rd = RdDeterminants(r=1.1, Gamma=2.0, Delta=4.0, alpha1=0.5, beta1=0.6)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcecon.errors import DomainError, SingularSystemError
+from dcecon.errors import DomainError, NumericalOverflowError, SingularSystemError
 from dcecon.frontier import (
     FrontierSpec,
     draw_shocks,
@@ -42,6 +42,11 @@ class TestFrontierOutput:
             frontier_output(spec, 0, 1)
         with pytest.raises(DomainError):
             frontier_output(spec, 1, -2)
+
+    def test_overflow_is_numerical_overflow_error(self):
+        spec = FrontierSpec(K=800, alpha=0.5, beta=0.5)
+        with pytest.raises(NumericalOverflowError, match="^math range error$"):
+            frontier_output(spec, 2, 3)
 
     def test_negative_inefficiency_rejected(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 
-from dcecon.errors import ParameterError
+from dcecon.errors import NumericalOverflowError, ParameterError
 from dcecon.optimizers import (
     OptimizerConfig,
+    OptimResult,
     Termination,
     profit_table,
     sga_revenue_max,
@@ -48,6 +50,10 @@ class TestConfig:
             OptimizerConfig(mode="newton")
         with pytest.raises(ParameterError):
             OptimizerConfig(init_alpha=-0.5)
+        for name in ("learning_rate", "cap", "init_alpha", "init_beta"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ParameterError, match=f"^{name} must be positive"):
+                    OptimizerConfig(**{name: bad})
 
     def test_seed_zero_initial_point_is_stable(self):
         assert OptimizerConfig(seed=0).initial_point() == (
@@ -200,40 +206,42 @@ class TestAscent:
         with pytest.raises(ParameterError):
             sga_revenue_max(RECORD_1997, config)
 
+    def test_overflow_is_numerical_overflow_error(self):
+        config = OptimizerConfig(init_alpha=0.6, init_beta=0.6)
+        with pytest.raises(NumericalOverflowError, match="^math range error$"):
+            sga_revenue_max(CostRecord(2000, 1e300, 1e300), config)
+
 
 class TestLinearCostMin:
     def test_fixed_weights_reproduce_reference_rows(self):
-        config = OptimizerConfig(max_iters=10)
         w1, w2, cost = sgd_linear_cost_min(
-            CostRecord(1997, 65, 5), (0.0150, 0.0150), (0.6550, 0.6550), config)
+            CostRecord(1997, 65, 5), (0.0150, 0.0150), (0.6550, 0.6550))
         assert (w1, w2) == (0.0150, 0.6550)
         assert abs(cost - 4.25) <= 1e-2
         _, _, cost_2012 = sgd_linear_cost_min(
-            CostRecord(2012, 60, 40), (5.5e-17, 5.5e-17), (0.3, 0.3), config)
+            CostRecord(2012, 60, 40), (5.5e-17, 5.5e-17), (0.3, 0.3))
         assert abs(cost_2012 - 12.0) <= 1e-2
 
     def test_unit_box_converges_to_lower_corner(self):
-        config = OptimizerConfig(learning_rate=0.01, max_iters=10_000)
         w1, w2, cost = sgd_linear_cost_min(
-            CostRecord(2000, 65, 5), (0.0, 1.0), (0.0, 1.0), config)
+            CostRecord(2000, 65, 5), (0.0, 1.0), (0.0, 1.0))
         assert (w1, w2) == (0.0, 0.0)
         assert cost == 0.0
 
     def test_nonzero_lower_corner(self):
-        config = OptimizerConfig(learning_rate=0.01, max_iters=10_000)
         w1, w2, cost = sgd_linear_cost_min(
-            CostRecord(2000, 10, 20), (0.1, 0.9), (0.2, 0.8), config)
+            CostRecord(2000, 10, 20), (0.1, 0.9), (0.2, 0.8))
         assert w1 == pytest.approx(0.1)
         assert w2 == pytest.approx(0.2)
         assert cost == pytest.approx(0.1 * 10 + 0.2 * 20)
 
     def test_empty_box_rejected(self):
         with pytest.raises(ParameterError):
-            sgd_linear_cost_min(RECORD_1997, (0.5, 0.4), (0.0, 1.0), OptimizerConfig())
+            sgd_linear_cost_min(RECORD_1997, (0.5, 0.4), (0.0, 1.0))
 
     def test_negative_bounds_rejected(self):
         with pytest.raises(ParameterError):
-            sgd_linear_cost_min(RECORD_1997, (-0.1, 0.4), (0.0, 1.0), OptimizerConfig())
+            sgd_linear_cost_min(RECORD_1997, (-0.1, 0.4), (0.0, 1.0))
 
 
 class TestProfitTable:
@@ -264,3 +272,132 @@ class TestProfitTable:
     def test_empty_records_rejected(self):
         with pytest.raises(ParameterError):
             profit_table([], OptimizerConfig(), {})
+
+
+# The kernel before its steady-phase loop, kept verbatim as the reference the
+# current kernel must match bit for bit.
+def _oracle_gradients(mode, alpha: float, beta: float,
+                      log_L: float, log_K: float):
+    if mode == "marginal":
+        g_alpha = alpha * math.exp((alpha - 1.0) * log_L + beta * log_K)
+        g_beta = beta * math.exp((beta - 1.0) * log_L + alpha * log_K)
+    else:
+        value = math.exp(alpha * log_L + beta * log_K)
+        g_alpha = log_L * value
+        g_beta = log_K * value
+    return g_alpha, g_beta
+
+
+def _oracle_run(record: CostRecord, config: OptimizerConfig, direction: float,
+                cap) -> OptimResult:
+    L, K = record.server_cost, record.power_cooling_cost
+    log_L, log_K = math.log(L), math.log(K)
+    alpha, beta = config.initial_point()
+    if cap is not None and alpha + beta >= cap:
+        raise ParameterError(
+            f"initial alpha + beta = {alpha + beta} already violates the cap {cap}"
+        )
+
+    # trajectory points use the inline form of evaluate_output (ln P = 0), bit for bit
+    trajectory = []
+    if config.record_trajectory:
+        trajectory.append((alpha, beta, math.exp(alpha * log_L + beta * log_K)))
+
+    terminated_by = Termination.MAX_ITERS
+    iterations = 0
+    for _ in range(config.max_iters):
+        g_alpha, g_beta = _oracle_gradients(config.mode, alpha, beta, log_L, log_K)
+        next_alpha = alpha + direction * config.learning_rate * g_alpha
+        next_beta = beta + direction * config.learning_rate * g_beta
+        if next_alpha <= 0:
+            terminated_by = Termination.BOUNDARY_ALPHA
+            break
+        if next_beta <= 0:
+            terminated_by = Termination.BOUNDARY_BETA
+            break
+        if cap is not None and next_alpha + next_beta >= cap:
+            terminated_by = Termination.CAP_REACHED
+            break
+        alpha, beta = next_alpha, next_beta
+        iterations += 1
+        if config.record_trajectory:
+            trajectory.append((alpha, beta, math.exp(alpha * log_L + beta * log_K)))
+
+    objective = evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), L, K)
+    return OptimResult(alpha=alpha, beta=beta, objective=objective,
+                       iterations=iterations, trajectory=trajectory,
+                       terminated_by=terminated_by)
+
+
+def _outcome(run, *args):
+    """A run's result with every float as float.hex, or the exception it raised."""
+    try:
+        result = run(*args)
+    except Exception as exc:
+        return exc
+    return (result.alpha.hex(), result.beta.hex(), result.objective.hex(),
+            result.iterations, result.terminated_by,
+            [tuple(value.hex() for value in point) for point in result.trajectory])
+
+
+def assert_kernel_matches_oracle(record: CostRecord, config: OptimizerConfig) -> None:
+    for run, direction, cap in ((sgd_cost_min, -1.0, None),
+                                (sga_revenue_max, 1.0, config.cap)):
+        expected = _outcome(_oracle_run, record, config, direction, cap)
+        actual = _outcome(run, record, config)
+        if isinstance(expected, Exception):
+            assert isinstance(actual, type(expected)), (record, config, run, actual)
+            assert str(actual) == str(expected)
+        else:
+            assert actual == expected, (record, config, run)
+
+
+def random_kernel_cases(count: int):
+    rng = random.Random(97)
+    for _ in range(count):
+        L = rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.0, 90.0), 1.0])
+        K = rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.0, 90.0), 1.0, L])
+        config = OptimizerConfig(learning_rate=rng.choice([0.01, rng.uniform(0.001, 0.4)]),
+                                 seed=rng.randrange(10_000),
+                                 max_iters=rng.choice([500, 4000]),
+                                 mode=rng.choice(["marginal", "marginal", "analytic"]),
+                                 record_trajectory=rng.random() < 0.5)
+        yield CostRecord(2000, L, K), config
+
+
+class TestKernelMatchesOracle:
+    def test_seeded_records_both_modes(self):
+        for record, config in random_kernel_cases(60):
+            assert_kernel_matches_oracle(record, config)
+
+    @pytest.mark.parametrize("record, config", [
+        # L in [5, 6]: the descent reaches the subnormal fixed point (1.34e-321) within 1M steps
+        (CostRecord(2000, 5.5, 3.0), OptimizerConfig(seed=5, record_trajectory=False)),
+        # L < 1 with a trajectory: the fixed point (5e-324) within a few thousand steps
+        (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000)),
+        # ln L = 0: the exp arguments reach -ln L only once beta * ln K underflows
+        (CostRecord(2000, 1.0, 7.0), OptimizerConfig(seed=3, max_iters=100_000,
+                                                     record_trajectory=False)),
+        (CostRecord(2000, 1.0, 1.0), OptimizerConfig(seed=3, max_iters=20_000)),
+        # alpha ln L = -beta ln K: both exp arguments round to -ln L at the start, long
+        # before alpha - 1.0 rounds to -1.0, and stop doing so a few steps later
+        (CostRecord(2000, 8.936146760190548, 0.11190505559452972),
+         OptimizerConfig(learning_rate=0.19721992695321505, init_alpha=0.16049072518625881,
+                         init_beta=0.1604907251862588, max_iters=3000)),
+        # an ascent from tiny elasticities starts where a descent's steady phase would
+        (CostRecord(2000, 0.5, 0.5), OptimizerConfig(learning_rate=0.3, init_alpha=1e-200,
+                                                     init_beta=1e-200, max_iters=3000)),
+        # exp overflows in the ascent's trajectory point
+        (CostRecord(2000, 1e300, 1e300), OptimizerConfig(init_alpha=0.6, init_beta=0.6)),
+    ], ids=["fixed-point-1M", "fixed-point-traced", "log-L-zero", "unit-costs",
+            "coinciding-arguments", "tiny-ascent", "overflow"])
+    def test_edge_records(self, record, config):
+        assert_kernel_matches_oracle(record, config)
+
+    def test_fixed_point_records_reach_it(self):
+        untraced = sgd_cost_min(CostRecord(2000, 5.5, 3.0),
+                                OptimizerConfig(seed=5, record_trajectory=False))
+        assert 0 < untraced.alpha < 1e-320 and untraced.iterations == 1_000_000
+        traced = sgd_cost_min(CostRecord(2000, 0.7, 0.4),
+                              OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000))
+        assert traced.trajectory[-1000:] == [traced.trajectory[-1]] * 1000

@@ -48,7 +48,7 @@ class TestEvaluateOutput:
     def test_zero_elasticities(self):
         assert evaluate_output(CobbDouglasParams(1.0, 0.0, 0.0), 17, 99) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("L, K", [(0, 1), (-3, 1), (1, 0), (1, -0.5)])
+    @pytest.mark.parametrize("L, K", [(0, 1), (-3, 1), (1, 0), (1, -0.5), (math.nan, 1)])
     def test_nonpositive_inputs_rejected(self, L, K):
         with pytest.raises(DomainError):
             evaluate_output(CobbDouglasParams(1.0, 0.5, 0.5), L, K)
@@ -91,16 +91,23 @@ class TestParamsValidation:
     def test_nonpositive_tfp_rejected(self):
         with pytest.raises(ParameterError):
             CobbDouglasParams(0.0, 0.5, 0.5)
+        with pytest.raises(ParameterError):
+            CobbDouglasParams(math.nan, 0.5, 0.5)
 
     def test_negative_elasticity_rejected(self):
         with pytest.raises(ParameterError):
             CobbDouglasParams(1.0, -0.1, 0.5)
+        with pytest.raises(ParameterError):
+            CobbDouglasParams(1.0, 0.5, math.nan)
 
     def test_cost_record_requires_positive_costs(self):
         with pytest.raises(DomainError):
             CostRecord(2000, 0.0, 5.0)
         with pytest.raises(DomainError):
             CostRecord(2000, 5.0, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                CostRecord(2000, bad, 5.0)
 
 
 class TestAugmented:
