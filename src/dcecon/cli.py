@@ -16,10 +16,8 @@ import warnings
 from pathlib import Path
 from typing import List, Optional
 
-from . import closed_form, concentration, frontier
 from .errors import DataValidationError, EconModelError
 from .optimizers import OptimizerConfig
-from .production import RdDeterminants
 from .reports import RunReport, ingest_costs, parse_number, read_numeric_csv, read_rows, run_table
 
 EXIT_USAGE = 1
@@ -135,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rd_from_args(args) -> Optional[RdDeterminants]:
+def _rd_from_args(args):
+    from .production import RdDeterminants
+
     values = (args.discount_rate, args.harrod_capital, args.solow_labor, args.alpha1, args.beta1)
     if all(v is None for v in values):
         return None
@@ -187,6 +187,8 @@ def _solution_row(solution) -> dict:
 
 
 def _cmd_closed(args) -> RunReport:
+    from . import closed_form
+
     rd = _rd_from_args(args)
     if args.command == "revenue-max-closed":
         problem = closed_form.BudgetProblem(m=args.budget, w1=args.w1, w2=args.w2,
@@ -210,6 +212,8 @@ def _cmd_closed(args) -> RunReport:
 
 
 def _cmd_sfa(args) -> RunReport:
+    from . import frontier
+
     config = {"intercept": args.intercept, "n": args.n, "S": args.S, "I": args.I,
               "seed": args.seed}
     if args.synthesize is not None:
@@ -261,6 +265,8 @@ def _cmd_fit(args) -> RunReport:
 
 
 def _cmd_hhi(args) -> RunReport:
+    from . import concentration
+
     entries = [
         concentration.ShareEntry(
             row["firm"], parse_number(args.input, line, row, "share_percent"),
@@ -304,7 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DataValidationError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (EconModelError, OverflowError) as exc:
+    except EconModelError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     sys.stdout.write(output)

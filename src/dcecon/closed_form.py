@@ -69,6 +69,7 @@ def _back_out_rd(A: float, B: float, rd: Optional[RdDeterminants]):
             invert_solow(B, rd.r, rd.Delta, rd.alpha1))
 
 
+@overflow_as_error
 def revenue_max(problem: BudgetProblem, rd: Optional[RdDeterminants] = None) -> ClosedFormSolution:
     """Budget-constrained output maximum.
 
@@ -84,6 +85,7 @@ def revenue_max(problem: BudgetProblem, rd: Optional[RdDeterminants] = None) -> 
     return ClosedFormSolution(A=A, B=B, objective=objective, L_star=L_star, K_star=K_star)
 
 
+@overflow_as_error
 def cost_min(y_tar: float, w1: float, w2: float, R: float, I: float,
              alpha: float, beta: float,
              rd: Optional[RdDeterminants] = None) -> ClosedFormSolution:

@@ -9,7 +9,9 @@ linear inequality constraints become a small dense quadratic program
 
 with H = A^T A and f = -2 A^T y, solved exactly by enumerating working sets:
 every set of at most n - n_eq inequality constraints, sum_{k <= n - n_eq} C(m, k)
-of them (1,351 at m = 20 and n = 3). The same enumeration tells an infeasible
+of them (1,351 at m = 20 and n = 3). The KKT systems of one working-set size
+are solved together, as one stacked np.linalg.solve call that gives each
+solution the bits of a separate solve. The same enumeration tells an infeasible
 QP from an unbounded one (by minimising ||x||^2 under the same constraints) and
 certifies a claimed solution post hoc against the KKT conditions. This is the
 only module that needs numpy, the package's only dependency.
@@ -18,8 +20,8 @@ only module that needs numpy, the package's only dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations, islice
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +39,9 @@ RANK_RCOND = 1e-12
 
 FEASIBILITY_TOL = 1e-10
 DUAL_TOL = 1e-8
+
+# working sets per stacked KKT solve; bounds the stack's memory at large m
+BATCH_SETS = 4096
 
 
 @dataclass(frozen=True)
@@ -209,48 +214,95 @@ def kkt_certificate(qp: QuadraticProgram, x: np.ndarray, lam: np.ndarray,
     return True
 
 
-def _working_sets(rows: Sequence[int], size: int) -> List[Tuple[int, ...]]:
-    """Every subset of at most size of rows, in the order of its bit mask (sum of 2^i)."""
-    return sorted((members for k in range(min(len(rows), size) + 1)
-                   for members in combinations(rows, k)),
-                  key=lambda members: sum(1 << i for i in members))
+def _working_sets(rows: Sequence[int], size: int) -> Iterator[Tuple[int, ...]]:
+    """Every subset of at most size of rows."""
+    return (members for k in range(min(len(rows), size) + 1)
+            for members in combinations(rows, k))
+
+
+def _kkt_stack(qp: QuadraticProgram, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The KKT matrices and right-hand sides of the working sets in the rows of active.
+
+    Set i gives the system [[2H, G_i^T], [G_i, 0]] (x, mu, lam) = (-f, b_eq, b[active[i]]),
+    where G_i stacks C_eq over the rows active[i] of C.
+    """
+    n = qp.H.shape[0]
+    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
+    count, k = active.shape
+    size = n + n_eq + k
+    kkt = np.zeros((count, size, size))
+    rhs = np.empty((count, size))
+    kkt[:, :n, :n] = 2.0 * qp.H
+    rhs[:, :n] = -qp.f
+    if n_eq:
+        kkt[:, :n, n:n + n_eq] = qp.C_eq.T
+        kkt[:, n:n + n_eq, :n] = qp.C_eq
+        rhs[:, n:n + n_eq] = qp.b_eq
+    G = qp.C[active]
+    kkt[:, :n, n + n_eq:] = G.transpose(0, 2, 1)
+    kkt[:, n + n_eq:, :n] = G
+    rhs[:, n + n_eq:] = qp.b[active]
+    return kkt, rhs
+
+
+def _solve_one(kkt: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """The solution of one KKT system; a singular one by least squares, None if inconsistent."""
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        if np.linalg.norm(kkt @ solution - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+            return None
+        return solution
 
 
 def _least_kkt_point(qp: QuadraticProgram) -> Optional[np.ndarray]:
-    """The certified KKT point with the least objective over all working sets, or None."""
+    """The certified KKT point with the least objective over all working sets, or None.
+
+    The working sets of one size are solved as stacks of at most BATCH_SETS
+    systems, one np.linalg.solve call each. LAPACK factors every matrix of a
+    stack on its own, so each solution has the bits of a separate solve; a stack
+    holding a singular matrix is solved one set at a time. A solution with a
+    multiplier below -DUAL_TOL fails the certificate's dual-sign test on the same
+    floats, so it is dropped before the certificate runs. Ties between equal
+    objectives go to the working set with the least bit mask (sum of 2^i).
+    """
     n = qp.H.shape[0]
     m = qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
+    certified = []
+    for k in range(min(m, n - n_eq) + 1):
+        sets = combinations(range(m), k)
+        while True:
+            batch = list(islice(sets, BATCH_SETS))
+            if not batch:
+                break
+            active = np.array(batch, dtype=np.intp).reshape(len(batch), k)
+            kkt, rhs = _kkt_stack(qp, active)
+            consistent = np.ones(len(batch), dtype=bool)
+            try:
+                solutions = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                solutions = np.zeros_like(rhs)
+                for i in range(len(batch)):
+                    solution = _solve_one(kkt[i], rhs[i])
+                    if solution is None:
+                        consistent[i] = False
+                    else:
+                        solutions[i] = solution
+            dual_feasible = ~np.any(solutions[:, n + n_eq:] < -DUAL_TOL, axis=1)
+            for index in np.flatnonzero(consistent & dual_feasible):
+                members, solution = batch[index], solutions[index]
+                x = solution[:n]
+                lam = np.zeros(m)
+                lam[list(members)] = solution[n + n_eq:]
+                if kkt_certificate(qp, x, lam, solution[n:n + n_eq] if n_eq else None):
+                    certified.append((sum(1 << i for i in members), qp.objective(x), x))
     best_x: Optional[np.ndarray] = None
     best_value = np.inf
-    for members in _working_sets(range(m), n - n_eq):
-        active = list(members)
-        rows = []
-        if n_eq:
-            rows.append(qp.C_eq)
-        if active:
-            rows.append(qp.C[active])
-        n_active = n_eq + len(active)
-        kkt = np.zeros((n + n_active, n + n_active))
-        kkt[:n, :n] = 2.0 * qp.H
-        rhs = np.concatenate([-qp.f, qp.b_eq if n_eq else np.zeros(0),
-                              qp.b[active] if active else np.zeros(0)])
-        if n_active:
-            G = np.vstack(rows)
-            kkt[:n, n:] = G.T
-            kkt[n:, :n] = G
-        try:
-            solution = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            if np.linalg.norm(kkt @ solution - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-                continue
-        x = solution[:n]
-        mu = solution[n:n + n_eq] if n_eq else None
-        lam = np.zeros(m)
-        lam[active] = solution[n + n_eq:]
-        if kkt_certificate(qp, x, lam, mu) and qp.objective(x) < best_value:
-            best_x, best_value = x, qp.objective(x)
+    for _, value, x in sorted(certified, key=lambda entry: entry[0]):
+        if value < best_value:
+            best_x, best_value = x, value
     return best_x
 
 
@@ -261,9 +313,9 @@ def qp_solve(qp: QuadraticProgram) -> np.ndarray:
     set (equalities are always active), sum_{k <= n - n_eq} C(m, k) candidates;
     each comes from the corresponding KKT linear system and is accepted only if
     the full KKT certificate passes. The best certified candidate is the global
-    minimum for PSD H. Working sets are tried in the order of their bit masks
-    (sum of 2^i over members), so ties between equal objectives always go to the
-    same candidate.
+    minimum for PSD H. Ties between equal objectives go to the working set with
+    the least bit mask (sum of 2^i over members), so they always go to the same
+    candidate.
     """
     x = _least_kkt_point(qp)
     if x is None:

@@ -29,7 +29,7 @@ class FrontierSpec:
     n: Optional[float] = None
 
     def __post_init__(self):
-        if self.u < 0:
+        if not self.u >= 0:
             raise DomainError(f"inefficiency u must be non-negative, got {self.u}")
         if self.n is None:
             object.__setattr__(self, "n", self.alpha + self.beta)
@@ -38,14 +38,14 @@ class FrontierSpec:
 @overflow_as_error
 def frontier_output(spec: FrontierSpec, S: float, I: float) -> float:
     """y = exp(K + alpha*ln S + beta*ln I + v - u)."""
-    if S <= 0 or I <= 0:
+    if not (S > 0 and I > 0):
         raise DomainError(f"inputs must be strictly positive, got S={S}, I={I}")
     return math.exp(spec.K + spec.alpha * math.log(S) + spec.beta * math.log(I) + spec.v - spec.u)
 
 
 def technical_efficiency(u: float) -> float:
     """TE = exp(-u), the ratio of observed output to the maximum frontier output."""
-    if u < 0:
+    if not u >= 0:
         raise DomainError(f"inefficiency u must be non-negative, got {u}")
     return math.exp(-u)
 
@@ -58,9 +58,9 @@ def elasticities_from_frontier(y: float, K: float, S: float, I: float,
     With X = ln y - K - v + u:  alpha = (X - n*ln I) / ln(S/I)  and  beta = n - alpha.
     S = I makes the system singular (the two inputs are indistinguishable).
     """
-    if y <= 0 or S <= 0 or I <= 0:
+    if not (y > 0 and S > 0 and I > 0):
         raise DomainError(f"y, S, I must be strictly positive, got ({y}, {S}, {I})")
-    if u < 0:
+    if not u >= 0:
         raise DomainError(f"inefficiency u must be non-negative, got {u}")
     denom = math.log(S) - math.log(I)
     if denom == 0.0:
@@ -72,7 +72,7 @@ def elasticities_from_frontier(y: float, K: float, S: float, I: float,
 
 def draw_shocks(rng: random.Random, sigma_v: float, sigma_u: float) -> Tuple[float, float]:
     """One draw of (v, u): v ~ Normal(0, sigma_v), u = |Normal(0, sigma_u)|."""
-    if sigma_v < 0 or sigma_u < 0:
+    if not (sigma_v >= 0 and sigma_u >= 0):
         raise DomainError(f"shock scales must be non-negative, got ({sigma_v}, {sigma_u})")
     return rng.gauss(0.0, sigma_v), abs(rng.gauss(0.0, sigma_u))
 

@@ -21,12 +21,16 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Dict, List, Literal, Mapping, Optional, Sequence, Tuple
 
 from .errors import EconModelError, ParameterError, overflow_as_error
 from .production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
 
 GradientMode = Literal["marginal", "analytic"]
+
+# unchecked steps between the fixed-point tests of the steady phase
+STEADY_BLOCK = 1024
 
 
 class Termination(str, Enum):
@@ -101,9 +105,23 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
     A marginal descent reaches a steady phase: once alpha - 1.0 and beta - 1.0
     round to -1.0 and both exp arguments round to -ln L, rounding is monotone and
     alpha, beta only shrink, so both arguments stay exactly -ln L. From there the
-    loop computes exp(-ln L) once. In that phase a step that leaves alpha and
+    loop computes E = exp(-ln L) once. In that phase a step that leaves alpha and
     beta unchanged is repeated on every later iteration, so the run jumps to
     max_iters, repeating that point in the trajectory.
+
+    In the steady phase alpha and beta no longer interact: each follows
+    x -> x + step * (x * E) on its own. When no trajectory is recorded and
+    -step * E < 0.25, each is run to max_iters by _settle, without the boundary
+    tests, because no step can reach 0. Proof: 0.25 is a float and rounding is
+    monotone, so the exact s * E is below 0.25 too, where s = -step. Let x > 0
+    and p = fl(x * E); if p = 0 the step leaves x as it is. If p > 0, then
+    p <= 2 * x * E: in the normal range the relative rounding error is below
+    2^-53, and in the subnormal range the absolute error is at most 2^-1075
+    while p >= 2^-1074. So s * p < x / 2, and fl(s * p) <= fl(x / 2) < x: the
+    floats next to x / 2 lie within 2^-1075 of it, so below x, except at
+    x = 2^-1074, where x / 2 is a tie that rounds to the even 0. The new x is
+    the rounded x - fl(s * p), a positive multiple of 2^-1074 (as x and
+    fl(s * p) are), so it is a positive float.
     """
     L, K = record.server_cost, record.power_cooling_cost
     log_L, log_K = math.log(L), math.log(K)
@@ -158,7 +176,11 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
     else:
         iterations = max_iters
 
-    if steady_exp is not None:
+    if steady_exp is not None and not recording and -step * steady_exp < 0.25:
+        alpha = _settle(alpha, step, steady_exp, max_iters - iterations)
+        beta = _settle(beta, step, steady_exp, max_iters - iterations)
+        iterations = max_iters
+    elif steady_exp is not None:
         for iterations in range(iterations, max_iters):
             next_alpha = alpha + step * (alpha * steady_exp)
             next_beta = beta + step * (beta * steady_exp)
@@ -184,6 +206,22 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
     return OptimResult(alpha=alpha, beta=beta, objective=objective,
                        iterations=iterations, trajectory=trajectory,
                        terminated_by=terminated_by)
+
+
+def _settle(x: float, step: float, factor: float, count: int) -> float:
+    """x after count steps of x + step * (x * factor), cut short at a fixed point.
+
+    The steps run unchecked in blocks of STEADY_BLOCK. The map is the same on
+    every step, so once one more step leaves x unchanged, so do all later ones.
+    """
+    while count > 0:
+        block = min(count, STEADY_BLOCK)
+        for _ in repeat(None, block):
+            x = x + step * (x * factor)
+        count -= block
+        if x + step * (x * factor) == x:
+            break
+    return x
 
 
 def sgd_cost_min(record: CostRecord, config: OptimizerConfig) -> OptimResult:
@@ -225,7 +263,7 @@ def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval,
     a degenerate box (lo == hi) pins the weights.
     """
     for name, (lo, hi) in (("w1_bounds", w1_bounds), ("w2_bounds", w2_bounds)):
-        if lo < 0 or hi < 0:
+        if not (lo >= 0 and hi >= 0):
             raise ParameterError(f"{name} must be non-negative, got ({lo}, {hi})")
         if lo > hi:
             raise ParameterError(f"{name} is an empty interval: ({lo}, {hi})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, overflow_as_error
 
 # |alpha + beta - 1| below this counts as constant returns to scale
 CRS_TOLERANCE = 1e-9
@@ -61,8 +61,10 @@ class RdDeterminants:
     beta1: float
 
     def __post_init__(self):
-        if self.r <= 0 or self.Gamma <= 0 or self.Delta <= 0:
-            raise ParameterError("r, Gamma, Delta must all be positive")
+        for name in ("r", "Gamma", "Delta"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ParameterError(f"{name} must be strictly positive, got {value}")
         _check_unit_interval("alpha1", self.alpha1)
         _check_unit_interval("beta1", self.beta1)
 
@@ -86,11 +88,11 @@ class TechProgress:
     beta1: Optional[float] = None
 
     def __post_init__(self):
-        if self.A <= 0 or self.B <= 0:
+        if not (self.A > 0 and self.B > 0):
             raise ParameterError(f"progress factors must be positive, got A={self.A}, B={self.B}")
         for name in ("r", "L_star", "K_star", "Gamma", "Delta"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ParameterError(f"{name} must be positive, got {value}")
         if self.alpha1 is not None:
             _check_unit_interval("alpha1", self.alpha1)
@@ -134,6 +136,7 @@ def _check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be strictly positive, got {value}")
 
 
+@overflow_as_error
 def evaluate_output(params: CobbDouglasParams, L: float, K: float) -> float:
     """Production output P * L^alpha * K^beta, evaluated as exp(ln P + a ln L + b ln K)."""
     _check_positive("L", L)
@@ -148,6 +151,7 @@ def evaluate_augmented(tech: TechProgress, alpha: float, beta: float, R: float, 
     return evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), tech.A * R, tech.B * I)
 
 
+@overflow_as_error
 def harrod_progress(r: float, L_star: float, Gamma: float, beta1: float) -> float:
     """Labor-augmenting factor A = r * L*^beta1 * Gamma^(1-beta1)."""
     _check_positive("r", r)
@@ -157,6 +161,7 @@ def harrod_progress(r: float, L_star: float, Gamma: float, beta1: float) -> floa
     return r * math.exp(beta1 * math.log(L_star) + (1.0 - beta1) * math.log(Gamma))
 
 
+@overflow_as_error
 def solow_progress(r: float, K_star: float, Delta: float, alpha1: float) -> float:
     """Capital-augmenting factor B = r * K*^alpha1 * Delta^(1-alpha1)."""
     _check_positive("r", r)
@@ -166,6 +171,7 @@ def solow_progress(r: float, K_star: float, Delta: float, alpha1: float) -> floa
     return r * math.exp(alpha1 * math.log(K_star) + (1.0 - alpha1) * math.log(Delta))
 
 
+@overflow_as_error
 def invert_harrod(A: float, r: float, Gamma: float, beta1: float) -> float:
     """R&D labor L* = (A / (r * Gamma^(1-beta1)))^(1/beta1); inverse of harrod_progress."""
     _check_positive("A", A)
@@ -175,6 +181,7 @@ def invert_harrod(A: float, r: float, Gamma: float, beta1: float) -> float:
     return math.exp((math.log(A) - math.log(r) - (1.0 - beta1) * math.log(Gamma)) / beta1)
 
 
+@overflow_as_error
 def invert_solow(B: float, r: float, Delta: float, alpha1: float) -> float:
     """R&D capital K* = (B / (r * Delta^(1-alpha1)))^(1/alpha1); inverse of solow_progress."""
     _check_positive("B", B)
@@ -186,7 +193,7 @@ def invert_solow(B: float, r: float, Delta: float, alpha1: float) -> float:
 
 def linear_cost(w1: float, w2: float, L: float, K: float) -> float:
     """Linear cost w1*L + w2*K with non-negative weights."""
-    if w1 < 0 or w2 < 0:
+    if not (w1 >= 0 and w2 >= 0):
         raise ParameterError(f"cost weights must be non-negative, got ({w1}, {w2})")
     _check_positive("L", L)
     _check_positive("K", K)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import reference
 from .errors import DataValidationError, EconModelError, ParameterError
 from .optimizers import (Observer, OptimizerConfig, OptimResult, profit_table, run_year,
                          sga_revenue_max, sgd_cost_min)
@@ -180,6 +179,8 @@ def _trace_writer(trace_dir) -> Observer:
 
 
 def _reference_note(records: Sequence[CostRecord], table: str) -> Optional[str]:
+    from . import reference
+
     if all(r.year in reference.YEARS for r in records):
         return f"comparable to the bundled reference {table}"
     return None
@@ -218,6 +219,8 @@ def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConf
                          key: result.objective, "iterations": result.iterations,
                          "terminated_by": result.terminated_by.value})
     elif command == "profit":
+        from . import reference
+
         note = _reference_note(records, "profit table")
         if use_reference:
             missing = [r.year for r in records if r.year not in reference.YEARS]

@@ -240,6 +240,11 @@ class TestProfitMax:
     def test_overflow_is_numerical_overflow_error(self):
         with pytest.raises(NumericalOverflowError, match="^math range error$"):
             profit_max(1e-300, 1e-300, 1, 1, 0.45, 0.5)
+        with pytest.raises(NumericalOverflowError, match="^math range error$"):
+            cost_min(1e300, 1, 1, 1, 1, 0.01, 0.01)
+        # (A*R)^alpha with A*R = 5e307 and alpha = 5
+        with pytest.raises(NumericalOverflowError, match="^math range error$"):
+            revenue_max(BudgetProblem(m=1e300, w1=1e-8, w2=1e-8, R=1, I=1, alpha=5, beta=5))
 
     def test_rd_back_out(self):
         rd = RdDeterminants(r=1.1, Gamma=2.0, Delta=4.0, alpha1=0.5, beta1=0.6)

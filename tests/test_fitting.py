@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcecon import fitting
 from dcecon.errors import (
     DegenerateProblemError,
     DomainError,
@@ -234,6 +235,50 @@ def test_working_sets_match_mask_order_bit_for_bit():
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()], seed
         outcomes.add(np.ndarray)
     assert outcomes == {np.ndarray, InfeasibleProblemError, UnboundedProblemError}
+
+
+def returns_to_scale_qp(seed, m, duplicates):
+    """A constrained log-linear fit: alpha >= 0, beta >= 0, alpha + beta <= s and random rows.
+
+    The rows are rounded to 4 decimals, as in a constraint CSV. The last
+    `duplicates` rows repeat earlier ones, which makes the KKT matrix of every
+    working set holding both copies singular.
+    """
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(40), np.log(rng.uniform(1.0, 90.0, (40, 2)))])
+    y = X @ [rng.uniform(0.2, 1.0), rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)]
+    y = y + rng.normal(0.0, 0.05, 40)
+    extra = m - 3 - duplicates
+    C = np.vstack([[[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 1.0]],
+                   np.round(rng.uniform(-1.0, 1.0, (extra, 3)), 4)])
+    b = np.concatenate([[0.0, 0.0, round(rng.uniform(0.6, 1.0), 4)],
+                        np.round(rng.uniform(0.2, 2.0, extra), 4)])
+    repeat = rng.integers(0, m - duplicates, size=duplicates)
+    C, b = np.vstack([C, C[repeat]]), np.concatenate([b, b[repeat]])
+    return QuadraticProgram(H=X.T @ X, f=-2.0 * X.T @ y, C=C, b=b)
+
+
+@pytest.mark.parametrize("m, duplicates", [(12, 0), (12, 2), (14, 1), (16, 0), (16, 3),
+                                           (18, 2), (20, 0)])
+def test_returns_to_scale_fits_match_mask_order_bit_for_bit(monkeypatch, m, duplicates):
+    one_at_a_time = []
+    solve_one = fitting._solve_one
+    monkeypatch.setattr(fitting, "_solve_one",
+                        lambda *args: one_at_a_time.append(1) or solve_one(*args))
+    qp = returns_to_scale_qp(100 * m + duplicates, m, duplicates)
+    got = qp_solve(qp)
+    assert [v.hex() for v in got.tolist()] == \
+        [v.hex() for v in mask_order_qp_solve(qp).tolist()]
+    # a repeated row makes its stacks singular, and those are solved one set at a time
+    assert bool(one_at_a_time) == bool(duplicates)
+
+
+def test_multiplier_at_the_dual_tolerance_is_certified():
+    # min x^2/2 + 1e-8 x s.t. x <= 0 and x >= 1e-11: the working set {x <= 0} gives
+    # x = 0 with multiplier exactly -DUAL_TOL, which the certificate accepts (within
+    # FEASIBILITY_TOL of x >= 1e-11); its objective 0 beats x = 1e-11 from {x >= 1e-11}
+    qp = QuadraticProgram(H=[[0.5]], f=[1e-8], C=[[1.0], [-1.0]], b=[0.0, -1e-11])
+    assert qp_solve(qp).tolist() == mask_order_qp_solve(qp).tolist() == [0.0]
 
 
 def nnls_certify_solution(qp, x, nnls):

@@ -178,3 +178,21 @@ class TestSyntheticGeneration:
     def test_negative_scales_rejected(self):
         with pytest.raises(DomainError):
             draw_shocks(random.Random(1), -0.1, 0.2)
+
+
+class TestNanRejected:
+    @pytest.mark.parametrize("call", [
+        lambda: FrontierSpec(K=0, alpha=0.5, beta=0.5, u=math.nan),
+        lambda: frontier_output(FrontierSpec(K=0, alpha=0.5, beta=0.5), math.nan, 1.0),
+        lambda: frontier_output(FrontierSpec(K=0, alpha=0.5, beta=0.5), 1.0, math.nan),
+        lambda: technical_efficiency(math.nan),
+        lambda: elasticities_from_frontier(math.nan, 0, 2, 3),
+        lambda: elasticities_from_frontier(1.0, 0, math.nan, 3),
+        lambda: elasticities_from_frontier(1.0, 0, 2, 3, u=math.nan),
+        lambda: draw_shocks(random.Random(1), math.nan, 0.2),
+        lambda: draw_shocks(random.Random(1), 0.1, math.nan),
+    ], ids=["spec-u", "output-S", "output-I", "efficiency", "recovery-y", "recovery-S",
+            "recovery-u", "shocks-sigma-v", "shocks-sigma-u"])
+    def test_nan_is_domain_error(self, call):
+        with pytest.raises(DomainError, match="nan"):
+            call()

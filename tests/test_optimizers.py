@@ -222,6 +222,12 @@ class TestLinearCostMin:
             CostRecord(2012, 60, 40), (5.5e-17, 5.5e-17), (0.3, 0.3))
         assert abs(cost_2012 - 12.0) <= 1e-2
 
+    @pytest.mark.parametrize("w1_bounds, w2_bounds", [
+        ((math.nan, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, math.nan))])
+    def test_nan_bound_rejected(self, w1_bounds, w2_bounds):
+        with pytest.raises(ParameterError, match="nan"):
+            sgd_linear_cost_min(CostRecord(2000, 65, 5), w1_bounds, w2_bounds)
+
     def test_unit_box_converges_to_lower_corner(self):
         w1, w2, cost = sgd_linear_cost_min(
             CostRecord(2000, 65, 5), (0.0, 1.0), (0.0, 1.0))
@@ -389,8 +395,18 @@ class TestKernelMatchesOracle:
                                                      init_beta=1e-200, max_iters=3000)),
         # exp overflows in the ascent's trajectory point
         (CostRecord(2000, 1e300, 1e300), OptimizerConfig(init_alpha=0.6, init_beta=0.6)),
+        # untraced steady phases: learning_rate * exp(-ln L) just below 0.25 runs alpha
+        # and beta apart to their subnormal fixed points; just above it, alpha reaches 0
+        (CostRecord(2000, 2.0001, 3.0), OptimizerConfig(learning_rate=0.5, seed=1,
+                                                        max_iters=5000, record_trajectory=False)),
+        (CostRecord(2000, 1.9999, 3.0), OptimizerConfig(learning_rate=0.50001, seed=1,
+                                                        max_iters=5000, record_trajectory=False)),
+        # L < 1, so exp(-ln L) > 1, inside the bound
+        (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.1, seed=2, max_iters=5000,
+                                                     record_trajectory=False)),
     ], ids=["fixed-point-1M", "fixed-point-traced", "log-L-zero", "unit-costs",
-            "coinciding-arguments", "tiny-ascent", "overflow"])
+            "coinciding-arguments", "tiny-ascent", "overflow", "steady-inside-bound",
+            "steady-outside-bound", "steady-L-below-1"])
     def test_edge_records(self, record, config):
         assert_kernel_matches_oracle(record, config)
 
@@ -401,3 +417,14 @@ class TestKernelMatchesOracle:
         traced = sgd_cost_min(CostRecord(2000, 0.7, 0.4),
                               OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000))
         assert traced.trajectory[-1000:] == [traced.trajectory[-1]] * 1000
+
+    def test_steady_bound_records_end_as_described(self):
+        inside = sgd_cost_min(CostRecord(2000, 2.0001, 3.0),
+                              OptimizerConfig(learning_rate=0.5, seed=1, max_iters=5000,
+                                              record_trajectory=False))
+        assert inside.terminated_by is Termination.MAX_ITERS and 0 < inside.alpha < 1e-320
+        outside = sgd_cost_min(CostRecord(2000, 1.9999, 3.0),
+                               OptimizerConfig(learning_rate=0.50001, seed=1, max_iters=5000,
+                                               record_trajectory=False))
+        assert outside.terminated_by is Termination.BOUNDARY_ALPHA
+        assert outside.alpha == 5e-324 and outside.iterations < 5000

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcecon.errors import DomainError, ParameterError
+from dcecon.errors import DomainError, NumericalOverflowError, ParameterError
 from dcecon.production import (
     CobbDouglasParams,
     CostRecord,
+    RdDeterminants,
     ScaleRegime,
     TechProgress,
     evaluate_augmented,
@@ -211,6 +212,35 @@ class TestLinearCost:
     def test_negative_weight_rejected(self):
         with pytest.raises(ParameterError):
             linear_cost(-0.1, 0.5, 1, 1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ParameterError, match=r"got \(nan, 1\)"):
+            linear_cost(math.nan, 1, 1, 1)
+        with pytest.raises(DomainError, match="^L must be strictly positive, got nan$"):
+            linear_cost(1, 1, math.nan, 1)
+
+
+class TestNanAndOverflow:
+    @pytest.mark.parametrize("field", ["r", "Gamma", "Delta"])
+    def test_nan_rd_determinant_rejected(self, field):
+        values = {"r": 1.1, "Gamma": 2.0, "Delta": 4.0, "alpha1": 0.5, "beta1": 0.6}
+        with pytest.raises(ParameterError, match=f"^{field} must be strictly positive, got nan$"):
+            RdDeterminants(**{**values, field: math.nan})
+
+    @pytest.mark.parametrize("field", ["A", "B", "r", "L_star", "K_star", "Gamma", "Delta"])
+    def test_nan_tech_progress_field_rejected(self, field):
+        with pytest.raises(ParameterError, match="got .*nan"):
+            TechProgress(**{"A": 1.0, "B": 1.0, field: math.nan})
+
+    @pytest.mark.parametrize("call", [
+        lambda: evaluate_output(CobbDouglasParams(1.0, 800.0, 1.0), 10.0, 1.0),
+        lambda: evaluate_augmented(TechProgress(A=1.0, B=1.0), 800.0, 1.0, 10.0, 1.0),
+        lambda: invert_harrod(1e10, 1.0, 1.0, 0.01),
+        lambda: invert_solow(1e10, 1.0, 1.0, 0.01),
+    ], ids=["evaluate_output", "evaluate_augmented", "invert_harrod", "invert_solow"])
+    def test_overflow_is_numerical_overflow_error(self, call):
+        with pytest.raises(NumericalOverflowError, match="^math range error$"):
+            call()
 
 
 class TestReturnsToScale:

@@ -1,4 +1,5 @@
-"""Start-up contract: only fit loads numpy, and no call loads scipy.
+"""Start-up contract: only fit loads numpy, no call loads scipy, and importing the
+CLI loads only the submodules every command needs.
 
 Each case runs in a fresh interpreter, because this test process has long since
 imported numpy and scipy.
@@ -40,6 +41,19 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert loaded_after("import dcecon.cli") == []
 
 
+def test_import_cli_leaves_unused_submodules_unloaded():
+    out = run_python(
+        "-c",
+        "import json, sys\n"
+        "import dcecon.cli\n"
+        "print(json.dumps(sorted(name for name in sys.modules if name.startswith('dcecon'))))\n"
+    ).stdout
+    loaded = set(json.loads(out))
+    assert "dcecon.cli" in loaded
+    assert not loaded & {"dcecon.closed_form", "dcecon.frontier", "dcecon.concentration",
+                         "dcecon.reference", "dcecon.fitting"}
+
+
 def test_python_m_dcecon_hhi_imports_neither_numpy_nor_scipy():
     proc = run_python("-X", "importtime", "-m", "dcecon", "hhi",
                       "--input", str(DATA_DIR / "iaas_shares.csv"))
@@ -62,6 +76,24 @@ def test_fit_loads_numpy_but_not_scipy(tmp_path):
     infeasible.write_text("c1,c2,c3,b\n0,1,0,-1\n0,-1,0,-1\n")
     assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
                                  str(infeasible), exit_code=3)) == ["numpy"]
+
+
+def test_every_name_and_submodule_resolves_from_the_package():
+    out = run_python(
+        "-c",
+        "import json, dcecon\n"
+        "namespace = {}\n"
+        "exec('from dcecon import *', namespace)\n"
+        "modules = ('cli', 'closed_form', 'concentration', 'errors', 'fitting', 'frontier',\n"
+        "           'optimizers', 'production', 'reference', 'reports')\n"
+        "owners = {name: namespace[name].__module__ for name in dcecon.__all__}\n"
+        "assert all(getattr(dcecon, module).__name__ == 'dcecon.' + module for module in modules)\n"
+        "assert all(getattr(dcecon, name) is getattr(getattr(dcecon, owner.split('.')[1]), name)\n"
+        "           for name, owner in owners.items())\n"
+        "print(json.dumps(sorted(set(owners.values()))))\n").stdout
+    assert json.loads(out) == [f"dcecon.{module}" for module in (
+        "closed_form", "concentration", "errors", "fitting", "frontier", "optimizers",
+        "production", "reports")]
 
 
 def test_fitting_names_still_resolve_from_the_package():
