@@ -1,0 +1,182 @@
+"""Print a digest line for each of a fixed list of dcecon CLI invocations.
+
+Each invocation runs as a fresh `python -m dcecon` process over the bundled
+data/ files and a few small generated CSVs, inside a temporary directory that
+also receives every --trace directory. One line is printed per invocation:
+
+    <exit code> out=<sha256 of stdout> err=<sha256 of stderr> trace=<digest|-> <argv>
+
+The trace digest is the SHA-256 over the sorted trace file names and their own
+SHA-256s ("-" when the invocation writes no trace). The lines depend only on
+the program's behaviour, so two checkouts can be compared with diff:
+
+    python3 scripts/output_digests.py > change.txt
+    python3 scripts/output_digests.py --root ../parent > parent.txt
+    diff parent.txt change.txt
+
+--quick skips the long runs (the traced 300k- and 1M-iteration descents and the
+default 1M-iteration runs); every subcommand is still covered.
+"""
+
+import argparse
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# small inputs written next to the copied data/ directory
+INPUTS = {
+    # y = exp(0.8) * S^0.9 * P^0.6 times a small fixed wobble, so the m = 3
+    # returns-to-scale constraints bind
+    "fit.csv": "new_server_cost,power_cooling_cost,output\n"
+               "5,7,25.1\n12,6,47.9\n20,33,209.0\n41,18,282.5\n"
+               "55,71,760.3\n63,9,267.7\n77,48,856.2\n80,80,1190.4\n",
+    "fit_raw.csv": "new_server_cost,power_cooling_cost,output\n"
+                   "1,2,13\n4,3,26.1\n9,1,33\n7,8,55.2\n3,12,59.9\n11,6,59\n",
+    # A^T A overflows in the constrained QP
+    "fit_huge.csv": "new_server_cost,power_cooling_cost,output\n"
+                    "1e200,2e200,3e200\n2e200,1e200,4e200\n3e200,5e200,2e200\n4e200,3e200,6e200\n",
+    # L < 1: the descent reaches the subnormal fixed point within a few thousand steps
+    "one_row.csv": "year,new_server_cost,power_cooling_cost\n2000,0.7,0.4\n",
+    "nan_costs.csv": "year,new_server_cost,power_cooling_cost\n2000,nan,3\n",
+}
+
+COSTS = ("--input", "data/tables.csv")
+CLOSED = {
+    "revenue-max-closed": ("--budget", "10", "--w1", "1.5", "--w2", "0.8", "--recurring", "4",
+                           "--infrastructure", "7", "--alpha", "0.6", "--beta", "0.9"),
+    "cost-min-closed": ("--target-output", "5", "--w1", "1.5", "--w2", "0.8",
+                        "--recurring", "4", "--infrastructure", "7",
+                        "--alpha", "0.6", "--beta", "0.9"),
+    "profit-max-closed": ("--w1", "1", "--w2", "1.2", "--recurring", "2",
+                          "--infrastructure", "3", "--alpha", "0.25", "--beta", "0.35"),
+}
+RD = ("--discount-rate", "1.05", "--harrod-capital", "3", "--solow-labor", "6",
+      "--alpha1", "0.4", "--beta1", "0.3")
+
+
+def invocations(quick):
+    """(argv, slow) pairs; a "{trace}" argument is replaced by a fresh trace directory."""
+    calls = []
+    for fmt in ("json", "csv"):
+        form = ("--format", fmt)
+        short = ("--max-iters", "3000")
+        calls += [
+            (("cost-min", *COSTS, "--seed", "7", *form), True),
+            (("cost-min", *COSTS, "--seed", "7", *short, *form), False),
+            (("revenue-max", *COSTS, "--seed", "7", *form), False),
+            (("cost-min", *COSTS, "--mode", "analytic", *form), False),
+            (("profit", *COSTS, *short, *form), False),
+            (("profit", *COSTS, "--weights", "data/linear_weights.csv", *short, *form), False),
+            (("profit", *COSTS, "--reference", *form), False),
+        ]
+        for name, args in CLOSED.items():
+            calls += [((name, *args, *form), False), ((name, *args, *RD, *form), False)]
+        calls += [
+            (("sfa", "--S", "9", "--I", "16", "--output", "20", "--alpha", "0.6",
+              "--beta", "0.3", *form), False),
+            (("sfa", "--S", "9", "--I", "16", "--output", "20", "--intercept", "0.5",
+              "--n", "0.9", "--inefficiency", "0.2", "--shock", "0.1", *form), False),
+            (("sfa", "--S", "9", "--I", "16", "--alpha", "0.6", "--beta", "0.3",
+              "--synthesize", "5", "--sigma-v", "0.1", "--sigma-u", "0.2", "--seed", "3",
+              *form), False),
+            (("fit", "--input", "inputs/fit.csv", *form), False),
+            (("fit", "--input", "inputs/fit.csv", "--constrained", "data/constraints_rts.csv",
+              *form), False),
+            (("fit", "--input", "inputs/fit_raw.csv", "--scale", "raw", "--no-intercept",
+              *form), False),
+            (("hhi", "--input", "data/apac_shares.csv", *form), False),
+            (("hhi", "--input", "data/iaas_shares.csv", *form), False),
+        ]
+    long_trace = ("--seed", "7", "--trace", "{trace}", "--max-iters", "300000")
+    calls += [
+        (("cost-min", *COSTS, *long_trace), True),
+        (("revenue-max", *COSTS, *long_trace), True),
+        (("profit", *COSTS, "--weights", "data/linear_weights.csv", "--max-iters", "20000",
+          "--trace", "{trace}"), False),
+        (("cost-min", "--input", "inputs/one_row.csv", "--seed", "2"), False),
+        (("cost-min", "--input", "inputs/one_row.csv", "--seed", "2", "--trace", "{trace}"),
+         True),
+        (("revenue-max", "--input", "inputs/one_row.csv", "--seed", "4",
+          "--trace", "{trace}"), False),
+        (("cost-min", "--input", "inputs/one_row.csv", "--learning-rate", "0.3", "--seed", "4",
+          "--max-iters", "5000", "--trace", "{trace}"), False),
+        # error paths: exit 1 usage, 2 data, 3 numerical
+        (("cost-min",), False),
+        (("profit", *COSTS, "--weights", "data/linear_weights.csv", "--reference"), False),
+        (("cost-min", "--input", "inputs/missing.csv"), False),
+        (("cost-min", "--input", "inputs/nan_costs.csv"), False),
+        (("cost-min", *COSTS, "--learning-rate", "nan"), False),
+        (("revenue-max", "--input", "inputs/one_row.csv", "--init-alpha", "1.0",
+          "--init-beta", "0.9"), False),
+        (("revenue-max-closed", "--budget", "1e-300", "--w1", "1e300", "--w2", "1",
+          "--recurring", "1", "--infrastructure", "1", "--alpha", "0.5", "--beta", "0.5"),
+         False),
+        (("cost-min-closed", "--target-output", "1e300", "--w1", "1", "--w2", "1",
+          "--recurring", "1", "--infrastructure", "1", "--alpha", "0.01", "--beta", "0.01"),
+         False),
+        (("profit-max-closed", "--w1", "1e-300", "--w2", "1e-300", "--recurring", "1",
+          "--infrastructure", "1", "--alpha", "0.45", "--beta", "0.5"), False),
+        (("profit-max-closed", "--w1", "1", "--w2", "1", "--recurring", "1",
+          "--infrastructure", "1", "--alpha", "0.7", "--beta", "0.6"), False),
+        (("sfa", "--S", "9", "--I", "16", "--output", "20", "--inefficiency", "nan"), False),
+        (("fit", "--input", "inputs/fit_huge.csv", "--scale", "raw",
+          "--constrained", "data/constraints_rts.csv"), False),
+    ]
+    return [argv for argv, slow in calls if not (quick and slow)]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def trace_digest(trace_dir: Path) -> str:
+    if not trace_dir.is_dir():
+        return sha256(b"")
+    digest = hashlib.sha256()
+    for path in sorted(trace_dir.iterdir()):
+        content = hashlib.sha256()
+        with path.open("rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                content.update(chunk)
+        digest.update(f"{path.name}\0{content.hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
+def run(argv, root: Path, workdir: Path, index: int) -> str:
+    trace = f"traces/{index}"
+    argv = tuple(trace if arg == "{trace}" else arg for arg in argv)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "dcecon", *argv], cwd=workdir, env=env,
+                          capture_output=True)
+    traced = trace in argv
+    digest = trace_digest(workdir / trace) if traced else "-"
+    if traced:
+        shutil.rmtree(workdir / trace, ignore_errors=True)
+    return (f"{proc.returncode} out={sha256(proc.stdout)} err={sha256(proc.stderr)} "
+            f"trace={digest} {shlex.join(argv)}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
+                        help="checkout whose src/ and data/ are run (default: this one)")
+    parser.add_argument("--quick", action="store_true", help="skip the long runs")
+    args = parser.parse_args()
+    root = Path(args.root).resolve()
+    with tempfile.TemporaryDirectory(prefix="dcecon-digests-") as tmp:
+        workdir = Path(tmp)
+        shutil.copytree(root / "data", workdir / "data")
+        (workdir / "inputs").mkdir()
+        for name, text in INPUTS.items():
+            (workdir / "inputs" / name).write_text(text)
+        for index, argv in enumerate(invocations(args.quick)):
+            print(run(argv, root, workdir, index), flush=True)
+
+
+if __name__ == "__main__":
+    main()

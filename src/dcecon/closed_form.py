@@ -80,7 +80,10 @@ def revenue_max(problem: BudgetProblem, rd: Optional[RdDeterminants] = None) -> 
     n = p.alpha + p.beta
     A = p.alpha * p.m / (p.w1 * p.R * n)
     B = p.beta * p.m / (p.w2 * p.I * n)
-    objective = math.exp(p.alpha * math.log(A * p.R) + p.beta * math.log(B * p.I))
+    u, v = A * p.R, B * p.I
+    if not (u > 0 and v > 0):
+        raise DomainError(f"effective inputs underflow to 0: A*R = {u}, B*I = {v}")
+    objective = math.exp(p.alpha * math.log(u) + p.beta * math.log(v))
     L_star, K_star = _back_out_rd(A, B, rd)
     return ClosedFormSolution(A=A, B=B, objective=objective, L_star=L_star, K_star=K_star)
 

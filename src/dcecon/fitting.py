@@ -120,6 +120,10 @@ class QuadraticProgram:
     b_eq: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for name in ("H", "f", "C", "b", "C_eq", "b_eq"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ParameterError(f"QP {name} has non-finite entries")
         H = np.asarray(self.H, dtype=float)
         f = np.asarray(self.f, dtype=float).ravel()
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
@@ -193,8 +197,10 @@ def kkt_certificate(qp: QuadraticProgram, x: np.ndarray, lam: np.ndarray,
     """Stationarity, primal/dual feasibility, and complementary slackness.
 
     Tolerances: stationarity and complementary slackness 1e-8, dual sign 1e-8,
-    primal feasibility 1e-10.
+    primal feasibility 1e-10. A non-finite x, lam or mu is rejected.
     """
+    if not all(np.isfinite(v).all() for v in (x, lam, mu) if v is not None):
+        return False
     grad = 2.0 * qp.H @ x + qp.f
     if qp.C.size:
         grad = grad + qp.C.T @ lam

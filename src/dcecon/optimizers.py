@@ -104,24 +104,21 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
 
     A marginal descent reaches a steady phase: once alpha - 1.0 and beta - 1.0
     round to -1.0 and both exp arguments round to -ln L, rounding is monotone and
-    alpha, beta only shrink, so both arguments stay exactly -ln L. From there the
-    loop computes E = exp(-ln L) once. In that phase a step that leaves alpha and
-    beta unchanged is repeated on every later iteration, so the run jumps to
-    max_iters, repeating that point in the trajectory.
-
-    In the steady phase alpha and beta no longer interact: each follows
-    x -> x + step * (x * E) on its own. When no trajectory is recorded and
-    -step * E < 0.25, each is run to max_iters by _settle, without the boundary
-    tests, because no step can reach 0. Proof: 0.25 is a float and rounding is
-    monotone, so the exact s * E is below 0.25 too, where s = -step. Let x > 0
-    and p = fl(x * E); if p = 0 the step leaves x as it is. If p > 0, then
-    p <= 2 * x * E: in the normal range the relative rounding error is below
-    2^-53, and in the subnormal range the absolute error is at most 2^-1075
-    while p >= 2^-1074. So s * p < x / 2, and fl(s * p) <= fl(x / 2) < x: the
-    floats next to x / 2 lie within 2^-1075 of it, so below x, except at
-    x = 2^-1074, where x / 2 is a tie that rounds to the even 0. The new x is
-    the rounded x - fl(s * p), a positive multiple of 2^-1074 (as x and
-    fl(s * p) are), so it is a positive float.
+    alpha, beta only shrink, so both arguments stay exactly -ln L and both exp
+    calls return E = exp(-ln L). From there alpha and beta no longer interact:
+    each follows x -> x + step * (x * E) on its own. When no trajectory is
+    recorded and -step * E < 0.25, each is run to max_iters by _settle, without
+    the boundary tests, because no step can reach 0; every other run stays in
+    the loop. Proof: 0.25 is a float and rounding is monotone, so the exact
+    s * E is below 0.25 too, where s = -step. Let x > 0 and p = fl(x * E); if
+    p = 0 the step leaves x as it is. If p > 0, then p <= 2 * x * E: in the
+    normal range the relative rounding error is below 2^-53, and in the
+    subnormal range the absolute error is at most 2^-1075 while p >= 2^-1074.
+    So s * p < x / 2, and fl(s * p) <= fl(x / 2) < x: the floats next to x / 2
+    lie within 2^-1075 of it, so below x, except at x = 2^-1074, where x / 2 is
+    a tie that rounds to the even 0. The new x is the rounded x - fl(s * p), a
+    positive multiple of 2^-1074 (as x and fl(s * p) are), so it is a positive
+    float.
     """
     L, K = record.server_cost, record.power_cooling_cost
     log_L, log_K = math.log(L), math.log(K)
@@ -135,9 +132,11 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
     step = direction * config.learning_rate  # direction * lr * g is (direction * lr) * g
     max_iters = config.max_iters
     marginal = config.mode == "marginal"
-    descent = direction < 0
     neg_log_L = -log_L
     recording = config.record_trajectory
+    # exp(-ln L) overflows only for subnormal L; such runs keep to the plain loop
+    E = exp(neg_log_L) if log_L > -709.0 else math.inf
+    settle = marginal and direction < 0 and not recording and -step * E < 0.25
     # trajectory points use the inline form of evaluate_output (ln P = 0), bit for bit
     trajectory: List[Tuple[float, float, float]] = []
     append = trajectory.append
@@ -145,15 +144,16 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
         append((alpha, beta, exp(alpha * log_L + beta * log_K)))
 
     terminated_by = Termination.MAX_ITERS
-    steady_exp = None
     iterations = 0
     for iterations in range(max_iters):
         if marginal:
             arg_alpha = (alpha - 1.0) * log_L + beta * log_K
             arg_beta = (beta - 1.0) * log_L + alpha * log_K
-            if (arg_alpha == neg_log_L and arg_beta == neg_log_L and descent
+            if (settle and arg_alpha == neg_log_L and arg_beta == neg_log_L
                     and alpha - 1.0 == -1.0 and beta - 1.0 == -1.0):
-                steady_exp = exp(neg_log_L)
+                alpha = _settle(alpha, step, E, max_iters - iterations)
+                beta = _settle(beta, step, E, max_iters - iterations)
+                iterations = max_iters
                 break
             next_alpha = alpha + step * (alpha * exp(arg_alpha))
             next_beta = beta + step * (beta * exp(arg_beta))
@@ -175,32 +175,6 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
             append((alpha, beta, exp(alpha * log_L + beta * log_K)))
     else:
         iterations = max_iters
-
-    if steady_exp is not None and not recording and -step * steady_exp < 0.25:
-        alpha = _settle(alpha, step, steady_exp, max_iters - iterations)
-        beta = _settle(beta, step, steady_exp, max_iters - iterations)
-        iterations = max_iters
-    elif steady_exp is not None:
-        for iterations in range(iterations, max_iters):
-            next_alpha = alpha + step * (alpha * steady_exp)
-            next_beta = beta + step * (beta * steady_exp)
-            if next_alpha <= 0:
-                terminated_by = Termination.BOUNDARY_ALPHA
-                break
-            if next_beta <= 0:
-                terminated_by = Termination.BOUNDARY_BETA
-                break
-            if next_alpha == alpha and next_beta == beta:
-                if recording:
-                    point = (alpha, beta, exp(alpha * log_L + beta * log_K))
-                    trajectory.extend([point] * (max_iters - iterations))
-                iterations = max_iters
-                break
-            alpha, beta = next_alpha, next_beta
-            if recording:
-                append((alpha, beta, exp(alpha * log_L + beta * log_K)))
-        else:
-            iterations = max_iters
 
     objective = evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), L, K)
     return OptimResult(alpha=alpha, beta=beta, objective=objective,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, ParameterError, overflow_as_error
+from .errors import DomainError, NumericalOverflowError, ParameterError, overflow_as_error
 
 # |alpha + beta - 1| below this counts as constant returns to scale
 CRS_TOLERANCE = 1e-9
@@ -88,8 +88,9 @@ class TechProgress:
     beta1: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0):
-            raise ParameterError(f"progress factors must be positive, got A={self.A}, B={self.B}")
+        if not (0 < self.A < math.inf and 0 < self.B < math.inf):
+            raise ParameterError(
+                f"progress factors must be positive and finite, got A={self.A}, B={self.B}")
         for name in ("r", "L_star", "K_star", "Gamma", "Delta"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -158,7 +159,7 @@ def harrod_progress(r: float, L_star: float, Gamma: float, beta1: float) -> floa
     _check_positive("L_star", L_star)
     _check_positive("Gamma", Gamma)
     _check_unit_interval("beta1", beta1)
-    return r * math.exp(beta1 * math.log(L_star) + (1.0 - beta1) * math.log(Gamma))
+    return _scaled(r, math.exp(beta1 * math.log(L_star) + (1.0 - beta1) * math.log(Gamma)))
 
 
 @overflow_as_error
@@ -168,7 +169,14 @@ def solow_progress(r: float, K_star: float, Delta: float, alpha1: float) -> floa
     _check_positive("K_star", K_star)
     _check_positive("Delta", Delta)
     _check_unit_interval("alpha1", alpha1)
-    return r * math.exp(alpha1 * math.log(K_star) + (1.0 - alpha1) * math.log(Delta))
+    return _scaled(r, math.exp(alpha1 * math.log(K_star) + (1.0 - alpha1) * math.log(Delta)))
+
+
+def _scaled(r: float, power: float) -> float:
+    value = r * power
+    if value == math.inf:
+        raise NumericalOverflowError(f"progress factor {r} * {power} overflows")
+    return value
 
 
 @overflow_as_error
@@ -203,6 +211,8 @@ def linear_cost(w1: float, w2: float, L: float, K: float) -> float:
 def returns_to_scale(alpha: float, beta: float, tol: float = CRS_TOLERANCE) -> ScaleClassification:
     """Classify n = alpha + beta as constant (|n-1| <= tol), increasing, or decreasing."""
     n = alpha + beta
+    if not math.isfinite(n):
+        raise ParameterError(f"elasticities must be finite, got ({alpha}, {beta})")
     if abs(n - 1.0) <= tol:
         regime = ScaleRegime.CRS
     elif n > 1.0:

@@ -98,6 +98,15 @@ class TestExitCodes:
         assert out == ""
         assert err == "numerical error: non-finite value in report field rows[0].objective\n"
 
+    def test_closed_form_underflow_is_numerical_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "revenue-max-closed", "--budget", "1e-300", "--w1", "1e300", "--w2", "1",
+            "--recurring", "1", "--infrastructure", "1", "--alpha", "0.5", "--beta", "0.5")
+        assert code == 3
+        assert out == ""
+        assert err == ("numerical error: effective inputs underflow to 0: "
+                       "A*R = 0.0, B*I = 5e-301\n")
+
     def test_success_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "hhi", "--input", str(DATA_DIR / "apac_shares.csv"))
         assert code == 0
@@ -287,6 +296,18 @@ class TestFitCommand:
         assert code == 0
         summary = json.loads(out)["summary"]
         assert summary["alpha"] + summary["beta"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_constrained_fit_overflowing_in_the_qp_is_named(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("new_server_cost,power_cooling_cost,output\n"
+                        "1e200,2e200,3e200\n2e200,1e200,4e200\n"
+                        "3e200,5e200,2e200\n4e200,3e200,6e200\n")
+        with np.errstate(over="ignore"):  # A^T A overflows to inf
+            code, out, err = run_cli(capsys, "fit", "--input", str(path), "--scale", "raw",
+                                     "--constrained", str(DATA_DIR / "constraints_rts.csv"))
+        assert code == 3
+        assert out == ""
+        assert err == "numerical error: QP H has non-finite entries\n"
 
     def test_raw_scale_fit(self, tmp_path, capsys):
         path = tmp_path / "raw.csv"

@@ -90,6 +90,11 @@ class TestRevenueMax:
         assert rel_err(harrod_progress(rd.r, sol.L_star, rd.Gamma, rd.beta1), sol.A) <= 1e-12
         assert rel_err(solow_progress(rd.r, sol.K_star, rd.Delta, rd.alpha1), sol.B) <= 1e-12
 
+    def test_underflowing_effective_input_is_domain_error(self):
+        # A = 0.5 * 1e-300 / 1e300 underflows to 0, so ln(A * R) has no value
+        with pytest.raises(DomainError, match="^effective inputs underflow to 0: A\\*R = 0.0, "):
+            revenue_max(BudgetProblem(m=1e-300, w1=1e300, w2=1, R=1, I=1, alpha=0.5, beta=0.5))
+
     def test_problem_validation(self):
         with pytest.raises(ParameterError):
             BudgetProblem(m=0, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)

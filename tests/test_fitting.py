@@ -133,6 +133,29 @@ class TestQpSolve:
             QuadraticProgram(H=[[1.0, 0.5], [0.2, 1.0]], f=[0.0, 0.0],
                              C=np.zeros((0, 2)), b=[])
 
+    @pytest.mark.parametrize("name", ["H", "f", "C", "b", "C_eq", "b_eq"])
+    def test_non_finite_array_rejected_by_name(self, name):
+        arrays = {"H": np.eye(2), "f": np.zeros(2), "C": np.eye(2), "b": np.ones(2),
+                  "C_eq": np.ones((1, 2)), "b_eq": np.ones(1)}
+        # an asymmetric H with an inf is named as non-finite, not as asymmetric
+        arrays[name] = (np.array([[1.0, np.inf], [0.0, 1.0]]) if name == "H"
+                        else np.full_like(arrays[name], np.nan))
+        with pytest.raises(ParameterError, match=f"^QP {name} has non-finite entries$"):
+            QuadraticProgram(**arrays)
+
+    def test_certificate_rejects_non_finite_points(self):
+        qp = QuadraticProgram(H=np.eye(2), f=np.zeros(2), C=np.zeros((0, 2)), b=[])
+        assert certify_solution(qp, [0.0, 0.0])
+        assert not certify_solution(qp, [np.nan, np.nan])
+        assert not kkt_certificate(qp, np.array([np.inf, 0.0]), np.zeros(0))
+        # NaN multipliers make every tolerance compare False, which used to pass
+        qp = QuadraticProgram(H=np.eye(2), f=np.zeros(2), C=[[1.0, 0.0]], b=[1.0],
+                              C_eq=[[0.0, 1.0]], b_eq=[0.0])
+        zero = np.zeros(2)
+        assert kkt_certificate(qp, zero, np.zeros(1), np.zeros(1))
+        assert not kkt_certificate(qp, zero, np.array([np.nan]), np.zeros(1))
+        assert not kkt_certificate(qp, zero, np.zeros(1), np.array([np.nan]))
+
 
 def mask_order_qp_solve(qp):
     """Reference for qp_solve: walk all 2^m bit masks and solve those small enough."""

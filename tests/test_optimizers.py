@@ -404,9 +404,17 @@ class TestKernelMatchesOracle:
         # L < 1, so exp(-ln L) > 1, inside the bound
         (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.1, seed=2, max_iters=5000,
                                                      record_trajectory=False)),
+        # traced steady phases stay in the plain loop, inside and outside the bound
+        (CostRecord(2000, 6.9, 55.98), OptimizerConfig(seed=3, max_iters=80_000)),
+        (CostRecord(2000, 1.9999, 3.0), OptimizerConfig(learning_rate=0.50001, seed=1,
+                                                        max_iters=5000)),
+        # subnormal L: exp(-ln L) overflows, yet the first step already leaves the quadrant
+        (CostRecord(2000, 1e-310, 1.0), OptimizerConfig(seed=2, max_iters=5000,
+                                                        record_trajectory=False)),
     ], ids=["fixed-point-1M", "fixed-point-traced", "log-L-zero", "unit-costs",
             "coinciding-arguments", "tiny-ascent", "overflow", "steady-inside-bound",
-            "steady-outside-bound", "steady-L-below-1"])
+            "steady-outside-bound", "steady-L-below-1", "steady-traced",
+            "steady-traced-outside-bound", "subnormal-L"])
     def test_edge_records(self, record, config):
         assert_kernel_matches_oracle(record, config)
 

@@ -242,6 +242,23 @@ class TestNanAndOverflow:
         with pytest.raises(NumericalOverflowError, match="^math range error$"):
             call()
 
+    # exp stays finite (its argument averages two logs); the product with r overflows
+    @pytest.mark.parametrize("progress", [harrod_progress, solow_progress])
+    def test_progress_product_overflow_is_numerical_overflow_error(self, progress):
+        with pytest.raises(NumericalOverflowError,
+                           match="^progress factor 1e\\+300 \\* .* overflows$"):
+            progress(1e300, 1e300, 1e300, 0.5)
+
+    @pytest.mark.parametrize("A, B", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_tech_progress_factor_rejected(self, A, B):
+        with pytest.raises(ParameterError, match="^progress factors must be positive and finite"):
+            TechProgress(A=A, B=B)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)])
+    def test_non_finite_elasticities_have_no_scale_regime(self, alpha, beta):
+        with pytest.raises(ParameterError, match="^elasticities must be finite"):
+            returns_to_scale(alpha, beta)
+
 
 class TestReturnsToScale:
     def test_constant(self):

@@ -36,3 +36,18 @@ def test_trace_revenue_surface_writes_trajectory_and_grid(tmp_path):
     surface = (tmp_path / "revenue_surface_2012.csv").read_text().splitlines()
     assert surface[0] == "alpha,beta,revenue"
     assert len(surface) == 60 * 60 + 1
+
+
+def test_output_digests_covers_every_subcommand():
+    proc = run_script("output_digests.py", "--quick")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    line = re.compile(r"^[0-3] out=[0-9a-f]{64} err=[0-9a-f]{64} trace=(-|[0-9a-f]{64}) (\S+)")
+    matches = [line.match(text) for text in lines]
+    assert all(matches), [text for text, m in zip(lines, matches) if not m]
+    commands = {m.group(2) for m in matches}
+    assert commands == {"cost-min", "revenue-max", "profit", "revenue-max-closed",
+                        "cost-min-closed", "profit-max-closed", "sfa", "fit", "hhi"}
+    assert {text[0] for text in lines} == {"0", "1", "2", "3"}
+    assert any("--format csv" in text for text in lines)
+    assert any(m.group(1) != "-" for m in matches)
