@@ -43,6 +43,9 @@ INPUTS = {
     # L < 1: the descent reaches the subnormal fixed point within a few thousand steps
     "one_row.csv": "year,new_server_cost,power_cooling_cost\n2000,0.7,0.4\n",
     "nan_costs.csv": "year,new_server_cost,power_cooling_cost\n2000,nan,3\n",
+    # the raw OLS fit's sums of squares overflow
+    "ols_huge.csv": "new_server_cost,power_cooling_cost,output\n"
+                    "1,2,1e160\n4,3,3e160\n9,1,2e160\n7,8,5e160\n",
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -126,6 +129,22 @@ def invocations(quick):
         (("sfa", "--S", "9", "--I", "16", "--output", "20", "--inefficiency", "nan"), False),
         (("fit", "--input", "inputs/fit_huge.csv", "--scale", "raw",
           "--constrained", "data/constraints_rts.csv"), False),
+    ]
+    # invalid R&D determinants, an R&D back-out that overflows, underflowing
+    # closed-form products and an overflowing OLS fit
+    calls += [
+        (("revenue-max-closed", *CLOSED["revenue-max-closed"], *RD, "--beta1", "1.5"), False),
+        (("cost-min-closed", *CLOSED["cost-min-closed"], *RD, "--discount-rate", "0"), False),
+        (("profit-max-closed", *CLOSED["profit-max-closed"], *RD, "--alpha1", "0"), False),
+        (("revenue-max-closed", *CLOSED["revenue-max-closed"], *RD, "--beta1", "1e-3",
+          "--discount-rate", "0.01"), False),
+        (("revenue-max-closed", "--budget", "1", "--w1", "1e-300", "--w2", "1",
+          "--recurring", "1e-300", "--infrastructure", "1", "--alpha", "0.5", "--beta", "0.5"),
+         False),
+        (("cost-min-closed", "--target-output", "1", "--w1", "1", "--w2", "1e-200",
+          "--recurring", "1", "--infrastructure", "1", "--alpha", "1e-200", "--beta", "0.5"),
+         False),
+        (("fit", "--input", "inputs/ols_huge.csv", "--scale", "raw"), False),
     ]
     return [argv for argv, slow in calls if not (quick and slow)]
 

@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 
 from dcecon import reference
-from dcecon.optimizers import OptimizerConfig, sga_revenue_max
+from dcecon.optimizers import OptimizerConfig
 from dcecon.reports import run_table
 
 
@@ -45,13 +45,12 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     record = reference.COST_RECORDS[args.year]
     config = OptimizerConfig(learning_rate=args.learning_rate, seed=args.seed)
-    run_table("revenue_max", [record], config, trace_dir=out)
+    row, = run_table("revenue_max", [record], config, trace_dir=out).rows
     write_surface(out / f"revenue_surface_{args.year}.csv", record)
 
-    result = sga_revenue_max(record, config)
-    print(f"year {args.year}: terminal alpha={result.alpha:.4f} beta={result.beta:.4f} "
-          f"revenue={result.objective:.2f} after {result.iterations} steps "
-          f"({result.terminated_by.value})")
+    print(f"year {args.year}: terminal alpha={row['alpha']:.4f} beta={row['beta']:.4f} "
+          f"revenue={row['max_revenue']:.2f} after {row['iterations']} steps "
+          f"({row['terminated_by']})")
     print(f"wrote {out / f'revenue_max_{args.year}.csv'} and "
           f"{out / f'revenue_surface_{args.year}.csv'}")
 

@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateProblemError, DomainError, ParameterError, overflow_as_error
-from .production import RdDeterminants, invert_harrod, invert_solow
+from .errors import (DegenerateProblemError, DomainError, ParameterError, check_finite,
+                     overflow_as_error)
+from .production import RdDeterminants, _check_positive, invert_harrod, invert_solow
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,14 @@ class ProfitSolution:
     K_star: Optional[float] = None
 
 
-def _back_out_rd(A: float, B: float, rd: Optional[RdDeterminants]):
-    if rd is None:
-        return None, None
-    return (invert_harrod(A, rd.r, rd.Gamma, rd.beta1),
-            invert_solow(B, rd.r, rd.Delta, rd.alpha1))
+def _solution(cls, A: float, B: float, rd: Optional[RdDeterminants], **values):
+    """cls(A, B, **values) with L* and K* backed out when rd is given; a non-finite field raises."""
+    if rd is not None:
+        values.update(L_star=invert_harrod(A, rd.r, rd.Gamma, rd.beta1),
+                      K_star=invert_solow(B, rd.r, rd.Delta, rd.alpha1))
+    solution = cls(A=A, B=B, **values)
+    check_finite(solution)
+    return solution
 
 
 @overflow_as_error
@@ -78,14 +82,16 @@ def revenue_max(problem: BudgetProblem, rd: Optional[RdDeterminants] = None) -> 
     """
     p = problem
     n = p.alpha + p.beta
-    A = p.alpha * p.m / (p.w1 * p.R * n)
-    B = p.beta * p.m / (p.w2 * p.I * n)
+    price_A, price_B = p.w1 * p.R * n, p.w2 * p.I * n
+    if not (price_A > 0 and price_B > 0):
+        raise DomainError(f"price products underflow to 0: w1*R*n = {price_A}, w2*I*n = {price_B}")
+    A = p.alpha * p.m / price_A
+    B = p.beta * p.m / price_B
     u, v = A * p.R, B * p.I
     if not (u > 0 and v > 0):
         raise DomainError(f"effective inputs underflow to 0: A*R = {u}, B*I = {v}")
     objective = math.exp(p.alpha * math.log(u) + p.beta * math.log(v))
-    L_star, K_star = _back_out_rd(A, B, rd)
-    return ClosedFormSolution(A=A, B=B, objective=objective, L_star=L_star, K_star=K_star)
+    return _solution(ClosedFormSolution, A, B, rd, objective=objective)
 
 
 @overflow_as_error
@@ -104,16 +110,16 @@ def cost_min(y_tar: float, w1: float, w2: float, R: float, I: float,
     """
     for name, value in (("y_tar", y_tar), ("w1", w1), ("w2", w2), ("R", R),
                         ("I", I), ("alpha", alpha), ("beta", beta)):
-        if not value > 0:
-            raise DomainError(f"{name} must be strictly positive, got {value}")
+        _check_positive(name, value)
     n = alpha + beta
     log_y = math.log(y_tar) / n
-    log_ratio = math.log(alpha * w2) - math.log(beta * w1)
+    aw2, bw1 = alpha * w2, beta * w1
+    if not (aw2 > 0 and bw1 > 0):
+        raise DomainError(f"log arguments underflow to 0: alpha*w2 = {aw2}, beta*w1 = {bw1}")
+    log_ratio = math.log(aw2) - math.log(bw1)
     u = math.exp(log_y + (beta / n) * log_ratio)
     v = math.exp(log_y - (alpha / n) * log_ratio)
-    L_star, K_star = _back_out_rd(u / R, v / I, rd)
-    return ClosedFormSolution(A=u / R, B=v / I, objective=w1 * u + w2 * v,
-                              L_star=L_star, K_star=K_star)
+    return _solution(ClosedFormSolution, u / R, v / I, rd, objective=w1 * u + w2 * v)
 
 
 @overflow_as_error
@@ -132,8 +138,7 @@ def profit_max(w1: float, w2: float, R: float, I: float,
     """
     for name, value in (("w1", w1), ("w2", w2), ("R", R), ("I", I),
                         ("alpha", alpha), ("beta", beta), ("P", P)):
-        if not value > 0:
-            raise DomainError(f"{name} must be strictly positive, got {value}")
+        _check_positive(name, value)
     n = alpha + beta
     if n >= 1.0:
         raise DegenerateProblemError(
@@ -145,6 +150,4 @@ def profit_max(w1: float, w2: float, R: float, I: float,
     Y = math.exp(log_Y)
     u = alpha * Y / w1
     v = beta * Y / w2
-    L_star, K_star = _back_out_rd(u / R, v / I, rd)
-    return ProfitSolution(A=u / R, B=v / I, output=Y, profit=Y - w1 * u - w2 * v,
-                          L_star=L_star, K_star=K_star)
+    return _solution(ProfitSolution, u / R, v / I, rd, output=Y, profit=Y - w1 * u - w2 * v)

@@ -1,6 +1,8 @@
 """Exception types shared across the library."""
 
+import dataclasses
 import functools
+import math
 
 
 class EconModelError(Exception):
@@ -48,3 +50,11 @@ def overflow_as_error(fn):
         except OverflowError as exc:
             raise NumericalOverflowError(str(exc)) from exc
     return checked
+
+
+def check_finite(record) -> None:
+    """Raise NumericalOverflowError naming the first NaN or infinite field of a dataclass."""
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if value is not None and not math.isfinite(value):
+            raise NumericalOverflowError(f"non-finite result {field.name} = {value}")

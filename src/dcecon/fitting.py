@@ -32,6 +32,7 @@ from .errors import (
     ParameterError,
     SingularSystemError,
     UnboundedProblemError,
+    check_finite,
 )
 
 # relative pivot threshold for rank decisions in the SVD solve
@@ -103,6 +104,9 @@ class FitResult:
     r_squared: float
     residual_norm: float
 
+    def __post_init__(self):
+        check_finite(self)
+
     @property
     def coefficients(self) -> np.ndarray:
         return np.array([self.intercept, self.alpha, self.beta])
@@ -156,11 +160,13 @@ class QuadraticProgram:
         return float(x @ self.H @ x + self.f @ x)
 
 
+@np.errstate(all="ignore")
 def ols_fit(design: DesignMatrix) -> FitResult:
     """Least-squares coefficients for an (over)determined design.
 
     Solves min ||Ax - y|| via SVD with a relative rank threshold; the residual
-    is orthogonal to the column space by construction.
+    is orthogonal to the column space by construction. numpy warns of nothing:
+    an overflow surfaces as a non-finite FitResult field, which raises.
     """
     A, y = design.matrix, design.outputs
     n_rows, n_cols = A.shape
@@ -201,21 +207,19 @@ def kkt_certificate(qp: QuadraticProgram, x: np.ndarray, lam: np.ndarray,
     """
     if not all(np.isfinite(v).all() for v in (x, lam, mu) if v is not None):
         return False
-    grad = 2.0 * qp.H @ x + qp.f
-    if qp.C.size:
-        grad = grad + qp.C.T @ lam
+    grad = 2.0 * qp.H @ x + qp.f + qp.C.T @ lam
     if qp.C_eq is not None and mu is not None:
         grad = grad + qp.C_eq.T @ mu
     if np.linalg.norm(grad) > DUAL_TOL:
         return False
     if np.any(lam < -DUAL_TOL):
         return False
-    slack = qp.C @ x - qp.b if qp.C.size else np.zeros(0)
+    slack = qp.C @ x - qp.b
     if np.any(slack > FEASIBILITY_TOL):
         return False
     if qp.C_eq is not None and np.any(np.abs(qp.C_eq @ x - qp.b_eq) > FEASIBILITY_TOL):
         return False
-    if slack.size and np.any(np.abs(lam * slack) > DUAL_TOL):
+    if np.any(np.abs(lam * slack) > DUAL_TOL):
         return False
     return True
 
@@ -251,14 +255,14 @@ def _kkt_stack(qp: QuadraticProgram, active: np.ndarray) -> Tuple[np.ndarray, np
     return kkt, rhs
 
 
-def _solve_one(kkt: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """The solution of one KKT system; a singular one by least squares, None if inconsistent."""
+def _solve_one(kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of one KKT system; a singular one by least squares, NaN if inconsistent."""
     try:
         return np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         if np.linalg.norm(kkt @ solution - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-            return None
+            return np.full_like(rhs, np.nan)
         return solution
 
 
@@ -268,15 +272,16 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[np.ndarray]:
     The working sets of one size are solved as stacks of at most BATCH_SETS
     systems, one np.linalg.solve call each. LAPACK factors every matrix of a
     stack on its own, so each solution has the bits of a separate solve; a stack
-    holding a singular matrix is solved one set at a time. A solution with a
-    multiplier below -DUAL_TOL fails the certificate's dual-sign test on the same
-    floats, so it is dropped before the certificate runs. Ties between equal
-    objectives go to the working set with the least bit mask (sum of 2^i).
+    holding a singular matrix is solved one set at a time (an inconsistent one
+    gives NaN, which the certificate rejects). A solution with a multiplier below
+    -DUAL_TOL fails the certificate's dual-sign test on the same floats, so it is
+    dropped before the certificate runs. Ties between equal objectives go to the
+    working set with the least bit mask (sum of 2^i); a non-finite one never wins.
     """
     n = qp.H.shape[0]
     m = qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
-    certified = []
+    best = None  # (objective, bit mask, x)
     for k in range(min(m, n - n_eq) + 1):
         sets = combinations(range(m), k)
         while True:
@@ -285,31 +290,22 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[np.ndarray]:
                 break
             active = np.array(batch, dtype=np.intp).reshape(len(batch), k)
             kkt, rhs = _kkt_stack(qp, active)
-            consistent = np.ones(len(batch), dtype=bool)
             try:
                 solutions = np.linalg.solve(kkt, rhs[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                solutions = np.zeros_like(rhs)
-                for i in range(len(batch)):
-                    solution = _solve_one(kkt[i], rhs[i])
-                    if solution is None:
-                        consistent[i] = False
-                    else:
-                        solutions[i] = solution
+                solutions = np.array([_solve_one(a, b) for a, b in zip(kkt, rhs)])
             dual_feasible = ~np.any(solutions[:, n + n_eq:] < -DUAL_TOL, axis=1)
-            for index in np.flatnonzero(consistent & dual_feasible):
+            for index in np.flatnonzero(dual_feasible):
                 members, solution = batch[index], solutions[index]
                 x = solution[:n]
                 lam = np.zeros(m)
                 lam[list(members)] = solution[n + n_eq:]
-                if kkt_certificate(qp, x, lam, solution[n:n + n_eq] if n_eq else None):
-                    certified.append((sum(1 << i for i in members), qp.objective(x), x))
-    best_x: Optional[np.ndarray] = None
-    best_value = np.inf
-    for _, value, x in sorted(certified, key=lambda entry: entry[0]):
-        if value < best_value:
-            best_x, best_value = x, value
-    return best_x
+                if not kkt_certificate(qp, x, lam, solution[n:n + n_eq] if n_eq else None):
+                    continue
+                candidate = (qp.objective(x), sum(1 << i for i in members), x)
+                if np.isfinite(candidate[0]) and (best is None or candidate[:2] < best[:2]):
+                    best = candidate
+    return None if best is None else best[2]
 
 
 def qp_solve(qp: QuadraticProgram) -> np.ndarray:
@@ -366,11 +362,13 @@ def _classify_failure(qp: QuadraticProgram) -> None:
         raise InfeasibleProblemError("constraint set is empty")
 
 
+@np.errstate(all="ignore")
 def qp_fit(design: DesignMatrix, constraints: Tuple[np.ndarray, np.ndarray]) -> FitResult:
     """Constrained least squares assembled as a QP over x = (K', alpha, beta).
 
     The QP objective x^T (A^T A) x - 2 y^T A x equals ||y - Ax||^2 - y^T y, so the
-    minimizer matches the constrained least-squares fit.
+    minimizer matches the constrained least-squares fit. An overflowing A^T A
+    fails the QP's finiteness check.
     """
     A, y = design.matrix, design.outputs
     C, b = constraints

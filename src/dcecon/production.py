@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NumericalOverflowError, ParameterError, overflow_as_error
 
@@ -73,44 +73,35 @@ class RdDeterminants:
 class TechProgress:
     """Harrod factor A (labor augmenting) and Solow factor B (capital augmenting).
 
-    The R&D determinants are optional: they are present when the factors were
-    built via :meth:`from_determinants` and absent when A and B are given directly.
+    rd, L_star and K_star are present when the factors were built via
+    :meth:`from_determinants` and absent when A and B are given directly.
     """
 
     A: float
     B: float
-    r: Optional[float] = None
+    rd: Optional[RdDeterminants] = None
     L_star: Optional[float] = None
     K_star: Optional[float] = None
-    Gamma: Optional[float] = None
-    Delta: Optional[float] = None
-    alpha1: Optional[float] = None
-    beta1: Optional[float] = None
 
     def __post_init__(self):
         if not (0 < self.A < math.inf and 0 < self.B < math.inf):
             raise ParameterError(
                 f"progress factors must be positive and finite, got A={self.A}, B={self.B}")
-        for name in ("r", "L_star", "K_star", "Gamma", "Delta"):
+        for name in ("L_star", "K_star"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ParameterError(f"{name} must be positive, got {value}")
-        if self.alpha1 is not None:
-            _check_unit_interval("alpha1", self.alpha1)
-        if self.beta1 is not None:
-            _check_unit_interval("beta1", self.beta1)
 
     @classmethod
     def from_determinants(cls, r: float, L_star: float, K_star: float,
                           Gamma: float, Delta: float,
                           alpha1: float, beta1: float) -> "TechProgress":
         """Build A = r * L*^beta1 * Gamma^(1-beta1) and B = r * K*^alpha1 * Delta^(1-alpha1)."""
-        return cls(
-            A=harrod_progress(r, L_star, Gamma, beta1),
-            B=solow_progress(r, K_star, Delta, alpha1),
-            r=r, L_star=L_star, K_star=K_star,
-            Gamma=Gamma, Delta=Delta, alpha1=alpha1, beta1=beta1,
-        )
+        A = harrod_progress(r, L_star, Gamma, beta1)
+        B = solow_progress(r, K_star, Delta, alpha1)
+        return cls(A=A, B=B, rd=RdDeterminants(r=r, Gamma=Gamma, Delta=Delta,
+                                               alpha1=alpha1, beta1=beta1),
+                   L_star=L_star, K_star=K_star)
 
 
 @dataclass(frozen=True)
@@ -152,51 +143,48 @@ def evaluate_augmented(tech: TechProgress, alpha: float, beta: float, R: float, 
     return evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), tech.A * R, tech.B * I)
 
 
-@overflow_as_error
 def harrod_progress(r: float, L_star: float, Gamma: float, beta1: float) -> float:
     """Labor-augmenting factor A = r * L*^beta1 * Gamma^(1-beta1)."""
-    _check_positive("r", r)
-    _check_positive("L_star", L_star)
-    _check_positive("Gamma", Gamma)
-    _check_unit_interval("beta1", beta1)
-    return _scaled(r, math.exp(beta1 * math.log(L_star) + (1.0 - beta1) * math.log(Gamma)))
+    return _progress(r, L_star, Gamma, beta1, ("L_star", "Gamma", "beta1"))
+
+
+def solow_progress(r: float, K_star: float, Delta: float, alpha1: float) -> float:
+    """Capital-augmenting factor B = r * K*^alpha1 * Delta^(1-alpha1)."""
+    return _progress(r, K_star, Delta, alpha1, ("K_star", "Delta", "alpha1"))
 
 
 @overflow_as_error
-def solow_progress(r: float, K_star: float, Delta: float, alpha1: float) -> float:
-    """Capital-augmenting factor B = r * K*^alpha1 * Delta^(1-alpha1)."""
+def _progress(r: float, x: float, y: float, e: float, names: Tuple[str, str, str]) -> float:
+    """r * x^e * y^(1-e), the form both progress factors share; names label x, y and e."""
     _check_positive("r", r)
-    _check_positive("K_star", K_star)
-    _check_positive("Delta", Delta)
-    _check_unit_interval("alpha1", alpha1)
-    return _scaled(r, math.exp(alpha1 * math.log(K_star) + (1.0 - alpha1) * math.log(Delta)))
-
-
-def _scaled(r: float, power: float) -> float:
+    _check_positive(names[0], x)
+    _check_positive(names[1], y)
+    _check_unit_interval(names[2], e)
+    power = math.exp(e * math.log(x) + (1.0 - e) * math.log(y))
     value = r * power
     if value == math.inf:
         raise NumericalOverflowError(f"progress factor {r} * {power} overflows")
     return value
 
 
-@overflow_as_error
 def invert_harrod(A: float, r: float, Gamma: float, beta1: float) -> float:
     """R&D labor L* = (A / (r * Gamma^(1-beta1)))^(1/beta1); inverse of harrod_progress."""
-    _check_positive("A", A)
-    _check_positive("r", r)
-    _check_positive("Gamma", Gamma)
-    _check_unit_interval("beta1", beta1)
-    return math.exp((math.log(A) - math.log(r) - (1.0 - beta1) * math.log(Gamma)) / beta1)
+    return _invert(A, r, Gamma, beta1, ("A", "Gamma", "beta1"))
+
+
+def invert_solow(B: float, r: float, Delta: float, alpha1: float) -> float:
+    """R&D capital K* = (B / (r * Delta^(1-alpha1)))^(1/alpha1); inverse of solow_progress."""
+    return _invert(B, r, Delta, alpha1, ("B", "Delta", "alpha1"))
 
 
 @overflow_as_error
-def invert_solow(B: float, r: float, Delta: float, alpha1: float) -> float:
-    """R&D capital K* = (B / (r * Delta^(1-alpha1)))^(1/alpha1); inverse of solow_progress."""
-    _check_positive("B", B)
+def _invert(z: float, r: float, y: float, e: float, names: Tuple[str, str, str]) -> float:
+    """x with z = r * x^e * y^(1-e), the inverse of _progress; names label z, y and e."""
+    _check_positive(names[0], z)
     _check_positive("r", r)
-    _check_positive("Delta", Delta)
-    _check_unit_interval("alpha1", alpha1)
-    return math.exp((math.log(B) - math.log(r) - (1.0 - alpha1) * math.log(Delta)) / alpha1)
+    _check_positive(names[1], y)
+    _check_unit_interval(names[2], e)
+    return math.exp((math.log(z) - math.log(r) - (1.0 - e) * math.log(y)) / e)
 
 
 def linear_cost(w1: float, w2: float, L: float, K: float) -> float:
@@ -205,7 +193,10 @@ def linear_cost(w1: float, w2: float, L: float, K: float) -> float:
         raise ParameterError(f"cost weights must be non-negative, got ({w1}, {w2})")
     _check_positive("L", L)
     _check_positive("K", K)
-    return w1 * L + w2 * K
+    cost = w1 * L + w2 * K
+    if not math.isfinite(cost):
+        raise NumericalOverflowError(f"linear cost {w1}*{L} + {w2}*{K} is not finite")
+    return cost
 
 
 def returns_to_scale(alpha: float, beta: float, tol: float = CRS_TOLERANCE) -> ScaleClassification:

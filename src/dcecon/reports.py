@@ -107,24 +107,16 @@ class RunReport:
     reference_note: Optional[str] = None
     summary: Optional[Dict] = None
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "RunReport":
-        return cls(
-            command=payload["command"],
-            config=dict(payload["config"]),
-            rows=[dict(r) for r in payload["rows"]],
-            warnings=list(payload.get("warnings", [])),
-            reference_note=payload.get("reference_note"),
-            summary=payload.get("summary"),
-        )
-
     def to_json(self) -> str:
         # vars(self) holds the fields in declaration order; dataclasses.asdict would deep-copy them
         return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
+        payload = json.loads(text)
+        return cls(command=payload["command"], config=payload["config"], rows=payload["rows"],
+                   warnings=payload.get("warnings", []),
+                   reference_note=payload.get("reference_note"), summary=payload.get("summary"))
 
     def to_csv(self) -> str:
         """Rows only (no config, warnings, or nested structures)."""

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +99,7 @@ class TestExitCodes:
             "--alpha", "0.9", "--beta", "0.9", "--format", fmt)
         assert code == 3
         assert out == ""
-        assert err == "numerical error: non-finite value in report field rows[0].objective\n"
+        assert err == "numerical error: non-finite result objective = inf\n"
 
     def test_closed_form_underflow_is_numerical_error(self, capsys):
         code, out, err = run_cli(
@@ -111,6 +114,37 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "hhi", "--input", str(DATA_DIR / "apac_shares.csv"))
         assert code == 0
         assert out
+
+
+# closed-form products that underflow to 0 and fits whose numpy arithmetic overflows
+ONE_LINE_ERRORS = {
+    "revenue-max-underflowing-price": (
+        "revenue-max-closed", "--budget", "1", "--w1", "1e-300", "--w2", "1",
+        "--recurring", "1e-300", "--infrastructure", "1", "--alpha", "0.5", "--beta", "0.5"),
+    "cost-min-underflowing-log": (
+        "cost-min-closed", "--target-output", "1", "--w1", "1", "--w2", "1e-200",
+        "--recurring", "1", "--infrastructure", "1", "--alpha", "1e-200", "--beta", "0.5"),
+    "fit-qp-overflow": ("fit", "--input", "huge.csv", "--scale", "raw",
+                        "--constrained", str(DATA_DIR / "constraints_rts.csv")),
+    "fit-ols-overflow": ("fit", "--input", "ols_huge.csv", "--scale", "raw"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ONE_LINE_ERRORS.values()), ids=list(ONE_LINE_ERRORS))
+def test_numerical_failure_is_one_line_on_stderr(tmp_path, argv):
+    (tmp_path / "huge.csv").write_text("new_server_cost,power_cooling_cost,output\n"
+                                       "1e200,2e200,3e200\n2e200,1e200,4e200\n"
+                                       "3e200,5e200,2e200\n4e200,3e200,6e200\n")
+    (tmp_path / "ols_huge.csv").write_text("new_server_cost,power_cooling_cost,output\n"
+                                           "1,2,1e160\n4,3,3e160\n9,1,2e160\n7,8,5e160\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "dcecon", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical error: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
 
 
 class TestOptimizerCommands:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcecon.closed_form import (
     BudgetProblem,
@@ -10,9 +12,9 @@ from dcecon.closed_form import (
     profit_max,
     revenue_max,
 )
-from dcecon.errors import (DegenerateProblemError, DomainError, NumericalOverflowError,
-                           ParameterError)
-from dcecon.production import RdDeterminants, harrod_progress, solow_progress
+from dcecon.errors import (DegenerateProblemError, DomainError, EconModelError,
+                           NumericalOverflowError, ParameterError)
+from dcecon.production import RdDeterminants, harrod_progress, linear_cost, solow_progress
 
 ORACLE_POINTS = 10_000
 
@@ -256,3 +258,32 @@ class TestProfitMax:
         sol = profit_max(1, 1, 2, 3, 0.3, 0.4, P=1.0, rd=rd)
         assert rel_err(harrod_progress(rd.r, sol.L_star, rd.Gamma, rd.beta1), sol.A) <= 1e-12
         assert rel_err(solow_progress(rd.r, sol.K_star, rd.Delta, rd.alpha1), sol.B) <= 1e-12
+
+
+# positive inputs drawn log-uniform over [1e-300, 1e300]; R&D elasticities over (0, 1)
+wide = st.floats(min_value=-300, max_value=300).map(lambda e: 10.0 ** e)
+unit = st.floats(min_value=-300, max_value=-1e-6).map(lambda e: 10.0 ** e)
+rd_or_none = st.none() | st.builds(RdDeterminants, r=wide, Gamma=wide, Delta=wide,
+                                   alpha1=unit, beta1=unit)
+
+WIDE_CALLS = {
+    "revenue_max": lambda v, rd: revenue_max(BudgetProblem(*v), rd),
+    "cost_min": lambda v, rd: cost_min(*v, rd=rd),
+    "profit_max": lambda v, rd: profit_max(*v, rd=rd),
+    "linear_cost": lambda v, rd: linear_cost(*v[:4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CALLS))
+@given(values=st.lists(wide, min_size=7, max_size=7), rd=rd_or_none)
+@settings(deadline=None)
+def test_wide_inputs_give_finite_fields_or_a_library_error(name, values, rd):
+    try:
+        result = WIDE_CALLS[name](values, rd)
+    except EconModelError:
+        return
+    if isinstance(result, float):
+        fields = [result]
+    else:
+        fields = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    assert all(math.isfinite(value) for value in fields if value is not None), result

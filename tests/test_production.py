@@ -193,12 +193,13 @@ class TestInversions:
         assert rel_err(invert_solow(tech.B, 1.05, 6, 0.4), 20) <= 1e-12
 
     def test_tech_progress_validation(self):
+        rd = {"r": 1.1, "Gamma": 2.0, "Delta": 4.0, "alpha1": 0.5, "beta1": 0.6}
         with pytest.raises(ParameterError):
             TechProgress(A=0.0, B=1.0)
         with pytest.raises(ParameterError):
-            TechProgress(A=1.0, B=1.0, alpha1=1.5)
+            TechProgress(A=1.0, B=1.0, rd=RdDeterminants(**{**rd, "alpha1": 1.5}))
         with pytest.raises(ParameterError):
-            TechProgress(A=1.0, B=1.0, r=-1.0)
+            TechProgress(A=1.0, B=1.0, rd=RdDeterminants(**{**rd, "r": -1.0}))
 
 
 class TestLinearCost:
@@ -229,8 +230,12 @@ class TestNanAndOverflow:
 
     @pytest.mark.parametrize("field", ["A", "B", "r", "L_star", "K_star", "Gamma", "Delta"])
     def test_nan_tech_progress_field_rejected(self, field):
+        rd = {"r": 1.1, "Gamma": 2.0, "Delta": 4.0, "alpha1": 0.5, "beta1": 0.6}
         with pytest.raises(ParameterError, match="got .*nan"):
-            TechProgress(**{"A": 1.0, "B": 1.0, field: math.nan})
+            if field in rd:
+                TechProgress(A=1.0, B=1.0, rd=RdDeterminants(**{**rd, field: math.nan}))
+            else:
+                TechProgress(**{"A": 1.0, "B": 1.0, field: math.nan})
 
     @pytest.mark.parametrize("call", [
         lambda: evaluate_output(CobbDouglasParams(1.0, 800.0, 1.0), 10.0, 1.0),
