@@ -15,7 +15,9 @@ the program's behaviour, so two checkouts can be compared with diff:
     diff parent.txt change.txt
 
 --quick skips the long runs (the traced 300k- and 1M-iteration descents and the
-default 1M-iteration runs); every subcommand is still covered.
+default 1M-iteration runs); every subcommand is still covered, and so are trace
+files long enough to be formatted in forked slices on a machine with two or more
+usable CPUs.
 """
 
 import argparse
@@ -145,6 +147,13 @@ def invocations(quick):
           "--recurring", "1", "--infrastructure", "1", "--alpha", "1e-200", "--beta", "0.5"),
          False),
         (("fit", "--input", "inputs/ols_huge.csv", "--scale", "raw"), False),
+    ]
+    # a --trace path that is an existing file (exit 2), and a multi-year profit run
+    # whose 300,001-row descent traces are formatted in forked slices
+    calls += [
+        (("cost-min", *COSTS, "--max-iters", "100", "--trace", "inputs/fit.csv"), False),
+        (("profit", *COSTS, "--weights", "data/linear_weights.csv", "--max-iters", "300000",
+          "--trace", "{trace}"), True),
     ]
     return [argv for argv, slow in calls if not (quick and slow)]
 

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (DegenerateProblemError, DomainError, ParameterError, check_finite,
-                     overflow_as_error)
+from .errors import (DegenerateProblemError, DomainError, NumericalOverflowError, ParameterError,
+                     check_finite, overflow_as_error)
 from .production import RdDeterminants, _check_positive, invert_harrod, invert_solow
 
 
@@ -35,9 +35,7 @@ class BudgetProblem:
 
     def __post_init__(self):
         for name in ("m", "w1", "w2", "R", "I", "alpha", "beta"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ParameterError(f"{name} must be strictly positive, got {value}")
+            _check_positive(name, getattr(self, name), ParameterError)
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,9 @@ def revenue_max(problem: BudgetProblem, rd: Optional[RdDeterminants] = None) -> 
     A = p.alpha * p.m / price_A
     B = p.beta * p.m / price_B
     u, v = A * p.R, B * p.I
+    # inf / inf: alpha*m and a price both overflowed (an infinite u or v is named later)
+    if math.isnan(u) or math.isnan(v):
+        raise NumericalOverflowError(f"effective inputs overflow: A*R = {u}, B*I = {v}")
     if not (u > 0 and v > 0):
         raise DomainError(f"effective inputs underflow to 0: A*R = {u}, B*I = {v}")
     objective = math.exp(p.alpha * math.log(u) + p.beta * math.log(v))

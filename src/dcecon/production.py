@@ -62,9 +62,7 @@ class RdDeterminants:
 
     def __post_init__(self):
         for name in ("r", "Gamma", "Delta"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ParameterError(f"{name} must be strictly positive, got {value}")
+            _check_positive(name, getattr(self, name), ParameterError)
         _check_unit_interval("alpha1", self.alpha1)
         _check_unit_interval("beta1", self.beta1)
 
@@ -123,9 +121,12 @@ def _check_unit_interval(name: str, value: float) -> None:
         raise ParameterError(f"{name} must lie strictly inside (0, 1), got {value}")
 
 
-def _check_positive(name: str, value: float) -> None:
+def _check_positive(name: str, value: float, error=DomainError) -> None:
+    """Raise error (a DomainError by default) unless 0 < value < inf."""
     if not value > 0:
-        raise DomainError(f"{name} must be strictly positive, got {value}")
+        raise error(f"{name} must be strictly positive, got {value}")
+    if value == math.inf:
+        raise error(f"{name} must be finite, got {value}")
 
 
 @overflow_as_error

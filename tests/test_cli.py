@@ -91,6 +91,22 @@ class TestExitCodes:
         assert out == ""
         assert err == "numerical error: w1 must be strictly positive, got nan\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("revenue-max-closed", "--budget", "inf", "--w1", "1", "--w2", "2", "--recurring", "2",
+          "--infrastructure", "1", "--alpha", "2", "--beta", "1"), "m must be finite, got inf"),
+        (("cost-min-closed", "--target-output", "5", "--w1", "1", "--w2", "1", "--recurring",
+          "1", "--infrastructure", "inf", "--alpha", "0.5", "--beta", "0.5"),
+         "I must be finite, got inf"),
+        (("profit-max-closed", "--w1", "1", "--w2", "1", "--recurring", "1",
+          "--infrastructure", "1", "--alpha", "0.25", "--beta", "0.25", "--discount-rate", "inf",
+          "--harrod-capital", "3", "--solow-labor", "6", "--alpha1", "0.4", "--beta1", "0.3"),
+         "r must be finite, got inf"),
+    ], ids=["budget", "infrastructure", "discount-rate"])
+    def test_infinite_closed_form_input_is_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"numerical error: {message}\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_numerical_error(self, capsys, fmt):
         code, out, err = run_cli(

@@ -97,6 +97,19 @@ class TestRevenueMax:
         with pytest.raises(DomainError, match="^effective inputs underflow to 0: A\\*R = 0.0, "):
             revenue_max(BudgetProblem(m=1e-300, w1=1e300, w2=1, R=1, I=1, alpha=0.5, beta=0.5))
 
+    def test_overflowing_effective_input_is_named(self):
+        # alpha*m and w1*R*n both overflow to inf, so A = inf/inf is NaN, not an underflow
+        with pytest.raises(NumericalOverflowError,
+                           match="^effective inputs overflow: A\\*R = nan, B\\*I = 1.0$"):
+            revenue_max(BudgetProblem(m=1e300, w1=1e300, w2=1, R=1e300, I=1,
+                                      alpha=1e300, beta=1))
+
+    @pytest.mark.parametrize("name", ["m", "w1", "w2", "R", "I", "alpha", "beta"])
+    def test_infinite_problem_input_rejected(self, name):
+        values = dict(m=1, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)
+        with pytest.raises(ParameterError, match=f"^{name} must be finite, got inf$"):
+            BudgetProblem(**{**values, name: math.inf})
+
     def test_problem_validation(self):
         with pytest.raises(ParameterError):
             BudgetProblem(m=0, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)
@@ -168,6 +181,13 @@ class TestCostMin:
             cost_min(1.0, 1, 1, 1, 1, 0.5, 0.0)
         with pytest.raises(DomainError):
             cost_min(math.nan, 1, 1, 1, 1, 0.5, 0.5)
+
+    @pytest.mark.parametrize("position", range(7))
+    def test_infinite_inputs_rejected(self, position):
+        values = [1.0, 1, 1, 1, 1, 0.5, 0.5]
+        values[position] = math.inf
+        with pytest.raises(DomainError, match="must be finite, got inf$"):
+            cost_min(*values)
 
 
 def refine_profit_grid(w1, w2, alpha, beta, P):
@@ -243,6 +263,13 @@ class TestProfitMax:
             profit_max(0.0, 1, 1, 1, 0.25, 0.25)
         with pytest.raises(DomainError):
             profit_max(1, 1, 1, 1, 0.25, math.nan)
+
+    @pytest.mark.parametrize("position", range(7))
+    def test_infinite_inputs_rejected(self, position):
+        values = [1.0, 1, 1, 1, 0.25, 0.25, 1]
+        values[position] = math.inf
+        with pytest.raises(DomainError, match="must be finite, got inf$"):
+            profit_max(*values)
 
     def test_overflow_is_numerical_overflow_error(self):
         with pytest.raises(NumericalOverflowError, match="^math range error$"):

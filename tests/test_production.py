@@ -254,6 +254,25 @@ class TestNanAndOverflow:
                            match="^progress factor 1e\\+300 \\* .* overflows$"):
             progress(1e300, 1e300, 1e300, 0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda: invert_harrod(math.inf, 1.0, 1.0, 0.5),
+        lambda: invert_solow(1.0, math.inf, 1.0, 0.5),
+        lambda: harrod_progress(1.0, math.inf, 1.0, 0.5),
+        lambda: solow_progress(1.0, 1.0, math.inf, 0.5),
+        lambda: evaluate_output(CobbDouglasParams(1.0, 0.5, 0.5), math.inf, 1.0),
+        lambda: linear_cost(1.0, 1.0, 1.0, math.inf),
+    ], ids=["invert_harrod", "invert_solow", "harrod_progress", "solow_progress",
+            "evaluate_output", "linear_cost"])
+    def test_infinite_input_is_domain_error(self, call):
+        with pytest.raises(DomainError, match="must be finite, got inf$"):
+            call()
+
+    @pytest.mark.parametrize("field", ["r", "Gamma", "Delta"])
+    def test_infinite_rd_determinant_rejected(self, field):
+        values = {"r": 1.1, "Gamma": 2.0, "Delta": 4.0, "alpha1": 0.5, "beta1": 0.6}
+        with pytest.raises(ParameterError, match=f"^{field} must be finite, got inf$"):
+            RdDeterminants(**{**values, field: math.inf})
+
     @pytest.mark.parametrize("A, B", [(math.inf, 1.0), (1.0, math.inf)])
     def test_infinite_tech_progress_factor_rejected(self, A, B):
         with pytest.raises(ParameterError, match="^progress factors must be positive and finite"):

@@ -1,14 +1,20 @@
+import csv
+import errno
+import io
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
-from dcecon import reference
+from dcecon import reference, reports
+from dcecon.cli import main
 from dcecon.errors import DataValidationError, EconModelError, ParameterError
-from dcecon.optimizers import OptimizerConfig
+from dcecon.optimizers import OptimizerConfig, sgd_cost_min
 from dcecon.production import CostRecord
-from dcecon.reports import RunReport, ingest_costs, read_numeric_csv, run_table
+from dcecon.reports import (TRACE_SLICE_ROWS, RunReport, ingest_costs, read_numeric_csv,
+                            run_table)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -214,6 +220,102 @@ class TestRunTable:
         run_table("profit", records, FAST_CONFIG, trace_dir=tmp_path)
         assert (tmp_path / "cost_min_1997.csv").exists()
         assert (tmp_path / "revenue_max_1997.csv").exists()
+
+
+def csv_writer_trace(trajectory) -> bytes:
+    """A trace file as csv.writer wrote it before rows were formatted directly."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["iteration", "alpha", "beta", "objective"])
+    writer.writerows((i, *point) for i, point in enumerate(trajectory))
+    return buffer.getvalue().encode()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the os.fork calls made in this process."""
+    calls = []
+    real_fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def full_disk(monkeypatch, in_children: bool):
+    """Make trace row writes fail with ENOSPC in the forked children or in this process."""
+    parent = os.getpid()
+    write_rows = reports._write_rows
+
+    def failing(handle, points, start, stop):
+        if (os.getpid() != parent) == in_children:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_rows(handle, points, start, stop)
+    monkeypatch.setattr(reports, "_write_rows", failing)
+
+
+class TestParallelTraceWriter:
+    # a descent on these costs runs all max_iters steps: one row each, plus the start
+    RECORD = CostRecord(1997, 65.0, 5.0)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [3 * TRACE_SLICE_ROWS + 5, 2 * TRACE_SLICE_ROWS - 1, 2],
+                             ids=["above", "just-below", "two-points"])
+    def test_trace_is_byte_identical_on_any_cpu_count(self, tmp_path, monkeypatch, forks,
+                                                      cpus, rows):
+        use_cpus(monkeypatch, cpus)
+        config = OptimizerConfig(seed=3, max_iters=rows - 1)
+        run_table("cost_min", [self.RECORD], config, trace_dir=tmp_path)
+        expected = csv_writer_trace(sgd_cost_min(self.RECORD, config).trajectory)
+        assert expected.count(b"\n") == rows + 1
+        assert (tmp_path / "cost_min_1997.csv").read_bytes() == expected
+        slices = min(cpus, rows // TRACE_SLICE_ROWS) if rows >= 2 * TRACE_SLICE_ROWS else 1
+        assert len(forks) == slices - 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cost_min_1997.csv"]
+        assert_no_children()
+
+    def test_failing_child_is_one_line_data_error(self, tmp_path, monkeypatch, capsys):
+        use_cpus(monkeypatch, 3)
+        full_disk(monkeypatch, in_children=True)
+        costs = write(tmp_path, "costs.csv", "year,new_server_cost,power_cooling_cost\n1997,65,5\n")
+        trace_dir = tmp_path / "trace"
+        code = main(["cost-min", "--input", str(costs), "--trace", str(trace_dir),
+                     "--max-iters", str(3 * TRACE_SLICE_ROWS)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == (f"data error: cannot write trace {trace_dir / 'cost_min_1997.csv'}: "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(trace_dir.iterdir()) == []
+        assert_no_children()
+
+    def test_failing_parent_kills_and_reaps_children(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        full_disk(monkeypatch, in_children=False)
+        config = OptimizerConfig(seed=3, max_iters=2 * TRACE_SLICE_ROWS)
+        with pytest.raises(DataValidationError, match="No space left on device$"):
+            run_table("cost_min", [self.RECORD], config, trace_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        assert_no_children()
+
+    def test_existing_file_as_trace_dir_is_one_line_data_error(self, tmp_path, capsys):
+        taken = write(tmp_path, "taken", "")
+        code = main(["cost-min", "--input", str(DATA_DIR / "tables.csv"), "--max-iters", "100",
+                     "--trace", str(taken)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"data error: cannot write trace {taken}: File exists\n"
 
 
 class TestReadNumericCsv:

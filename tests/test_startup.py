@@ -41,6 +41,13 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert loaded_after("import dcecon.cli") == []
 
 
+def test_import_cli_leaves_trace_writer_modules_unloaded():
+    # -S skips site, which on some installs imports tempfile itself
+    out = run_python("-S", "-c", "import sys\nimport dcecon.cli\n"
+                     "print(sorted({'tempfile', 'shutil', 'signal'} & set(sys.modules)))").stdout
+    assert out.strip() == "[]"
+
+
 def test_import_cli_leaves_unused_submodules_unloaded():
     out = run_python(
         "-c",
