@@ -77,26 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="build the table from bundled reference objectives "
                                      "and weights")
 
-    p = sub.add_parser("revenue-max-closed")
-    _add_common_flags(p)
-    for flag in ("--budget", "--w1", "--w2", "--recurring", "--infrastructure",
-                 "--alpha", "--beta"):
-        p.add_argument(flag, type=float, required=True)
-    _add_rd_flags(p)
-
-    p = sub.add_parser("cost-min-closed")
-    _add_common_flags(p)
-    for flag in ("--target-output", "--w1", "--w2", "--recurring", "--infrastructure",
-                 "--alpha", "--beta"):
-        p.add_argument(flag, type=float, required=True)
-    _add_rd_flags(p)
-
-    p = sub.add_parser("profit-max-closed")
-    _add_common_flags(p)
-    for flag in ("--w1", "--w2", "--recurring", "--infrastructure", "--alpha", "--beta"):
-        p.add_argument(flag, type=float, required=True)
-    p.add_argument("--tfp", type=float, default=1.0, help="total factor productivity P")
-    _add_rd_flags(p)
+    for name, own in (("revenue-max-closed", ["--budget"]),
+                      ("cost-min-closed", ["--target-output"]), ("profit-max-closed", [])):
+        p = sub.add_parser(name)
+        _add_common_flags(p)
+        for flag in own + ["--w1", "--w2", "--recurring", "--infrastructure", "--alpha", "--beta"]:
+            p.add_argument(flag, type=float, required=True)
+        if name == "profit-max-closed":
+            p.add_argument("--tfp", type=float, default=1.0, help="total factor productivity P")
+        _add_rd_flags(p)
 
     p = sub.add_parser("sfa")
     _add_common_flags(p)
@@ -141,8 +130,7 @@ def _rd_from_args(args):
         return None
     if any(v is None for v in values):
         raise _UsageError("all five R&D determinant flags must be given together")
-    return RdDeterminants(r=args.discount_rate, Gamma=args.harrod_capital,
-                          Delta=args.solow_labor, alpha1=args.alpha1, beta1=args.beta1)
+    return RdDeterminants(*values)
 
 
 def _optimizer_config(args) -> OptimizerConfig:

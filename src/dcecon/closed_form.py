@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (DegenerateProblemError, DomainError, NumericalOverflowError, ParameterError,
-                     check_finite, overflow_as_error)
-from .production import RdDeterminants, _check_positive, invert_harrod, invert_solow
+                     check_domain, check_finite, overflow_as_error)
+from .production import RdDeterminants, invert_harrod, invert_solow
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class BudgetProblem:
 
     def __post_init__(self):
         for name in ("m", "w1", "w2", "R", "I", "alpha", "beta"):
-            _check_positive(name, getattr(self, name), ParameterError)
+            check_domain(name, getattr(self, name), "positive", ParameterError)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def cost_min(y_tar: float, w1: float, w2: float, R: float, I: float,
     """
     for name, value in (("y_tar", y_tar), ("w1", w1), ("w2", w2), ("R", R),
                         ("I", I), ("alpha", alpha), ("beta", beta)):
-        _check_positive(name, value)
+        check_domain(name, value, "positive", DomainError)
     n = alpha + beta
     log_y = math.log(y_tar) / n
     aw2, bw1 = alpha * w2, beta * w1
@@ -139,7 +139,7 @@ def profit_max(w1: float, w2: float, R: float, I: float,
     """
     for name, value in (("w1", w1), ("w2", w2), ("R", R), ("I", I),
                         ("alpha", alpha), ("beta", beta), ("P", P)):
-        _check_positive(name, value)
+        check_domain(name, value, "positive", DomainError)
     n = alpha + beta
     if n >= 1.0:
         raise DegenerateProblemError(

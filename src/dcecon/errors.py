@@ -42,14 +42,38 @@ class NumericalOverflowError(EconModelError, OverflowError):
 
 
 def overflow_as_error(fn):
-    """fn, with an OverflowError it raises re-raised as NumericalOverflowError (same message)."""
+    """fn, raising NumericalOverflowError for an OverflowError (same message) or a non-finite
+    float it returns, alone or in a tuple (exp returns inf or NaN for a non-finite argument)."""
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
         except OverflowError as exc:
             raise NumericalOverflowError(str(exc)) from exc
+        for value in result if isinstance(result, tuple) else (result,):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericalOverflowError(f"non-finite result {fn.__name__} = {value}")
+        return result
     return checked
+
+
+# domain -> (membership test, what a value must do); no test holds for NaN
+DOMAINS = {
+    "finite": (lambda x: x == x, "be finite"),
+    "non-negative": (lambda x: x >= 0, "be non-negative"),
+    "positive": (lambda x: x > 0, "be strictly positive"),
+    "unit": (lambda x: 0 < x < 1, "lie strictly inside (0, 1)"),
+    "count": (lambda x: isinstance(x, int) and x >= 1, "be an integer of at least 1"),
+}
+
+
+def check_domain(name: str, value, domain: str, error: type) -> None:
+    """Raise error("<name> must ..., got <value>") unless value is in DOMAINS[domain] and finite."""
+    inside, requirement = DOMAINS[domain]
+    if not inside(value):
+        raise error(f"{name} must {requirement}, got {value}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
 
 
 def check_finite(record) -> None:

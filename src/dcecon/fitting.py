@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .errors import (
     ParameterError,
     SingularSystemError,
     UnboundedProblemError,
+    check_domain,
     check_finite,
+    overflow_as_error,
 )
 
 # relative pivot threshold for rank decisions in the SVD solve
@@ -56,8 +58,8 @@ class DesignMatrix:
     outputs: np.ndarray
 
     def __post_init__(self):
-        matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        outputs = np.asarray(self.outputs, dtype=float).ravel()
+        matrix = _finite_array("design matrix", np.atleast_2d(self.matrix))
+        outputs = _finite_array("design outputs", self.outputs).ravel()
         if matrix.shape[0] != outputs.shape[0]:
             raise ParameterError(
                 f"row mismatch: {matrix.shape[0]} design rows vs {outputs.shape[0]} outputs"
@@ -65,18 +67,13 @@ class DesignMatrix:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "outputs", outputs)
 
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def log_scale(cls, x1: Sequence[float], x2: Sequence[float], y: Sequence[float],
                   intercept: bool = True) -> "DesignMatrix":
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any(x1 <= 0) or np.any(x2 <= 0) or np.any(y <= 0):
-            raise DomainError("log-scale design needs strictly positive inputs and outputs")
+        x1, x2, y = (np.asarray(column, dtype=float) for column in (x1, x2, y))
+        for name, column in (("x1", x1), ("x2", x2), ("y", y)):
+            for value in column.tolist():
+                check_domain(name, value, "positive", DomainError)
         return cls(_stack_columns(np.log(x1), np.log(x2), intercept), np.log(y))
 
     @classmethod
@@ -86,6 +83,14 @@ class DesignMatrix:
             _stack_columns(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float), intercept),
             np.asarray(y, dtype=float),
         )
+
+
+def _finite_array(name: str, value) -> np.ndarray:
+    """value as a float array; raise ParameterError naming it if an entry is NaN or infinite."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{name} has non-finite entries")
+    return array
 
 
 def _stack_columns(x1: np.ndarray, x2: np.ndarray, intercept: bool) -> np.ndarray:
@@ -124,14 +129,10 @@ class QuadraticProgram:
     b_eq: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("H", "f", "C", "b", "C_eq", "b_eq"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
-                raise ParameterError(f"QP {name} has non-finite entries")
-        H = np.asarray(self.H, dtype=float)
-        f = np.asarray(self.f, dtype=float).ravel()
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        b = np.asarray(self.b, dtype=float).ravel()
+        H = _finite_array("QP H", self.H)
+        f = _finite_array("QP f", self.f).ravel()
+        C = np.atleast_2d(_finite_array("QP C", self.C))
+        b = _finite_array("QP b", self.b).ravel()
         if H.shape[0] != H.shape[1]:
             raise ParameterError(f"H must be square, got shape {H.shape}")
         if not np.allclose(H, H.T, atol=1e-10):
@@ -149,8 +150,8 @@ class QuadraticProgram:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "b", b)
         if self.C_eq is not None:
-            C_eq = np.atleast_2d(np.asarray(self.C_eq, dtype=float))
-            b_eq = np.asarray(self.b_eq, dtype=float).ravel()
+            C_eq = np.atleast_2d(_finite_array("QP C_eq", self.C_eq))
+            b_eq = _finite_array("QP b_eq", self.b_eq).ravel()
             if C_eq.shape[1] != H.shape[0] or C_eq.shape[0] != b_eq.shape[0]:
                 raise ParameterError("equality constraint shapes are inconsistent")
             object.__setattr__(self, "C_eq", C_eq)
@@ -222,12 +223,6 @@ def kkt_certificate(qp: QuadraticProgram, x: np.ndarray, lam: np.ndarray,
     if np.any(np.abs(lam * slack) > DUAL_TOL):
         return False
     return True
-
-
-def _working_sets(rows: Sequence[int], size: int) -> Iterator[Tuple[int, ...]]:
-    """Every subset of at most size of rows."""
-    return (members for k in range(min(len(rows), size) + 1)
-            for members in combinations(rows, k))
 
 
 def _kkt_stack(qp: QuadraticProgram, active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -339,7 +334,8 @@ def certify_solution(qp: QuadraticProgram, x: np.ndarray) -> bool:
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     grad = 2.0 * qp.H @ x + qp.f
     active = [i for i in range(m) if qp.C[i] @ x - qp.b[i] > -DUAL_TOL]
-    for members in _working_sets(active, n - n_eq):
+    sets = (s for k in range(min(len(active), n - n_eq) + 1) for s in combinations(active, k))
+    for members in sets:
         basis = ([qp.C_eq.T] if n_eq else []) + [qp.C[list(members)].T]
         sol, *_ = np.linalg.lstsq(np.hstack(basis), -grad, rcond=None)
         lam = np.zeros(m)
@@ -376,18 +372,22 @@ def qp_fit(design: DesignMatrix, constraints: Tuple[np.ndarray, np.ndarray]) -> 
     return _fit_result_from_coefficients(qp_solve(qp), design)
 
 
+@overflow_as_error
+@np.errstate(all="ignore")
 def r_squared(model: FitResult, design: DesignMatrix) -> float:
     """1 - SS_res/SS_tot on the scale the design was built with."""
     coeffs = model.coefficients if design.matrix.shape[1] == 3 else model.coefficients[1:]
     return _r_squared(design.matrix @ coeffs, design.outputs)
 
 
+@overflow_as_error
+@np.errstate(all="ignore")
 def predict(model: FitResult, S: float, P: float, scale: str = "log_linear") -> float:
     """Point prediction: exp(K' + a ln S + b ln P) on the log scale, affine on raw."""
+    if scale not in ("log_linear", "raw_linear"):
+        raise ParameterError(f"unknown scale {scale!r}")
+    for name, value in (("S", S), ("P", P)):
+        check_domain(name, value, "positive" if scale == "log_linear" else "finite", DomainError)
     if scale == "log_linear":
-        if S <= 0 or P <= 0:
-            raise DomainError(f"log-scale prediction needs positive inputs, got ({S}, {P})")
         return float(np.exp(model.intercept + model.alpha * np.log(S) + model.beta * np.log(P)))
-    if scale == "raw_linear":
-        return float(model.intercept + model.alpha * S + model.beta * P)
-    raise ParameterError(f"unknown scale {scale!r}")
+    return float(model.intercept + model.alpha * S + model.beta * P)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .errors import DomainError, SingularSystemError, overflow_as_error
+from .errors import DomainError, SingularSystemError, check_domain, overflow_as_error
 
 
 @dataclass(frozen=True)
@@ -29,27 +29,29 @@ class FrontierSpec:
     n: Optional[float] = None
 
     def __post_init__(self):
-        if not self.u >= 0:
-            raise DomainError(f"inefficiency u must be non-negative, got {self.u}")
+        for name in ("K", "alpha", "beta", "v"):
+            check_domain(name, getattr(self, name), "finite", DomainError)
+        check_domain("u", self.u, "non-negative", DomainError)
         if self.n is None:
             object.__setattr__(self, "n", self.alpha + self.beta)
+        check_domain("n", self.n, "finite", DomainError)
 
 
 @overflow_as_error
 def frontier_output(spec: FrontierSpec, S: float, I: float) -> float:
     """y = exp(K + alpha*ln S + beta*ln I + v - u)."""
-    if not (S > 0 and I > 0):
-        raise DomainError(f"inputs must be strictly positive, got S={S}, I={I}")
+    check_domain("S", S, "positive", DomainError)
+    check_domain("I", I, "positive", DomainError)
     return math.exp(spec.K + spec.alpha * math.log(S) + spec.beta * math.log(I) + spec.v - spec.u)
 
 
 def technical_efficiency(u: float) -> float:
     """TE = exp(-u), the ratio of observed output to the maximum frontier output."""
-    if not u >= 0:
-        raise DomainError(f"inefficiency u must be non-negative, got {u}")
+    check_domain("u", u, "non-negative", DomainError)
     return math.exp(-u)
 
 
+@overflow_as_error
 def elasticities_from_frontier(y: float, K: float, S: float, I: float,
                                v: float = 0.0, u: float = 0.0,
                                n: float = 1.0) -> Tuple[float, float]:
@@ -58,10 +60,10 @@ def elasticities_from_frontier(y: float, K: float, S: float, I: float,
     With X = ln y - K - v + u:  alpha = (X - n*ln I) / ln(S/I)  and  beta = n - alpha.
     S = I makes the system singular (the two inputs are indistinguishable).
     """
-    if not (y > 0 and S > 0 and I > 0):
-        raise DomainError(f"y, S, I must be strictly positive, got ({y}, {S}, {I})")
-    if not u >= 0:
-        raise DomainError(f"inefficiency u must be non-negative, got {u}")
+    for name, value, domain in (("y", y, "positive"), ("S", S, "positive"), ("I", I, "positive"),
+                                ("K", K, "finite"), ("v", v, "finite"), ("n", n, "finite"),
+                                ("u", u, "non-negative")):
+        check_domain(name, value, domain, DomainError)
     denom = math.log(S) - math.log(I)
     if denom == 0.0:
         raise SingularSystemError("S and I coincide; elasticities are not identified")
@@ -70,10 +72,11 @@ def elasticities_from_frontier(y: float, K: float, S: float, I: float,
     return alpha, n - alpha
 
 
+@overflow_as_error
 def draw_shocks(rng: random.Random, sigma_v: float, sigma_u: float) -> Tuple[float, float]:
     """One draw of (v, u): v ~ Normal(0, sigma_v), u = |Normal(0, sigma_u)|."""
-    if not (sigma_v >= 0 and sigma_u >= 0):
-        raise DomainError(f"shock scales must be non-negative, got ({sigma_v}, {sigma_u})")
+    check_domain("sigma_v", sigma_v, "non-negative", DomainError)
+    check_domain("sigma_u", sigma_u, "non-negative", DomainError)
     return rng.gauss(0.0, sigma_v), abs(rng.gauss(0.0, sigma_u))
 
 

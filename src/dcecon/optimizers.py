@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Callable, Dict, List, Literal, Mapping, Optional, Sequence, Tuple
 
-from .errors import EconModelError, ParameterError, overflow_as_error
+from .errors import EconModelError, ParameterError, check_domain, overflow_as_error
 from .production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
 
 GradientMode = Literal["marginal", "analytic"]
@@ -60,10 +60,9 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("learning_rate", "cap", "init_alpha", "init_beta"):
             value = getattr(self, name)
-            if value is not None and (not value > 0 or not math.isfinite(value)):
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be at least 1, got {self.max_iters}")
+            if value is not None:
+                check_domain(name, value, "positive", ParameterError)
+        check_domain("max_iters", self.max_iters, "count", ParameterError)
         if self.mode not in ("marginal", "analytic"):
             raise ParameterError(f"unknown gradient mode {self.mode!r}")
 
@@ -237,8 +236,8 @@ def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval,
     a degenerate box (lo == hi) pins the weights.
     """
     for name, (lo, hi) in (("w1_bounds", w1_bounds), ("w2_bounds", w2_bounds)):
-        if not (lo >= 0 and hi >= 0):
-            raise ParameterError(f"{name} must be non-negative, got ({lo}, {hi})")
+        check_domain(name, lo, "non-negative", ParameterError)
+        check_domain(name, hi, "non-negative", ParameterError)
         if lo > hi:
             raise ParameterError(f"{name} is an empty interval: ({lo}, {hi})")
     w1, w2 = w1_bounds[0], w2_bounds[0]
@@ -247,6 +246,9 @@ def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval,
 
 def profit_row(max_rev: float, min_cost: float, min_cost_linear: float) -> Dict[str, float]:
     """One profit-table row: revenue minus the Cobb-Douglas and the linear cost."""
+    for name, value in (("max_rev", max_rev), ("min_cost", min_cost),
+                        ("min_cost_linear", min_cost_linear)):
+        check_domain(name, value, "non-negative", ParameterError)
     return {
         "max_rev_cd": max_rev,
         "min_cost_cd": min_cost,

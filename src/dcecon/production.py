@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import DomainError, NumericalOverflowError, ParameterError, overflow_as_error
+from .errors import (DomainError, NumericalOverflowError, ParameterError, check_domain,
+                     overflow_as_error)
 
 # |alpha + beta - 1| below this counts as constant returns to scale
 CRS_TOLERANCE = 1e-9
@@ -39,10 +40,9 @@ class CobbDouglasParams:
     beta: float
 
     def __post_init__(self):
-        if not self.P > 0:
-            raise ParameterError(f"total factor productivity must be positive, got {self.P}")
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ParameterError(f"elasticities must be non-negative, got ({self.alpha}, {self.beta})")
+        check_domain("P", self.P, "positive", ParameterError)
+        check_domain("alpha", self.alpha, "non-negative", ParameterError)
+        check_domain("beta", self.beta, "non-negative", ParameterError)
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ class RdDeterminants:
 
     def __post_init__(self):
         for name in ("r", "Gamma", "Delta"):
-            _check_positive(name, getattr(self, name), ParameterError)
-        _check_unit_interval("alpha1", self.alpha1)
-        _check_unit_interval("beta1", self.beta1)
+            check_domain(name, getattr(self, name), "positive", ParameterError)
+        check_domain("alpha1", self.alpha1, "unit", ParameterError)
+        check_domain("beta1", self.beta1, "unit", ParameterError)
 
 
 @dataclass(frozen=True)
@@ -82,24 +82,19 @@ class TechProgress:
     K_star: Optional[float] = None
 
     def __post_init__(self):
-        if not (0 < self.A < math.inf and 0 < self.B < math.inf):
-            raise ParameterError(
-                f"progress factors must be positive and finite, got A={self.A}, B={self.B}")
-        for name in ("L_star", "K_star"):
+        for name in ("A", "B", "L_star", "K_star"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ParameterError(f"{name} must be positive, got {value}")
+            if value is not None:
+                check_domain(name, value, "positive", ParameterError)
 
     @classmethod
     def from_determinants(cls, r: float, L_star: float, K_star: float,
                           Gamma: float, Delta: float,
                           alpha1: float, beta1: float) -> "TechProgress":
         """Build A = r * L*^beta1 * Gamma^(1-beta1) and B = r * K*^alpha1 * Delta^(1-alpha1)."""
-        A = harrod_progress(r, L_star, Gamma, beta1)
-        B = solow_progress(r, K_star, Delta, alpha1)
-        return cls(A=A, B=B, rd=RdDeterminants(r=r, Gamma=Gamma, Delta=Delta,
-                                               alpha1=alpha1, beta1=beta1),
-                   L_star=L_star, K_star=K_star)
+        A, B = harrod_progress(r, L_star, Gamma, beta1), solow_progress(r, K_star, Delta, alpha1)
+        rd = RdDeterminants(r=r, Gamma=Gamma, Delta=Delta, alpha1=alpha1, beta1=beta1)
+        return cls(A=A, B=B, rd=rd, L_star=L_star, K_star=K_star)
 
 
 @dataclass(frozen=True)
@@ -111,36 +106,22 @@ class CostRecord:
     power_cooling_cost: float
 
     def __post_init__(self):
-        costs = (self.server_cost, self.power_cooling_cost)
-        if not all(cost > 0 and math.isfinite(cost) for cost in costs):
-            raise DomainError(f"costs must be strictly positive and finite, got {costs}")
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ParameterError(f"{name} must lie strictly inside (0, 1), got {value}")
-
-
-def _check_positive(name: str, value: float, error=DomainError) -> None:
-    """Raise error (a DomainError by default) unless 0 < value < inf."""
-    if not value > 0:
-        raise error(f"{name} must be strictly positive, got {value}")
-    if value == math.inf:
-        raise error(f"{name} must be finite, got {value}")
+        check_domain("server_cost", self.server_cost, "positive", DomainError)
+        check_domain("power_cooling_cost", self.power_cooling_cost, "positive", DomainError)
 
 
 @overflow_as_error
 def evaluate_output(params: CobbDouglasParams, L: float, K: float) -> float:
     """Production output P * L^alpha * K^beta, evaluated as exp(ln P + a ln L + b ln K)."""
-    _check_positive("L", L)
-    _check_positive("K", K)
+    check_domain("L", L, "positive", DomainError)
+    check_domain("K", K, "positive", DomainError)
     return math.exp(math.log(params.P) + params.alpha * math.log(L) + params.beta * math.log(K))
 
 
 def evaluate_augmented(tech: TechProgress, alpha: float, beta: float, R: float, I: float) -> float:
     """Quasi form (A*R)^alpha * (B*I)^beta over recurring and infrastructure costs."""
-    _check_positive("R", R)
-    _check_positive("I", I)
+    for name, value in (("R", R), ("I", I), ("A*R", tech.A * R), ("B*I", tech.B * I)):
+        check_domain(name, value, "positive", DomainError)
     return evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), tech.A * R, tech.B * I)
 
 
@@ -157,14 +138,16 @@ def solow_progress(r: float, K_star: float, Delta: float, alpha1: float) -> floa
 @overflow_as_error
 def _progress(r: float, x: float, y: float, e: float, names: Tuple[str, str, str]) -> float:
     """r * x^e * y^(1-e), the form both progress factors share; names label x, y and e."""
-    _check_positive("r", r)
-    _check_positive(names[0], x)
-    _check_positive(names[1], y)
-    _check_unit_interval(names[2], e)
+    check_domain("r", r, "positive", DomainError)
+    check_domain(names[0], x, "positive", DomainError)
+    check_domain(names[1], y, "positive", DomainError)
+    check_domain(names[2], e, "unit", ParameterError)
     power = math.exp(e * math.log(x) + (1.0 - e) * math.log(y))
     value = r * power
     if value == math.inf:
         raise NumericalOverflowError(f"progress factor {r} * {power} overflows")
+    if value == 0.0:
+        raise DomainError(f"r * {names[0]}^{names[2]} * {names[1]}^(1-{names[2]}) underflows to 0")
     return value
 
 
@@ -181,30 +164,30 @@ def invert_solow(B: float, r: float, Delta: float, alpha1: float) -> float:
 @overflow_as_error
 def _invert(z: float, r: float, y: float, e: float, names: Tuple[str, str, str]) -> float:
     """x with z = r * x^e * y^(1-e), the inverse of _progress; names label z, y and e."""
-    _check_positive(names[0], z)
-    _check_positive("r", r)
-    _check_positive(names[1], y)
-    _check_unit_interval(names[2], e)
+    check_domain(names[0], z, "positive", DomainError)
+    check_domain("r", r, "positive", DomainError)
+    check_domain(names[1], y, "positive", DomainError)
+    check_domain(names[2], e, "unit", ParameterError)
     return math.exp((math.log(z) - math.log(r) - (1.0 - e) * math.log(y)) / e)
 
 
+@overflow_as_error
 def linear_cost(w1: float, w2: float, L: float, K: float) -> float:
     """Linear cost w1*L + w2*K with non-negative weights."""
-    if not (w1 >= 0 and w2 >= 0):
-        raise ParameterError(f"cost weights must be non-negative, got ({w1}, {w2})")
-    _check_positive("L", L)
-    _check_positive("K", K)
-    cost = w1 * L + w2 * K
-    if not math.isfinite(cost):
-        raise NumericalOverflowError(f"linear cost {w1}*{L} + {w2}*{K} is not finite")
-    return cost
+    check_domain("w1", w1, "non-negative", ParameterError)
+    check_domain("w2", w2, "non-negative", ParameterError)
+    check_domain("L", L, "positive", DomainError)
+    check_domain("K", K, "positive", DomainError)
+    return w1 * L + w2 * K
 
 
+@overflow_as_error
 def returns_to_scale(alpha: float, beta: float, tol: float = CRS_TOLERANCE) -> ScaleClassification:
     """Classify n = alpha + beta as constant (|n-1| <= tol), increasing, or decreasing."""
+    check_domain("alpha", alpha, "finite", ParameterError)
+    check_domain("beta", beta, "finite", ParameterError)
+    check_domain("tol", tol, "non-negative", ParameterError)
     n = alpha + beta
-    if not math.isfinite(n):
-        raise ParameterError(f"elasticities must be finite, got ({alpha}, {beta})")
     if abs(n - 1.0) <= tol:
         regime = ScaleRegime.CRS
     elif n > 1.0:

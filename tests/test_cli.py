@@ -63,10 +63,10 @@ class TestExitCodes:
         assert err == "numerical error: math range error\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (("cost-min", "--learning-rate", "nan"), "learning_rate must be positive and finite, got nan"),
-        (("revenue-max", "--cap", "nan"), "cap must be positive and finite, got nan"),
-        (("cost-min", "--init-alpha", "nan"), "init_alpha must be positive and finite, got nan"),
-        (("revenue-max", "--init-beta", "inf"), "init_beta must be positive and finite, got inf"),
+        (("cost-min", "--learning-rate", "nan"), "learning_rate must be strictly positive, got nan"),
+        (("revenue-max", "--cap", "nan"), "cap must be strictly positive, got nan"),
+        (("cost-min", "--init-alpha", "nan"), "init_alpha must be strictly positive, got nan"),
+        (("revenue-max", "--init-beta", "inf"), "init_beta must be finite, got inf"),
     ], ids=["learning-rate", "cap", "init-alpha", "init-beta"])
     def test_non_finite_optimizer_parameter_is_numerical_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--input", str(DATA_DIR / "tables.csv"))

@@ -1,0 +1,367 @@
+"""The input-domain contract of the library, checked over generated floats.
+
+Every public constructor and function of production, closed_form, frontier,
+concentration, optimizers and fitting, called with arguments drawn from normal
+and subnormal floats, +-0, +-inf, NaN and +-1e300, either returns a result
+whose float fields are all finite, or raises an EconModelError. When it
+rejects an input (DomainError or ParameterError) the message names the
+offending argument; other EconModelErrors (an overflow, a singular or
+degenerate problem) report an outcome of valid inputs. No raw ValueError,
+TypeError, ZeroDivisionError or LinAlgError escapes.
+"""
+
+import dataclasses
+import enum
+import math
+import random
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from dcecon import closed_form, concentration, fitting, frontier, optimizers, production
+from dcecon.errors import DomainError, EconModelError, ParameterError
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324,
+           1.0, 0.5, 2.0]
+# normal and subnormal floats, the specials above, and plausible values
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL), st.floats(0.05, 3.0))
+MAYBE = st.one_of(st.none(), FLOATS)
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def finite_fields(value):
+    """Every float inside value (nested tuples, lists, dicts, dataclasses, arrays) is finite."""
+    if isinstance(value, (bool, str, enum.Enum)) or value is None:
+        return True
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if dataclasses.is_dataclass(value):
+        return all(finite_fields(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return all(finite_fields(v) for v in value.values())
+    if isinstance(value, (tuple, list)):
+        return all(finite_fields(v) for v in value)
+    return True
+
+
+def holds(names, call, *args, **kwargs):
+    """Run call; its result must be finite, or its rejection must name one of names."""
+    try:
+        result = call(*args, **kwargs)
+    except (DomainError, ParameterError) as exc:
+        named = [n for n in names if re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", str(exc))]
+        assert named, f"{type(exc).__name__}({exc}) names none of {names}"
+    except EconModelError:
+        pass
+    else:
+        assert finite_fields(result), result
+
+
+class TestProduction:
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
+    @example(math.inf, 0.5, 0.5, 2.0, 3.0)
+    @example(1.0, math.inf, 0.5, 0.5, 3.0)
+    @SETTINGS
+    def test_evaluate_output(self, P, alpha, beta, L, K):
+        holds(["P", "alpha", "beta", "L", "K"],
+              lambda: production.evaluate_output(production.CobbDouglasParams(P, alpha, beta),
+                                                 L, K))
+
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
+    @example(1e300, 1.0, 0.5, 0.5, 1e300, 1.0)
+    @SETTINGS
+    def test_evaluate_augmented(self, A, B, alpha, beta, R, I):
+        holds(["A", "B", "alpha", "beta", "R", "I"],
+              lambda: production.evaluate_augmented(production.TechProgress(A, B),
+                                                    alpha, beta, R, I))
+
+    @given(FLOATS, FLOATS, MAYBE, MAYBE)
+    @example(1.0, 1.0, math.inf, None)
+    @SETTINGS
+    def test_tech_progress(self, A, B, L_star, K_star):
+        holds(["A", "B", "L_star", "K_star"], production.TechProgress, A, B,
+              L_star=L_star, K_star=K_star)
+
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
+    @SETTINGS
+    def test_from_determinants(self, r, L_star, K_star, Gamma, Delta, alpha1, beta1):
+        holds(["r", "L_star", "K_star", "Gamma", "Delta", "alpha1", "beta1"],
+              production.TechProgress.from_determinants,
+              r, L_star, K_star, Gamma, Delta, alpha1, beta1)
+
+    @pytest.mark.parametrize("progress, names", [
+        (production.harrod_progress, ["r", "L_star", "Gamma", "beta1"]),
+        (production.solow_progress, ["r", "K_star", "Delta", "alpha1"]),
+        (production.invert_harrod, ["A", "r", "Gamma", "beta1"]),
+        (production.invert_solow, ["B", "r", "Delta", "alpha1"]),
+    ], ids=["harrod", "solow", "invert_harrod", "invert_solow"])
+    @given(FLOATS, FLOATS, FLOATS, FLOATS)
+    @example(10.0, 1.0, 1.0, 5e-324)
+    @SETTINGS
+    def test_progress_and_inverses(self, progress, names, a, b, c, d):
+        holds(names, progress, a, b, c, d)
+
+    @given(FLOATS, FLOATS)
+    @SETTINGS
+    def test_cost_record(self, server, power):
+        holds(["server_cost", "power_cooling_cost"], production.CostRecord, 2000, server, power)
+
+    @given(FLOATS, FLOATS, FLOATS, FLOATS)
+    @SETTINGS
+    def test_linear_cost(self, w1, w2, L, K):
+        holds(["w1", "w2", "L", "K"], production.linear_cost, w1, w2, L, K)
+
+    @given(FLOATS, FLOATS, FLOATS)
+    @example(0.5, 0.5, math.nan)
+    @SETTINGS
+    def test_returns_to_scale(self, alpha, beta, tol):
+        holds(["alpha", "beta", "tol"], production.returns_to_scale, alpha, beta, tol)
+
+
+BUDGET = ["m", "w1", "w2", "R", "I", "alpha", "beta"]
+RD = ["r", "Gamma", "Delta", "alpha1", "beta1"]
+RD_VALUES = st.one_of(st.none(), st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
+                      st.just((1.05, 3.0, 6.0, 0.4, 0.3)))
+
+
+def rd_from(values):
+    return None if values is None else production.RdDeterminants(*values)
+
+
+class TestClosedForm:
+    # a failed back-out of L* or K* names the factor it inverted
+    FACTORS = ["A", "B"]
+
+    @given(st.tuples(*[FLOATS] * 7), RD_VALUES)
+    @SETTINGS
+    def test_revenue_max(self, budget, rd):
+        holds(BUDGET + RD + self.FACTORS,
+              lambda: closed_form.revenue_max(closed_form.BudgetProblem(*budget), rd_from(rd)))
+
+    @given(st.tuples(*[FLOATS] * 7), RD_VALUES)
+    @SETTINGS
+    def test_cost_min(self, args, rd):
+        holds(["y_tar", "w1", "w2", "R", "I", "alpha", "beta"] + RD + self.FACTORS,
+              lambda: closed_form.cost_min(*args, rd=rd_from(rd)))
+
+    @given(st.tuples(*[FLOATS] * 7), RD_VALUES)
+    @SETTINGS
+    def test_profit_max(self, args, rd):
+        holds(["w1", "w2", "R", "I", "alpha", "beta", "P"] + RD + self.FACTORS,
+              lambda: closed_form.profit_max(*args, rd=rd_from(rd)))
+
+
+SPEC = ["K", "alpha", "beta", "v", "u", "n"]
+
+
+class TestFrontier:
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, MAYBE)
+    @SETTINGS
+    def test_spec(self, K, alpha, beta, v, u, n):
+        holds(SPEC, frontier.FrontierSpec, K, alpha, beta, v, u, n)
+
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
+    @example(math.inf, 0.5, 0.5, 0.0, 0.0, 1.0, 1.0)
+    @SETTINGS
+    def test_frontier_output(self, K, alpha, beta, v, u, S, I):
+        holds(SPEC + ["S", "I"],
+              lambda: frontier.frontier_output(frontier.FrontierSpec(K, alpha, beta, v, u), S, I))
+
+    @given(FLOATS)
+    @SETTINGS
+    def test_technical_efficiency(self, u):
+        holds(["u"], frontier.technical_efficiency, u)
+
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
+    @example(2.0, math.nan, 2.0, 3.0, 0.0, 0.0, 1.0)
+    @SETTINGS
+    def test_elasticities_from_frontier(self, y, K, S, I, v, u, n):
+        holds(["y", "K", "S", "I", "v", "u", "n"],
+              frontier.elasticities_from_frontier, y, K, S, I, v, u, n)
+
+    @given(FLOATS, FLOATS)
+    @example(math.inf, 0.0)
+    @SETTINGS
+    def test_draw_shocks(self, sigma_v, sigma_u):
+        holds(["sigma_v", "sigma_u"], frontier.draw_shocks, random.Random(1), sigma_v, sigma_u)
+
+    @given(st.tuples(*[FLOATS] * 7))
+    @SETTINGS
+    def test_synthesize(self, args):
+        holds(["K", "alpha", "beta", "S", "I", "sigma_v", "sigma_u", "v", "u"],
+              lambda: list(frontier.synthesize(*args, 2, random.Random(3))))
+
+
+class TestConcentration:
+    @given(FLOATS)
+    @SETTINGS
+    def test_share_entry(self, share):
+        holds(["share"], concentration.ShareEntry, "f", share)
+
+    @given(st.lists(FLOATS, max_size=4))
+    @SETTINGS
+    def test_hhi(self, shares):
+        holds(["share", "shares"],
+              lambda: concentration.hhi(concentration.MarketShares.from_shares(shares)))
+
+    @given(FLOATS)
+    @SETTINGS
+    def test_classify_hhi(self, value):
+        holds(["index"], concentration.classify_hhi, value)
+
+
+CONFIG = ["learning_rate", "init_alpha", "init_beta", "max_iters", "cap"]
+MAX_ITERS = st.one_of(st.integers(-1, 50), st.sampled_from([1.5, 2.0, math.nan]))
+
+
+def config_from(values, mode, record):
+    learning_rate, init_alpha, init_beta, max_iters, cap = values
+    return optimizers.OptimizerConfig(learning_rate=learning_rate, init_alpha=init_alpha,
+                                      init_beta=init_beta, max_iters=max_iters, cap=cap,
+                                      mode=mode, record_trajectory=record)
+
+
+CONFIG_VALUES = st.tuples(FLOATS, MAYBE, MAYBE, MAX_ITERS, FLOATS)
+MODES = st.sampled_from(["marginal", "analytic"])
+
+
+class TestOptimizers:
+    @given(CONFIG_VALUES)
+    @example((0.01, None, None, 1.5, 1.8))
+    @SETTINGS
+    def test_config(self, values):
+        holds(CONFIG, lambda: config_from(values, "marginal", True).resolved())
+
+    @pytest.mark.parametrize("runner", [optimizers.sgd_cost_min, optimizers.sga_revenue_max])
+    @given(FLOATS, FLOATS, CONFIG_VALUES, MODES, st.booleans())
+    @SETTINGS
+    def test_runner(self, runner, L, K, values, mode, record):
+        holds(["server_cost", "power_cooling_cost", "alpha", "beta"] + CONFIG,
+              lambda: optimizers.run_year(runner, production.CostRecord(2000, L, K),
+                                          config_from(values, mode, record), None, "run"))
+
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
+    @SETTINGS
+    def test_linear_cost_min(self, L, K, lo1, hi1, lo2, hi2):
+        holds(["server_cost", "power_cooling_cost", "w1_bounds", "w2_bounds"],
+              lambda: optimizers.sgd_linear_cost_min(production.CostRecord(2000, L, K),
+                                                     (lo1, hi1), (lo2, hi2)))
+
+    @given(FLOATS, FLOATS, FLOATS)
+    @example(1e308, -1e308, 0.0)
+    @SETTINGS
+    def test_profit_row(self, revenue, cost, linear):
+        holds(["max_rev", "min_cost", "min_cost_linear"], optimizers.profit_row,
+              revenue, cost, linear)
+
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, CONFIG_VALUES)
+    @SETTINGS
+    def test_profit_table(self, L, K, w1, w2, values):
+        holds(["server_cost", "power_cooling_cost", "w1", "w2", "L", "K"] + CONFIG,
+              lambda: optimizers.profit_table([production.CostRecord(2000, L, K)],
+                                              config_from(values, "marginal", False),
+                                              {2000: (w1, w2)}))
+
+
+ROWS = st.lists(FLOATS, min_size=4, max_size=4)
+MATRIX = st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=3, max_size=3)
+FIT = st.tuples(*[FLOATS] * 5)
+
+
+class TestFitting:
+    @given(st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=4, max_size=4), ROWS)
+    @SETTINGS
+    def test_design_matrix(self, matrix, outputs):
+        holds(["matrix", "outputs"], fitting.DesignMatrix, matrix, outputs)
+
+    @pytest.mark.parametrize("scale", ["log_scale", "raw_scale"])
+    @given(ROWS, ROWS, ROWS, st.booleans())
+    @example([1.0, 2.0, 3.0, math.nan], [1.0, 4.0, 2.0, 3.0], [2.0, 1.0, 5.0, 3.0], True)
+    @SETTINGS
+    def test_ols_fit(self, scale, x1, x2, y, intercept):
+        holds(["x1", "x2", "y", "matrix", "outputs"],
+              lambda: fitting.ols_fit(getattr(fitting.DesignMatrix, scale)(x1, x2, y, intercept)))
+
+    @given(ROWS, ROWS, ROWS, MATRIX, st.lists(FLOATS, min_size=3, max_size=3))
+    @SETTINGS
+    def test_qp_fit(self, x1, x2, y, C, b):
+        holds(["x1", "x2", "y", "matrix", "outputs", "C", "b", "H", "f"],
+              lambda: fitting.qp_fit(fitting.DesignMatrix.raw_scale(x1, x2, y), (C, b)))
+
+    @given(MATRIX, st.lists(FLOATS, min_size=3, max_size=3), MATRIX,
+           st.lists(FLOATS, min_size=3, max_size=3), st.lists(FLOATS, min_size=3, max_size=3))
+    @SETTINGS
+    def test_qp_solve_and_certificates(self, M, f, C, b, x):
+        def call():
+            qp = fitting.QuadraticProgram(H=np.array(M) + np.array(M).T, f=f, C=C, b=b)
+            return (fitting.kkt_certificate(qp, np.array(x), np.zeros(3)),
+                    fitting.certify_solution(qp, x), fitting.qp_solve(qp))
+        holds(["H", "f", "C", "b", "x"], call)
+
+    @given(FIT)
+    @SETTINGS
+    def test_fit_result(self, values):
+        holds(["intercept", "alpha", "beta", "r_squared", "residual_norm"],
+              fitting.FitResult, *values)
+
+    @given(FIT, ROWS, ROWS, ROWS)
+    @SETTINGS
+    def test_r_squared(self, values, x1, x2, y):
+        holds(["x1", "x2", "y", "matrix", "outputs", "alpha", "beta"],
+              lambda: fitting.r_squared(fitting.FitResult(*values),
+                                        fitting.DesignMatrix.raw_scale(x1, x2, y)))
+
+    @pytest.mark.parametrize("scale", ["log_linear", "raw_linear"])
+    @given(FIT, FLOATS, FLOATS)
+    @example((0.8, 0.9, 0.6, 0.9, 0.1), math.nan, 1.0)
+    @SETTINGS
+    def test_predict(self, scale, values, S, P):
+        holds(["S", "P", "intercept", "alpha", "beta"],
+              lambda: fitting.predict(fitting.FitResult(*values), S, P, scale))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: production.evaluate_output(production.CobbDouglasParams(math.inf, 0.5, 0.5), 2, 3),
+     ParameterError, "P must be finite, got inf"),
+    (lambda: frontier.frontier_output(frontier.FrontierSpec(math.inf, 0.5, 0.5), 1, 1),
+     DomainError, "K must be finite, got inf"),
+    (lambda: frontier.elasticities_from_frontier(2, math.nan, 2, 3),
+     DomainError, "K must be finite, got nan"),
+    (lambda: frontier.draw_shocks(random.Random(1), math.inf, 0),
+     DomainError, "sigma_v must be finite, got inf"),
+    (lambda: production.TechProgress(1, 1, L_star=math.inf),
+     ParameterError, "L_star must be finite, got inf"),
+    (lambda: optimizers.OptimizerConfig(max_iters=1.5),
+     ParameterError, "max_iters must be an integer of at least 1, got 1.5"),
+    (lambda: production.returns_to_scale(0.5, 0.5, tol=math.nan),
+     ParameterError, "tol must be non-negative, got nan"),
+    (lambda: fitting.DesignMatrix.raw_scale([1, 2, math.nan, 4], [1, 3, 2, 5], [1, 2, 3, 4]),
+     ParameterError, "design matrix has non-finite entries"),
+    (lambda: fitting.DesignMatrix([[1, 2, 3]], [math.inf]),
+     ParameterError, "design outputs has non-finite entries"),
+    (lambda: fitting.predict(fitting.FitResult(0.8, 0.9, 0.6, 0.9, 0.1), math.nan, 1.0),
+     DomainError, "S must be strictly positive, got nan"),
+    (lambda: production.evaluate_augmented(production.TechProgress(1e300, 1.0), 0.5, 0.5,
+                                           1e300, 1.0),
+     DomainError, r"A\*R must be finite, got inf"),
+    (lambda: production.evaluate_augmented(production.TechProgress(1.0, 1e-300), 0.5, 0.5,
+                                           1.0, 1e-300),
+     DomainError, r"B\*I must be strictly positive, got 0.0"),
+], ids=["params-P", "spec-K", "recovery-K", "shocks-sigma-v", "progress-L-star", "max-iters",
+        "scale-tol", "design-matrix", "design-outputs", "predict-S", "augmented-A-R",
+        "augmented-B-I"])
+def test_rejection_names_the_argument(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_non_finite_design_never_reaches_lapack(capfd):
+    with pytest.raises(ParameterError):
+        fitting.ols_fit(fitting.DesignMatrix.raw_scale([1, 2, 3, 4], [1, 3, 2, math.inf],
+                                                       [1, 2, 3, 4]))
+    assert capfd.readouterr().err == ""

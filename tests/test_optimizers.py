@@ -51,9 +51,16 @@ class TestConfig:
         with pytest.raises(ParameterError):
             OptimizerConfig(init_alpha=-0.5)
         for name in ("learning_rate", "cap", "init_alpha", "init_beta"):
-            for bad in (math.nan, math.inf):
-                with pytest.raises(ParameterError, match=f"^{name} must be positive"):
-                    OptimizerConfig(**{name: bad})
+            with pytest.raises(ParameterError, match=f"^{name} must be strictly positive, got nan$"):
+                OptimizerConfig(**{name: math.nan})
+            with pytest.raises(ParameterError, match=f"^{name} must be finite, got inf$"):
+                OptimizerConfig(**{name: math.inf})
+
+    @pytest.mark.parametrize("max_iters", [1.5, 2.0, math.nan, 0])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        with pytest.raises(ParameterError,
+                           match=f"^max_iters must be an integer of at least 1, got {max_iters}$"):
+            OptimizerConfig(max_iters=max_iters)
 
     def test_seed_zero_initial_point_is_stable(self):
         assert OptimizerConfig(seed=0).initial_point() == (

@@ -1,12 +1,20 @@
 """Smoke tests for the command-line scripts under scripts/, run as subprocesses."""
 
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+# the lines of `scripts/output_digests.py --quick` under a first line stamping the
+# platform they were made on (see digest_stamp); a change that alters output on
+# purpose regenerates the lines and lists each changed one in CHANGES.md
+DIGEST_BASELINE = ROOT / "tests" / "data" / "output_digests_quick.txt"
 
 
 def run_script(name, *args):
@@ -38,10 +46,21 @@ def test_trace_revenue_surface_writes_trajectory_and_grid(tmp_path):
     assert len(surface) == 60 * 60 + 1
 
 
-def test_output_digests_covers_every_subcommand():
+def digest_stamp():
+    """The platform line the digest baseline starts with; other platforms may round differently."""
+    return (f"# {platform.system()} {platform.machine()}, "
+            f"Python {platform.python_version()}, numpy {np.__version__}")
+
+
+@pytest.fixture(scope="module")
+def quick_digests():
     proc = run_script("output_digests.py", "--quick")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_output_digests_covers_every_subcommand(quick_digests):
+    lines = quick_digests
     line = re.compile(r"^[0-3] out=[0-9a-f]{64} err=[0-9a-f]{64} trace=(-|[0-9a-f]{64}) (\S+)")
     matches = [line.match(text) for text in lines]
     assert all(matches), [text for text, m in zip(lines, matches) if not m]
@@ -51,3 +70,12 @@ def test_output_digests_covers_every_subcommand():
     assert {text[0] for text in lines} == {"0", "1", "2", "3"}
     assert any("--format csv" in text for text in lines)
     assert any(m.group(1) != "-" for m in matches)
+
+
+def test_output_digests_match_baseline(quick_digests):
+    stamp, *baseline = DIGEST_BASELINE.read_text().splitlines()
+    if stamp != digest_stamp():
+        pytest.skip(f"baseline made on {stamp[2:]!r}, this is {digest_stamp()[2:]!r}")
+    changed = [f"{old}\n  now {new}" for old, new in zip(baseline, quick_digests) if old != new]
+    assert len(quick_digests) == len(baseline)
+    assert not changed, "\n".join(changed)
