@@ -1,6 +1,7 @@
 """Print a digest line for each of a fixed list of dcecon CLI invocations.
 
-Each invocation runs as a fresh `python -m dcecon` process over the bundled
+Each invocation runs as a fresh `python -m dcecon` process, with
+PYTHONUNBUFFERED removed from its environment, over the bundled
 data/ files and a few small generated CSVs, inside a temporary directory that
 also receives every --trace directory. One line is printed per invocation:
 
@@ -178,7 +179,10 @@ def trace_digest(trace_dir: Path) -> str:
 def run(argv, root: Path, workdir: Path, index: int) -> str:
     trace = f"traces/{index}"
     argv = tuple(trace if arg == "{trace}" else arg for arg in argv)
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    # without PYTHONUNBUFFERED, output sits in the streams' buffers until the
+    # process flushes them, so a missing flush changes a digest
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
     proc = subprocess.run([sys.executable, "-m", "dcecon", *argv], cwd=workdir, env=env,
                           capture_output=True)
     traced = trace in argv

@@ -7,8 +7,10 @@ fitting, and market-concentration (HHI) measurement.
 
 numpy is the only dependency, and the fitting module is the only one that
 needs it. Every submodule, and every name exported here, is loaded on first
-access, so importing dcecon loads none of them, and running a CLI command loads
-only what that command uses (every command but fit runs without numpy).
+access, so importing dcecon loads none of them. Every CLI command loads cli,
+reports, optimizers, production and errors; only the modules a command itself
+uses (closed_form, frontier, fitting, concentration, reference) load on demand,
+so every command but fit runs without numpy.
 """
 
 import importlib

@@ -199,6 +199,7 @@ def _fit_result_from_coefficients(x: np.ndarray, design: DesignMatrix) -> FitRes
                      residual_norm=float(np.linalg.norm(residual)))
 
 
+@np.errstate(all="ignore")
 def kkt_certificate(qp: QuadraticProgram, x: np.ndarray, lam: np.ndarray,
                     mu: Optional[np.ndarray] = None) -> bool:
     """Stationarity, primal/dual feasibility, and complementary slackness.
@@ -303,6 +304,7 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[np.ndarray]:
     return None if best is None else best[2]
 
 
+@np.errstate(all="ignore")
 def qp_solve(qp: QuadraticProgram) -> np.ndarray:
     """Exact active-set enumeration for a small dense convex QP.
 
@@ -321,6 +323,7 @@ def qp_solve(qp: QuadraticProgram) -> np.ndarray:
     return x
 
 
+@np.errstate(all="ignore")
 def certify_solution(qp: QuadraticProgram, x: np.ndarray) -> bool:
     """Post-hoc KKT certificate for a claimed solution.
 

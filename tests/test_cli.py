@@ -11,7 +11,9 @@ import pytest
 from dcecon import reference
 from dcecon.cli import main
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
+SRC_DIR = ROOT / "src"
 
 FAST = ["--max-iters", "1500"]
 
@@ -20,6 +22,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, cwd, stdout=subprocess.PIPE, **kwargs):
+    """Run `python -m dcecon` in a fresh process, stderr on a pipe.
+
+    PYTHONUNBUFFERED is dropped from the environment, so output sits in the
+    streams' buffers until the process flushes them, as in a user's shell.
+    """
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dcecon", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, **kwargs)
 
 
 class TestExitCodes:
@@ -153,10 +167,7 @@ def test_numerical_failure_is_one_line_on_stderr(tmp_path, argv):
                                        "3e200,5e200,2e200\n4e200,3e200,6e200\n")
     (tmp_path / "ols_huge.csv").write_text("new_server_cost,power_cooling_cost,output\n"
                                            "1,2,1e160\n4,3,3e160\n9,1,2e160\n7,8,5e160\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "dcecon", *argv], capture_output=True,
-                          text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+    proc = run_module(*argv, cwd=tmp_path, text=True)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical error: ")
@@ -432,3 +443,72 @@ def test_non_finite_input_is_data_error(tmp_path, capsys, command, text, line, c
     assert err.startswith("data error: ")
     assert f"{path}:{line}:" in err
     assert repr(column) in err
+
+
+class TestProcessEntry:
+    """`python -m dcecon` ends by os._exit after flushing stdout and stderr itself."""
+
+    def test_large_stdout_is_flushed_whole(self, tmp_path, capsys):
+        argv = ("sfa", "--S", "9", "--I", "16", "--alpha", "0.6", "--beta", "0.3",
+                "--sigma-v", "0.1", "--sigma-u", "0.2", "--synthesize", "1000", "--seed", "3")
+        proc = run_module(*argv, cwd=tmp_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
+        assert len(proc.stdout) > 64 * 1024
+        assert proc.stdout == out.encode()
+
+    # exit 3 runs the same way in test_numerical_failure_is_one_line_on_stderr
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (("cost-min",), 1, b"usage error: "),
+        (("cost-min", "--input", "missing.csv"), 2, b"data error: "),
+    ], ids=["usage", "data"])
+    def test_error_exit_prints_one_stderr_line(self, tmp_path, argv, code, prefix):
+        proc = run_module(*argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert proc.stderr.startswith(prefix)
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n"), proc.stderr
+
+    def test_forked_trace_files_match_an_in_process_run(self, tmp_path, capsys):
+        # 10,001 rows per year: two slices, one of them formatted by a forked
+        # child, wherever two CPUs are usable
+        argv = ("cost-min", "--input", str(DATA_DIR / "tables.csv"), "--seed", "7",
+                "--max-iters", "10000", "--trace")
+        proc = run_module(*argv, str(tmp_path / "fresh"), cwd=tmp_path)
+        code, out, _ = run_cli(capsys, *argv, str(tmp_path / "in_process"))
+        assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
+        assert proc.stdout == out.encode()
+        names = sorted(path.name for path in (tmp_path / "in_process").iterdir())
+        assert len(names) == 4
+        assert names == sorted(path.name for path in (tmp_path / "fresh").iterdir())
+        for name in names:
+            trace = (tmp_path / "fresh" / name).read_bytes()
+            assert trace.count(b"\n") == 10_002
+            assert trace == (tmp_path / "in_process" / name).read_bytes()
+
+    def test_closed_stdout_exits_120(self, tmp_path):
+        # the reader is gone before the command writes: the flush fails with
+        # EPIPE, and the interpreter's own exit path reports it with status 120
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module("hhi", "--input", str(DATA_DIR / "apac_shares.csv"),
+                              cwd=tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert b"BrokenPipeError" in proc.stderr
+
+    def test_import_runs_nothing_and_keeps_gc(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import gc, sys\nimport dcecon.__main__\n"
+             "print(gc.isenabled(), 'dcecon.cli' in sys.modules)"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True False\n", "")
+
+    def test_console_script_shares_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"dcecon": "dcecon.__main__:run"}

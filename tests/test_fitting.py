@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,15 @@ class TestQpSolve:
         assert kkt_certificate(qp, zero, np.zeros(1), np.zeros(1))
         assert not kkt_certificate(qp, zero, np.array([np.nan]), np.zeros(1))
         assert not kkt_certificate(qp, zero, np.zeros(1), np.array([np.nan]))
+
+    def test_certificate_of_an_overflowing_point_warns_nothing(self):
+        # 2 H x overflows to inf in the stationarity test, which numpy would warn about
+        qp = QuadraticProgram(H=np.eye(3) * 1e300, f=[1e300, 0, 0], C=np.eye(3), b=[1, 1, 1])
+        x = np.array([1e10, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not certify_solution(qp, x)
+            assert not kkt_certificate(qp, x, np.zeros(3))
 
 
 def mask_order_qp_solve(qp):
