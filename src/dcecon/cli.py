@@ -303,7 +303,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_NUMERIC
     sys.stdout.write(output)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
