@@ -46,6 +46,8 @@ INPUTS = {
     # L < 1: the descent reaches the subnormal fixed point within a few thousand steps
     "one_row.csv": "year,new_server_cost,power_cooling_cost\n2000,0.7,0.4\n",
     "nan_costs.csv": "year,new_server_cost,power_cooling_cost\n2000,nan,3\n",
+    "repeated_year_weights.csv": "year,w1,w2\n1997,0.0150,0.6550\n2002,0.0150,0.5050\n"
+                                 "1997,0.0200,0.4000\n",
     # the raw OLS fit's sums of squares overflow
     "ols_huge.csv": "new_server_cost,power_cooling_cost,output\n"
                     "1,2,1e160\n4,3,3e160\n9,1,2e160\n7,8,5e160\n",
@@ -155,6 +157,12 @@ def invocations(quick):
         (("cost-min", *COSTS, "--max-iters", "100", "--trace", "inputs/fit.csv"), False),
         (("profit", *COSTS, "--weights", "data/linear_weights.csv", "--max-iters", "300000",
           "--trace", "{trace}"), True),
+    ]
+    # a constrained fit without an intercept, and a weights file with a repeated year (exit 2)
+    calls += [
+        (("fit", "--input", "inputs/fit.csv", "--no-intercept",
+          "--constrained", "data/constraints_rts.csv"), False),
+        (("profit", *COSTS, "--weights", "inputs/repeated_year_weights.csv"), False),
     ]
     return [argv for argv, slow in calls if not (quick and slow)]
 

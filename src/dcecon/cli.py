@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical failu
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 import warnings
@@ -18,7 +19,8 @@ from typing import List, Optional
 
 from .errors import DataValidationError, EconModelError
 from .optimizers import OptimizerConfig
-from .reports import RunReport, ingest_costs, parse_number, read_numeric_csv, read_rows, run_table
+from .reports import (RunReport, ingest_costs, ingest_weights, parse_number, read_numeric_csv,
+                      read_rows, record_row, run_table)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -35,16 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, run) -> argparse.ArgumentParser:
+    """A subcommand parser with --format whose run(args) builds the report."""
+    parser = sub.add_parser(name)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(run=run)
+    return parser
 
 
-def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
+def _add_optimizer_flags(parser: argparse.ArgumentParser, ascent: bool) -> None:
     parser.add_argument("--input", required=True, help="cost CSV (year,new_server_cost,power_cooling_cost)")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--learning-rate", type=float, default=0.01)
     parser.add_argument("--mode", choices=["marginal", "analytic"], default="marginal")
-    parser.add_argument("--cap", type=float, default=1.8)
+    if ascent:
+        parser.add_argument("--cap", type=float, default=1.8)
     parser.add_argument("--max-iters", type=int, default=1_000_000)
     parser.add_argument("--init-alpha", type=float, default=None)
     parser.add_argument("--init-beta", type=float, default=None)
@@ -66,29 +73,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     for name in ("cost-min", "revenue-max", "profit"):
-        p = sub.add_parser(name)
-        _add_common_flags(p)
-        _add_optimizer_flags(p)
+        p = _add_command(sub, name, _cmd_optimizer)
+        _add_optimizer_flags(p, ascent=name != "cost-min")
         if name == "profit":
             source = p.add_mutually_exclusive_group()
             source.add_argument("--weights", default=None,
-                                help="CSV of year,w1,w2 for the linear-cost comparison")
+                                help="CSV of year,w1,w2 (integer years, each once) for the "
+                                     "linear-cost comparison")
             source.add_argument("--reference", action="store_true",
                                 help="build the table from bundled reference objectives "
                                      "and weights")
 
     for name, own in (("revenue-max-closed", ["--budget"]),
                       ("cost-min-closed", ["--target-output"]), ("profit-max-closed", [])):
-        p = sub.add_parser(name)
-        _add_common_flags(p)
+        p = _add_command(sub, name, _cmd_closed)
         for flag in own + ["--w1", "--w2", "--recurring", "--infrastructure", "--alpha", "--beta"]:
             p.add_argument(flag, type=float, required=True)
         if name == "profit-max-closed":
             p.add_argument("--tfp", type=float, default=1.0, help="total factor productivity P")
         _add_rd_flags(p)
 
-    p = sub.add_parser("sfa")
-    _add_common_flags(p)
+    p = _add_command(sub, "sfa", _cmd_sfa)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--intercept", type=float, default=0.0, help="log-frontier intercept")
     p.add_argument("--shock", type=float, default=0.0, help="random shock v")
     p.add_argument("--inefficiency", type=float, default=0.0, help="technical inefficiency u")
@@ -104,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-v", type=float, default=0.0)
     p.add_argument("--sigma-u", type=float, default=0.0)
 
-    p = sub.add_parser("fit")
-    _add_common_flags(p)
+    p = _add_command(sub, "fit", _cmd_fit)
     p.add_argument("--input", required=True)
     p.add_argument("--x1", default="new_server_cost", help="first regressor column")
     p.add_argument("--x2", default="power_cooling_cost", help="second regressor column")
@@ -113,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=["log", "raw"], default="log")
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--constrained", metavar="PATH", default=None,
-                   help="constraint CSV: rows c1,c2,c3,b encoding Cx <= b")
+                   help="constraint CSV: rows c1,c2,c3,b encoding Cx <= b over "
+                        "x = (intercept, alpha, beta); --no-intercept uses c2,c3")
 
-    p = sub.add_parser("hhi")
-    _add_common_flags(p)
+    p = _add_command(sub, "hhi", _cmd_hhi)
     p.add_argument("--input", required=True, help="CSV of firm,share_percent[,included]")
 
     return parser
@@ -134,69 +139,38 @@ def _rd_from_args(args):
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        learning_rate=args.learning_rate,
-        init_alpha=args.init_alpha,
-        init_beta=args.init_beta,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        cap=args.cap,
-        mode=args.mode,
-        record_trajectory=args.trace is not None,
-    )
+    """The config of the flags named after its fields; an absent flag keeps the field's default."""
+    names = {field.name for field in dataclasses.fields(OptimizerConfig)}
+    return OptimizerConfig(**{name: value for name, value in vars(args).items() if name in names})
 
 
 def _cmd_optimizer(args) -> RunReport:
     records = ingest_costs(args.input)
     config = _optimizer_config(args)
-    command = args.command.replace("-", "_")
-    linear_weights = None
-    if command == "profit" and args.weights is not None:
-        data = read_numeric_csv(args.weights, ["year", "w1", "w2"])
-        linear_weights = {int(y): (w1, w2)
-                          for y, w1, w2 in zip(data["year"], data["w1"], data["w2"])}
-    return run_table(command, records, config,
-                     linear_weights=linear_weights,
+    weights = getattr(args, "weights", None)
+    return run_table(args.command.replace("-", "_"), records, config,
+                     linear_weights=None if weights is None else ingest_weights(weights),
                      trace_dir=args.trace,
                      use_reference=getattr(args, "reference", False))
-
-
-def _solution_row(solution) -> dict:
-    row = {"A": solution.A, "B": solution.B}
-    if hasattr(solution, "objective"):
-        row["objective"] = solution.objective
-    else:
-        row["output"] = solution.output
-        row["profit"] = solution.profit
-    if solution.L_star is not None:
-        row["L_star"] = solution.L_star
-        row["K_star"] = solution.K_star
-    return row
 
 
 def _cmd_closed(args) -> RunReport:
     from . import closed_form
 
     rd = _rd_from_args(args)
+    # the inputs every closed form takes, in its argument order (after m or y_tar)
+    inputs = (args.w1, args.w2, args.recurring, args.infrastructure, args.alpha, args.beta)
+    config = dict(zip(("w1", "w2", "R", "I", "alpha", "beta"), inputs))
     if args.command == "revenue-max-closed":
-        problem = closed_form.BudgetProblem(m=args.budget, w1=args.w1, w2=args.w2,
-                                            R=args.recurring, I=args.infrastructure,
-                                            alpha=args.alpha, beta=args.beta)
-        solution = closed_form.revenue_max(problem, rd)
-        config = {"m": args.budget}
+        solution = closed_form.revenue_max(closed_form.BudgetProblem(args.budget, *inputs), rd)
+        config = {"m": args.budget, **config}
     elif args.command == "cost-min-closed":
-        solution = closed_form.cost_min(args.target_output, args.w1, args.w2,
-                                        args.recurring, args.infrastructure,
-                                        args.alpha, args.beta, rd)
-        config = {"y_tar": args.target_output}
+        solution = closed_form.cost_min(args.target_output, *inputs, rd)
+        config = {"y_tar": args.target_output, **config}
     else:
-        solution = closed_form.profit_max(args.w1, args.w2, args.recurring,
-                                          args.infrastructure, args.alpha, args.beta,
-                                          P=args.tfp, rd=rd)
-        config = {"P": args.tfp}
-    config.update({"w1": args.w1, "w2": args.w2, "R": args.recurring,
-                   "I": args.infrastructure, "alpha": args.alpha, "beta": args.beta})
-    return RunReport(command=args.command, config=config, rows=[_solution_row(solution)])
+        solution = closed_form.profit_max(*inputs, P=args.tfp, rd=rd)
+        config = {"P": args.tfp, **config}
+    return RunReport(command=args.command, config=config, rows=[record_row(solution)])
 
 
 def _cmd_sfa(args) -> RunReport:
@@ -211,12 +185,9 @@ def _cmd_sfa(args) -> RunReport:
                        "sigma_v": args.sigma_v, "sigma_u": args.sigma_u,
                        "count": args.synthesize})
         rng = random.Random(args.seed)
-        rows = [
-            {"v": obs.v, "u": obs.u, "output": obs.output, "efficiency": obs.efficiency}
-            for obs in frontier.synthesize(args.intercept, args.alpha, args.beta,
-                                           args.S, args.I, args.sigma_v, args.sigma_u,
-                                           args.synthesize, rng)
-        ]
+        rows = [record_row(obs) for obs in frontier.synthesize(
+            args.intercept, args.alpha, args.beta, args.S, args.I, args.sigma_v, args.sigma_u,
+            args.synthesize, rng)]
         return RunReport(command="sfa", config=config, rows=rows)
     if args.output is None:
         raise _UsageError("recovery mode needs --output (or use --synthesize)")
@@ -239,7 +210,9 @@ def _cmd_fit(args) -> RunReport:
                      intercept=not args.no_intercept)
     if args.constrained:
         block = read_numeric_csv(args.constrained, ["c1", "c2", "c3", "b"])
-        C = [[a, b, c] for a, b, c in zip(block["c1"], block["c2"], block["c3"])]
+        # the block is written over x = (K', alpha, beta), and K' is 0 without an intercept
+        columns = ["c2", "c3"] if args.no_intercept else ["c1", "c2", "c3"]
+        C = list(zip(*(block[column] for column in columns)))
         result = fitting.qp_fit(design, (C, block["b"]))
         method = "constrained_qp"
     else:
@@ -247,8 +220,7 @@ def _cmd_fit(args) -> RunReport:
         method = "ols"
     config = {"x1": args.x1, "x2": args.x2, "target": args.target,
               "scale": args.scale, "intercept": not args.no_intercept, "method": method}
-    row = {"intercept": result.intercept, "alpha": result.alpha, "beta": result.beta,
-           "r_squared": result.r_squared, "residual_norm": result.residual_norm}
+    row = record_row(result)
     return RunReport(command="fit", config=config, rows=[row], summary=row)
 
 
@@ -261,36 +233,24 @@ def _cmd_hhi(args) -> RunReport:
             (row.get("included") or "true").strip().lower() in ("1", "true", "yes"))
         for line, row in read_rows(args.input, ["firm", "share_percent"])
     ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shares = concentration.MarketShares(tuple(entries))
+    shares = concentration.MarketShares(tuple(entries))
     index = concentration.hhi(shares)
     rows = [{"firm": e.firm, "share": e.share, "included": e.included,
              "contribution": e.share ** 2 if e.included else 0.0}
             for e in shares.entries]
     summary = {"hhi": index, "classification": concentration.classify_hhi(index).value}
     return RunReport(command="hhi", config={"input": str(Path(args.input))}, rows=rows,
-                     warnings=[str(w.message) for w in caught], summary=summary)
+                     summary=summary)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command in ("cost-min", "revenue-max", "profit"):
-            report = _cmd_optimizer(args)
-        elif args.command.endswith("-closed"):
-            report = _cmd_closed(args)
-        elif args.command == "sfa":
-            report = _cmd_sfa(args)
-        elif args.command == "fit":
-            report = _cmd_fit(args)
-        else:
-            report = _cmd_hhi(args)
+        args = build_parser().parse_args(argv)
+        # a warning from any library call lands in the report, not on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = args.run(args)
+        report.warnings += [str(w.message) for w in caught]
         output = report.render(args.format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

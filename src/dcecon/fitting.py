@@ -29,6 +29,7 @@ from .errors import (
     DegenerateProblemError,
     DomainError,
     InfeasibleProblemError,
+    NumericalOverflowError,
     ParameterError,
     SingularSystemError,
     UnboundedProblemError,
@@ -272,12 +273,14 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[np.ndarray]:
     gives NaN, which the certificate rejects). A solution with a multiplier below
     -DUAL_TOL fails the certificate's dual-sign test on the same floats, so it is
     dropped before the certificate runs. Ties between equal objectives go to the
-    working set with the least bit mask (sum of 2^i); a non-finite one never wins.
+    working set with the least bit mask (sum of 2^i); a non-finite one never wins,
+    and when every certified point has one, NumericalOverflowError names it.
     """
     n = qp.H.shape[0]
     m = qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     best = None  # (objective, bit mask, x)
+    overflowed = None  # a non-finite objective at a certified point
     for k in range(min(m, n - n_eq) + 1):
         sets = combinations(range(m), k)
         while True:
@@ -299,8 +302,12 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[np.ndarray]:
                 if not kkt_certificate(qp, x, lam, solution[n:n + n_eq] if n_eq else None):
                     continue
                 candidate = (qp.objective(x), sum(1 << i for i in members), x)
-                if np.isfinite(candidate[0]) and (best is None or candidate[:2] < best[:2]):
+                if not np.isfinite(candidate[0]):
+                    overflowed = candidate[0]
+                elif best is None or candidate[:2] < best[:2]:
                     best = candidate
+    if best is None and overflowed is not None:
+        raise NumericalOverflowError(f"QP objective is {overflowed} at a certified KKT point")
     return None if best is None else best[2]
 
 
@@ -357,7 +364,11 @@ def _classify_failure(qp: QuadraticProgram) -> None:
     n = qp.H.shape[0]
     nearest = QuadraticProgram(H=np.eye(n), f=np.zeros(n), C=qp.C, b=qp.b,
                                C_eq=qp.C_eq, b_eq=qp.b_eq)
-    if _least_kkt_point(nearest) is None:
+    try:
+        point = _least_kkt_point(nearest)
+    except NumericalOverflowError:  # a certified point whose ||x||^2 overflows is feasible
+        return
+    if point is None:
         raise InfeasibleProblemError("constraint set is empty")
 
 

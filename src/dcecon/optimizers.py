@@ -55,7 +55,7 @@ class OptimizerConfig:
     max_iters: int = 1_000_000
     cap: float = 1.8
     mode: GradientMode = "marginal"
-    record_trajectory: bool = True
+    record_trajectory: bool = False
 
     def __post_init__(self):
         for name in ("learning_rate", "cap", "init_alpha", "init_beta"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DataValidationError, EconModelError, ParameterError
+from .errors import DOMAINS, DataValidationError, EconModelError, ParameterError
 from .optimizers import (Observer, OptimizerConfig, OptimResult, profit_table, run_year,
                          sga_revenue_max, sgd_cost_min)
 from .production import CostRecord
@@ -79,20 +79,37 @@ def parse_number(path, line: int, row: Mapping[str, str], column: str,
     return value
 
 
+def read_by_year(path, columns: Sequence[str], domain: str) -> Dict[int, Tuple[float, ...]]:
+    """Read a headed CSV keyed by its `year` column into {year: values}, in year order.
+
+    values are the row's columns, each a number in domain (see
+    errors.DOMAINS). A year must be an integer and appear once; every error
+    names file:line.
+    """
+    inside, requirement = DOMAINS[domain]
+    table: Dict[int, Tuple[float, ...]] = {}
+    for line, row in read_rows(path, ["year", *columns]):
+        year = parse_number(path, line, row, "year", int)
+        values = tuple(parse_number(path, line, row, column) for column in columns)
+        for column, value in zip(columns, values):
+            if not inside(value):
+                raise DataValidationError(
+                    f"{path}:{line}: {column} must {requirement}, got {value}")
+        if year in table:
+            raise DataValidationError(f"{path}:{line}: duplicate year {year}")
+        table[year] = values
+    return {year: table[year] for year in sorted(table)}
+
+
 def ingest_costs(path) -> List[CostRecord]:
     """Parse and validate a `year,new_server_cost,power_cooling_cost` CSV, sorted by year."""
-    records: Dict[int, CostRecord] = {}
-    for line, row in read_rows(path, COST_HEADER):
-        year = parse_number(path, line, row, "year", int)
-        server = parse_number(path, line, row, "new_server_cost")
-        power = parse_number(path, line, row, "power_cooling_cost")
-        if server <= 0 or power <= 0:
-            raise DataValidationError(
-                f"{path}:{line}: costs must be strictly positive, got ({server}, {power})")
-        if year in records:
-            raise DataValidationError(f"{path}:{line}: duplicate year {year}")
-        records[year] = CostRecord(year=year, server_cost=server, power_cooling_cost=power)
-    return [records[year] for year in sorted(records)]
+    return [CostRecord(year=year, server_cost=server, power_cooling_cost=power)
+            for year, (server, power) in read_by_year(path, COST_HEADER[1:], "positive").items()]
+
+
+def ingest_weights(path) -> Dict[int, Tuple[float, float]]:
+    """Parse a `year,w1,w2` CSV of linear-cost weights into {year: (w1, w2)}."""
+    return read_by_year(path, ["w1", "w2"], "non-negative")
 
 
 def read_numeric_csv(path, columns: Sequence[str]) -> Dict[str, List[float]]:
@@ -145,6 +162,12 @@ class RunReport:
         if fmt == "csv":
             return self.to_csv()
         raise ParameterError(f"unknown format {fmt!r}")
+
+
+def record_row(record) -> Dict:
+    """A result dataclass as a report row: its fields in declaration order, None ones dropped."""
+    # vars(record) holds the fields in declaration order, as in RunReport.to_json
+    return {name: value for name, value in vars(record).items() if value is not None}
 
 
 def _non_finite_field(value, path: str = "") -> Optional[str]:

@@ -150,11 +150,13 @@ class TestCriterion4OptimizerProperties:
     def test_a_descent_and_ascent_monotonicity(self):
         start = time.perf_counter()
         for record, kwargs in self._random_setups(1000, seed=2024):
-            result = sgd_cost_min(record, OptimizerConfig(max_iters=120, **kwargs))
+            result = sgd_cost_min(record, OptimizerConfig(max_iters=120, record_trajectory=True,
+                                                           **kwargs))
             objectives = [obj for _, _, obj in result.trajectory]
             assert all(b < a for a, b in zip(objectives, objectives[1:])), (record, kwargs)
         for record, kwargs in self._random_setups(1000, seed=4048):
-            result = sga_revenue_max(record, OptimizerConfig(max_iters=60_000, **kwargs))
+            result = sga_revenue_max(record, OptimizerConfig(max_iters=60_000, record_trajectory=True,
+                                                              **kwargs))
             objectives = [obj for _, _, obj in result.trajectory]
             assert all(b > a for a, b in zip(objectives, objectives[1:])), (record, kwargs)
         elapsed = time.perf_counter() - start
@@ -177,7 +179,7 @@ class TestCriterion4OptimizerProperties:
 
     def test_c_golden_determinism(self):
         config = OptimizerConfig(learning_rate=0.01, init_alpha=0.5, init_beta=0.5,
-                                 max_iters=10_000, mode="marginal")
+                                 max_iters=10_000, mode="marginal", record_trajectory=True)
         record = CostRecord(1997, 65.0, 5.0)
         result = sgd_cost_min(record, config)
         again = sgd_cost_min(record, config)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ DATA_DIR = ROOT / "data"
 SRC_DIR = ROOT / "src"
 
 FAST = ["--max-iters", "1500"]
+# the flags every closed form takes, with values that have an interior profit maximum
+CLOSED_FLAGS = ("--w1", "1", "--w2", "1", "--recurring", "1", "--infrastructure", "1",
+                "--alpha", "0.25", "--beta", "0.25")
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +149,36 @@ class TestExitCodes:
         assert code == 0
         assert out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("hhi", "--input", str(DATA_DIR / "apac_shares.csv")), "--seed"),
+        (("fit", "--input", str(DATA_DIR / "tables.csv")), "--seed"),
+        (("revenue-max-closed", "--budget", "6", *CLOSED_FLAGS), "--seed"),
+        (("cost-min-closed", "--target-output", "6", *CLOSED_FLAGS), "--seed"),
+        (("profit-max-closed", *CLOSED_FLAGS), "--seed"),
+        (("cost-min", "--input", str(DATA_DIR / "tables.csv")), "--cap"),
+    ], ids=["hhi-seed", "fit-seed", "revenue-max-closed-seed", "cost-min-closed-seed",
+            "profit-max-closed-seed", "cost-min-cap"])
+    def test_flag_that_changes_nothing_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, flag, "1.5")
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: unrecognized arguments: {flag} 1.5\n"
+
+    def test_library_warning_lands_in_the_report(self, monkeypatch, capsys):
+        from dcecon import closed_form
+
+        profit_max = closed_form.profit_max
+
+        def warning_profit_max(*args, **kwargs):
+            warnings.warn("a library warning")
+            return profit_max(*args, **kwargs)
+
+        monkeypatch.setattr(closed_form, "profit_max", warning_profit_max)
+        code, out, err = run_cli(capsys, "profit-max-closed", *CLOSED_FLAGS)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["warnings"] == ["a library warning"]
+
 
 # closed-form products that underflow to 0 and fits whose numpy arithmetic overflows
 ONE_LINE_ERRORS = {
@@ -219,6 +253,21 @@ class TestOptimizerCommands:
             record = reference.COST_RECORDS[row["year"]]
             assert row["min_cost_linear"] == pytest.approx(
                 w1 * record.server_cost + w2 * record.power_cooling_cost)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("1997,0.015,0.655\n1997.9,0.015,0.505\n", 3,
+         "non-numeric value '1997.9' in column 'year'"),
+        ("1997,0.015,0.655\n2002,0.015,0.505\n1997,0.02,0.4\n", 4, "duplicate year 1997"),
+        ("1997,0.015,-0.655\n", 2, "w2 must be non-negative, got -0.655"),
+    ], ids=["fractional-year", "repeated-year", "negative-weight"])
+    def test_bad_weights_file_is_data_error(self, tmp_path, capsys, rows, line, message):
+        weights = tmp_path / "weights.csv"
+        weights.write_text("year,w1,w2\n" + rows)
+        code, out, err = run_cli(capsys, "profit", "--input", str(DATA_DIR / "tables.csv"),
+                                 "--weights", str(weights), *FAST)
+        assert code == 2
+        assert out == ""
+        assert err == f"data error: {weights}:{line}: {message}\n"
 
     def test_weights_and_reference_are_exclusive(self, capsys):
         code, out, err = run_cli(capsys, "profit", "--input", str(DATA_DIR / "tables.csv"),
@@ -356,6 +405,22 @@ class TestFitCommand:
                                "--constrained", str(DATA_DIR / "constraints_rts.csv"))
         assert code == 0
         summary = json.loads(out)["summary"]
+        assert summary["alpha"] + summary["beta"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_constrained_fit_without_intercept_drops_the_intercept_column(self, tmp_path,
+                                                                          capsys):
+        path = self.make_csv(tmp_path, intercept=0.0, alpha=0.9, beta=0.6, noise=0.02)
+        constraints = DATA_DIR / "constraints_rts.csv"
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--no-intercept",
+                                 "--constrained", str(constraints))
+        assert code == 0
+        assert err == ""
+        summary = json.loads(out)["summary"]
+        assert summary["intercept"] == 0.0
+        # the block is written over (K', alpha, beta), and K' is 0 without an intercept
+        block = np.loadtxt(constraints, delimiter=",", skiprows=1, ndmin=2)
+        x = np.array([0.0, summary["alpha"], summary["beta"]])
+        assert np.all(block[:, :3] @ x <= block[:, 3] + 1e-10)
         assert summary["alpha"] + summary["beta"] == pytest.approx(1.0, abs=1e-8)
 
     def test_constrained_fit_overflowing_in_the_qp_is_named(self, tmp_path, capsys):

@@ -56,7 +56,7 @@ CLOSED = {
                           "--beta"],
 }
 RD_FLAGS = ["--discount-rate", "--harrod-capital", "--solow-labor", "--alpha1", "--beta1"]
-OPTIMIZER_FLAGS = ["--learning-rate", "--cap", "--init-alpha", "--init-beta", "--seed"]
+OPTIMIZER_FLAGS = ["--learning-rate", "--init-alpha", "--init-beta", "--seed"]
 SFA_FLAGS = ["--intercept", "--shock", "--inefficiency", "--n", "--alpha", "--beta",
              "--sigma-v", "--sigma-u", "--seed"]
 
@@ -104,7 +104,8 @@ def invocations(draw, workdir: Path):
     argv = [command, "--format", fmt]
     if command in ("cost-min", "revenue-max", "profit"):
         argv += ["--input", table("costs", {0: YEAR}), "--max-iters", draw(MAX_ITERS)]
-        argv += optional(OPTIMIZER_FLAGS)
+        # only the ascents stop at a cap
+        argv += optional(OPTIMIZER_FLAGS + (["--cap"] if command != "cost-min" else []))
         argv += draw(st.sampled_from([[], ["--mode", "analytic"], ["--trace", str(workdir / "t")]]))
         if command == "profit":
             argv += draw(st.sampled_from([[], ["--reference"],

@@ -8,6 +8,7 @@ from dcecon.errors import (
     DegenerateProblemError,
     DomainError,
     InfeasibleProblemError,
+    NumericalOverflowError,
     ParameterError,
     SingularSystemError,
     UnboundedProblemError,
@@ -121,6 +122,12 @@ class TestQpSolve:
         with pytest.raises(UnboundedProblemError):
             qp_solve(qp)
 
+    def test_unbounded_detected_when_the_nearest_feasible_point_overflows(self):
+        # min -x subject to x >= 1e200: ||x||^2 of the nearest feasible point is 1e400
+        qp = QuadraticProgram(H=[[0.0]], f=[-1.0], C=[[-1.0]], b=[-1e200])
+        with pytest.raises(UnboundedProblemError):
+            qp_solve(qp)
+
     def test_equality_constraint_supported(self):
         # min x^2 + y^2 subject to x + y = 1
         qp = QuadraticProgram(H=np.eye(2), f=[0.0, 0.0], C=np.zeros((0, 2)), b=[],
@@ -166,6 +173,15 @@ class TestQpSolve:
             warnings.simplefilter("error")
             assert not certify_solution(qp, x)
             assert not kkt_certificate(qp, x, np.zeros(3))
+
+    def test_overflowing_objective_at_the_optimum_is_named(self):
+        # x = (-5e199, -5e199) is a certified KKT point, but x^T H x + f^T x is inf - inf
+        qp = QuadraticProgram(H=np.eye(2), f=[1e200, 1e200], C=np.eye(2) * 1e200,
+                              b=[1e300, 1e300])
+        assert certify_solution(qp, [-5e199, -5e199])
+        with pytest.raises(NumericalOverflowError,
+                           match="^QP objective is nan at a certified KKT point$"):
+            qp_solve(qp)
 
 
 def mask_order_qp_solve(qp):

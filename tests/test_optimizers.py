@@ -66,6 +66,9 @@ class TestConfig:
         assert OptimizerConfig(seed=0).initial_point() == (
             0.8444218515250481, 0.7579544029403025)
 
+    def test_trajectory_is_recorded_only_on_request(self):
+        assert OptimizerConfig().record_trajectory is False
+
     def test_resolved_pins_initialization(self):
         resolved = OptimizerConfig(seed=123).resolved()
         assert resolved.init_alpha is not None and resolved.init_beta is not None
@@ -75,7 +78,8 @@ class TestConfig:
 class TestDeterminism:
     @pytest.mark.parametrize("mode", ["marginal", "analytic"])
     def test_identical_configs_give_identical_trajectories(self, mode):
-        config = OptimizerConfig(learning_rate=0.02, seed=99, max_iters=400, mode=mode)
+        config = OptimizerConfig(learning_rate=0.02, seed=99, max_iters=400, mode=mode,
+                                 record_trajectory=True)
         first = sgd_cost_min(RECORD_1997, config)
         second = sgd_cost_min(RECORD_1997, config)
         assert first.trajectory == second.trajectory
@@ -83,7 +87,8 @@ class TestDeterminism:
             second.alpha, second.beta, second.objective)
 
     def test_ascent_deterministic_too(self):
-        config = OptimizerConfig(learning_rate=0.005, seed=4, max_iters=100_000)
+        config = OptimizerConfig(learning_rate=0.005, seed=4, max_iters=100_000,
+                                 record_trajectory=True)
         first = sga_revenue_max(RECORD_1997, config)
         second = sga_revenue_max(RECORD_1997, config)
         assert first.trajectory == second.trajectory
@@ -109,6 +114,7 @@ class TestDescent:
                 init_beta=rng.uniform(0.05, 0.9),
                 max_iters=300,
                 mode=mode,
+                record_trajectory=True,
             )
             seq = objectives(sgd_cost_min(record, config))
             assert all(b < a for a, b in zip(seq, seq[1:]))
@@ -132,7 +138,7 @@ class TestDescent:
     def test_violating_candidate_discarded(self):
         # one huge step drives alpha nonpositive; the initial point is reported
         config = OptimizerConfig(learning_rate=100.0, init_alpha=0.5, init_beta=0.5,
-                                 max_iters=50, mode="analytic")
+                                 max_iters=50, mode="analytic", record_trajectory=True)
         result = sgd_cost_min(RECORD_1997, config)
         assert result.terminated_by is Termination.BOUNDARY_ALPHA
         assert result.iterations == 0
@@ -178,6 +184,7 @@ class TestAscent:
                 init_alpha=rng.uniform(0.05, 0.8),
                 init_beta=rng.uniform(0.05, 0.8),
                 max_iters=200_000,
+                record_trajectory=True,
             )
             seq = objectives(sga_revenue_max(record, config))
             assert all(b > a for a, b in zip(seq, seq[1:]))
@@ -387,21 +394,26 @@ class TestKernelMatchesOracle:
         # L in [5, 6]: the descent reaches the subnormal fixed point (1.34e-321) within 1M steps
         (CostRecord(2000, 5.5, 3.0), OptimizerConfig(seed=5, record_trajectory=False)),
         # L < 1 with a trajectory: the fixed point (5e-324) within a few thousand steps
-        (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000)),
+        (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000,
+                                                     record_trajectory=True)),
         # ln L = 0: the exp arguments reach -ln L only once beta * ln K underflows
         (CostRecord(2000, 1.0, 7.0), OptimizerConfig(seed=3, max_iters=100_000,
                                                      record_trajectory=False)),
-        (CostRecord(2000, 1.0, 1.0), OptimizerConfig(seed=3, max_iters=20_000)),
+        (CostRecord(2000, 1.0, 1.0), OptimizerConfig(seed=3, max_iters=20_000,
+                                                     record_trajectory=True)),
         # alpha ln L = -beta ln K: both exp arguments round to -ln L at the start, long
         # before alpha - 1.0 rounds to -1.0, and stop doing so a few steps later
         (CostRecord(2000, 8.936146760190548, 0.11190505559452972),
          OptimizerConfig(learning_rate=0.19721992695321505, init_alpha=0.16049072518625881,
-                         init_beta=0.1604907251862588, max_iters=3000)),
+                         init_beta=0.1604907251862588, max_iters=3000,
+                         record_trajectory=True)),
         # an ascent from tiny elasticities starts where a descent's steady phase would
         (CostRecord(2000, 0.5, 0.5), OptimizerConfig(learning_rate=0.3, init_alpha=1e-200,
-                                                     init_beta=1e-200, max_iters=3000)),
+                                                     init_beta=1e-200, max_iters=3000,
+                                                     record_trajectory=True)),
         # exp overflows in the ascent's trajectory point
-        (CostRecord(2000, 1e300, 1e300), OptimizerConfig(init_alpha=0.6, init_beta=0.6)),
+        (CostRecord(2000, 1e300, 1e300), OptimizerConfig(init_alpha=0.6, init_beta=0.6,
+                                                         record_trajectory=True)),
         # untraced steady phases: learning_rate * exp(-ln L) just below 0.25 runs alpha
         # and beta apart to their subnormal fixed points; just above it, alpha reaches 0
         (CostRecord(2000, 2.0001, 3.0), OptimizerConfig(learning_rate=0.5, seed=1,
@@ -412,9 +424,10 @@ class TestKernelMatchesOracle:
         (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.1, seed=2, max_iters=5000,
                                                      record_trajectory=False)),
         # traced steady phases stay in the plain loop, inside and outside the bound
-        (CostRecord(2000, 6.9, 55.98), OptimizerConfig(seed=3, max_iters=80_000)),
+        (CostRecord(2000, 6.9, 55.98), OptimizerConfig(seed=3, max_iters=80_000,
+                                                       record_trajectory=True)),
         (CostRecord(2000, 1.9999, 3.0), OptimizerConfig(learning_rate=0.50001, seed=1,
-                                                        max_iters=5000)),
+                                                        max_iters=5000, record_trajectory=True)),
         # subnormal L: exp(-ln L) overflows, yet the first step already leaves the quadrant
         (CostRecord(2000, 1e-310, 1.0), OptimizerConfig(seed=2, max_iters=5000,
                                                         record_trajectory=False)),
@@ -430,7 +443,8 @@ class TestKernelMatchesOracle:
                                 OptimizerConfig(seed=5, record_trajectory=False))
         assert 0 < untraced.alpha < 1e-320 and untraced.iterations == 1_000_000
         traced = sgd_cost_min(CostRecord(2000, 0.7, 0.4),
-                              OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000))
+                              OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000,
+                                              record_trajectory=True))
         assert traced.trajectory[-1000:] == [traced.trajectory[-1]] * 1000
 
     def test_steady_bound_records_end_as_described(self):

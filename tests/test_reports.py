@@ -13,8 +13,8 @@ from dcecon.cli import main
 from dcecon.errors import DataValidationError, EconModelError, ParameterError
 from dcecon.optimizers import OptimizerConfig, sgd_cost_min
 from dcecon.production import CostRecord
-from dcecon.reports import (TRACE_SLICE_ROWS, RunReport, ingest_costs, read_numeric_csv,
-                            run_table)
+from dcecon.reports import (TRACE_SLICE_ROWS, RunReport, ingest_costs, ingest_weights,
+                            read_by_year, read_numeric_csv, record_row, run_table)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -85,7 +85,8 @@ class TestIngest:
     def test_nonpositive_cost_rejected(self, tmp_path):
         path = write(tmp_path, "c.csv",
                      "year,new_server_cost,power_cooling_cost\n1997,0,5\n")
-        with pytest.raises(DataValidationError, match="positive"):
+        with pytest.raises(DataValidationError,
+                           match=":2: new_server_cost must be strictly positive, got 0.0$"):
             ingest_costs(path)
 
     def test_duplicate_year_rejected(self, tmp_path):
@@ -275,7 +276,7 @@ class TestParallelTraceWriter:
     def test_trace_is_byte_identical_on_any_cpu_count(self, tmp_path, monkeypatch, forks,
                                                       cpus, rows):
         use_cpus(monkeypatch, cpus)
-        config = OptimizerConfig(seed=3, max_iters=rows - 1)
+        config = OptimizerConfig(seed=3, max_iters=rows - 1, record_trajectory=True)
         run_table("cost_min", [self.RECORD], config, trace_dir=tmp_path)
         expected = csv_writer_trace(sgd_cost_min(self.RECORD, config).trajectory)
         assert expected.count(b"\n") == rows + 1
@@ -347,3 +348,24 @@ class TestReadNumericCsv:
     def test_blank_rows_skipped(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n\n3,4\n")
         assert read_numeric_csv(path, ["a", "b"]) == {"a": [1.0, 3.0], "b": [2.0, 4.0]}
+
+
+class TestReadByYear:
+    def test_keyed_by_year_in_year_order(self, tmp_path):
+        path = write(tmp_path, "w.csv", "year,w1,w2\n2002,0.5,1\n1997,0,2e-3\n")
+        assert ingest_weights(path) == {1997: (0.0, 0.002), 2002: (0.5, 1.0)}
+        assert list(ingest_weights(DATA_DIR / "linear_weights.csv")) == [1997, 2002, 2009, 2012]
+
+    @pytest.mark.parametrize("year", ["1997.9", "1997.0", "1e3", "x"])
+    def test_year_must_be_an_integer(self, tmp_path, year):
+        path = write(tmp_path, "w.csv", f"year,w1\n2002,1\n{year},1\n")
+        with pytest.raises(DataValidationError,
+                           match=f":3: non-numeric value '{year}' in column 'year'$"):
+            read_by_year(path, ["w1"], "non-negative")
+
+
+def test_record_row_keeps_declaration_order_and_drops_none():
+    from dcecon.closed_form import ProfitSolution
+
+    row = record_row(ProfitSolution(A=1.0, B=2.0, output=3.0, profit=0.5))
+    assert list(row.items()) == [("A", 1.0), ("B", 2.0), ("output", 3.0), ("profit", 0.5)]
