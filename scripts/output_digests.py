@@ -51,6 +51,12 @@ INPUTS = {
     # the raw OLS fit's sums of squares overflow
     "ols_huge.csv": "new_server_cost,power_cooling_cost,output\n"
                     "1,2,1e160\n4,3,3e160\n9,1,2e160\n7,8,5e160\n",
+    "typo_included_shares.csv": "firm,share_percent,included\na,50,true\nb,30,ture\n",
+    "negative_share.csv": "firm,share_percent\na,50\nb,-5\n",
+    "share_above_100.csv": "firm,share_percent\na,120\n",
+    "shares_above_101.csv": "firm,share_percent\na,60\nb,50\n",
+    "fit_zero_cost.csv": "new_server_cost,power_cooling_cost,output\n"
+                         "5,7,25.1\n0,6,47.9\n20,33,209.0\n41,18,282.5\n",
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -163,6 +169,19 @@ def invocations(quick):
         (("fit", "--input", "inputs/fit.csv", "--no-intercept",
           "--constrained", "data/constraints_rts.csv"), False),
         (("profit", *COSTS, "--weights", "inputs/repeated_year_weights.csv"), False),
+    ]
+    # share files with an `included` typo, a share below 0 or above 100, and included
+    # shares above 101, and a log-scale fit over a 0 cost (exit 2); a synthesis count
+    # of 0 (exit 3); a flag of the other sfa mode (exit 1)
+    calls += [
+        (("hhi", "--input", "inputs/typo_included_shares.csv"), False),
+        (("hhi", "--input", "inputs/negative_share.csv"), False),
+        (("hhi", "--input", "inputs/share_above_100.csv"), False),
+        (("hhi", "--input", "inputs/shares_above_101.csv"), False),
+        (("fit", "--input", "inputs/fit_zero_cost.csv"), False),
+        (("sfa", "--S", "9", "--I", "16", "--alpha", "0.6", "--beta", "0.3",
+          "--synthesize", "0"), False),
+        (("sfa", "--S", "9", "--I", "16", "--output", "20", "--seed", "3"), False),
     ]
     return [argv for argv, slow in calls if not (quick and slow)]
 

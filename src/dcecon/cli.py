@@ -19,12 +19,20 @@ from typing import List, Optional
 
 from .errors import DataValidationError, EconModelError
 from .optimizers import OptimizerConfig
-from .reports import (RunReport, ingest_costs, ingest_weights, parse_number, read_numeric_csv,
-                      read_rows, record_row, run_table)
+from .reports import (RunReport, ingest_costs, ingest_shares, ingest_weights, read_numeric_csv,
+                      record_row, run_table)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# the sfa flags only one mode reads, with the defaults that mode gives them (None:
+# the mode needs the flag); the parser defaults them to None, so a flag of the other
+# mode is seen and refused
+SFA_MODE_FLAGS = {
+    "recovery": {"output": None, "shock": 0.0, "inefficiency": 0.0, "n": 1.0},
+    "synthesis": {"alpha": None, "beta": None, "sigma_v": 0.0, "sigma_u": 0.0, "seed": 0},
+}
 
 
 class _UsageError(Exception):
@@ -94,21 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
         _add_rd_flags(p)
 
     p = _add_command(sub, "sfa", _cmd_sfa)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--intercept", type=float, default=0.0, help="log-frontier intercept")
-    p.add_argument("--shock", type=float, default=0.0, help="random shock v")
-    p.add_argument("--inefficiency", type=float, default=0.0, help="technical inefficiency u")
-    p.add_argument("--n", type=float, default=1.0, help="returns-to-scale sum alpha+beta")
     p.add_argument("--S", type=float, required=True, help="server cost input")
     p.add_argument("--I", type=float, required=True, help="infrastructure cost input")
-    p.add_argument("--output", type=float, default=None,
-                   help="observed output y (recovery mode)")
     p.add_argument("--synthesize", type=int, default=None, metavar="COUNT",
                    help="generate COUNT shocked observations (synthesis mode)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--sigma-v", type=float, default=0.0)
-    p.add_argument("--sigma-u", type=float, default=0.0)
+    group = p.add_argument_group("recovery mode (without --synthesize)")
+    group.add_argument("--output", type=float, help="observed output y")
+    group.add_argument("--shock", type=float, help="random shock v")
+    group.add_argument("--inefficiency", type=float, help="technical inefficiency u")
+    group.add_argument("--n", type=float, help="returns-to-scale sum alpha+beta")
+    group = p.add_argument_group("synthesis mode")
+    group.add_argument("--alpha", type=float)
+    group.add_argument("--beta", type=float)
+    group.add_argument("--sigma-v", type=float)
+    group.add_argument("--sigma-u", type=float)
+    group.add_argument("--seed", type=int)
 
     p = _add_command(sub, "fit", _cmd_fit)
     p.add_argument("--input", required=True)
@@ -176,14 +185,19 @@ def _cmd_closed(args) -> RunReport:
 def _cmd_sfa(args) -> RunReport:
     from . import frontier
 
-    config = {"intercept": args.intercept, "n": args.n, "S": args.S, "I": args.I,
-              "seed": args.seed}
-    if args.synthesize is not None:
+    mode = "recovery" if args.synthesize is None else "synthesis"
+    for flags_mode, flags in SFA_MODE_FLAGS.items():
+        for name, default in flags.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif flags_mode != mode:
+                raise _UsageError(f"--{name.replace('_', '-')} is not read in {mode} mode")
+    if mode == "synthesis":
         if args.alpha is None or args.beta is None:
             raise _UsageError("synthesis mode needs --alpha and --beta")
-        config.update({"alpha": args.alpha, "beta": args.beta,
-                       "sigma_v": args.sigma_v, "sigma_u": args.sigma_u,
-                       "count": args.synthesize})
+        config = {"intercept": args.intercept, "S": args.S, "I": args.I, "seed": args.seed,
+                  "alpha": args.alpha, "beta": args.beta, "sigma_v": args.sigma_v,
+                  "sigma_u": args.sigma_u, "count": args.synthesize}
         rng = random.Random(args.seed)
         rows = [record_row(obs) for obs in frontier.synthesize(
             args.intercept, args.alpha, args.beta, args.S, args.I, args.sigma_v, args.sigma_u,
@@ -191,7 +205,8 @@ def _cmd_sfa(args) -> RunReport:
         return RunReport(command="sfa", config=config, rows=rows)
     if args.output is None:
         raise _UsageError("recovery mode needs --output (or use --synthesize)")
-    config.update({"y": args.output, "v": args.shock, "u": args.inefficiency})
+    config = {"intercept": args.intercept, "n": args.n, "S": args.S, "I": args.I,
+              "y": args.output, "v": args.shock, "u": args.inefficiency}
     alpha, beta = frontier.elasticities_from_frontier(
         args.output, args.intercept, args.S, args.I,
         v=args.shock, u=args.inefficiency, n=args.n,
@@ -204,7 +219,9 @@ def _cmd_sfa(args) -> RunReport:
 def _cmd_fit(args) -> RunReport:
     from . import fitting  # numpy is loaded only by the command that needs it
 
-    data = read_numeric_csv(args.input, [args.x1, args.x2, args.target])
+    # the log scale takes the logarithm of every value
+    data = read_numeric_csv(args.input, [args.x1, args.x2, args.target],
+                            "positive" if args.scale == "log" else "finite")
     builder = fitting.DesignMatrix.log_scale if args.scale == "log" else fitting.DesignMatrix.raw_scale
     design = builder(data[args.x1], data[args.x2], data[args.target],
                      intercept=not args.no_intercept)
@@ -227,13 +244,7 @@ def _cmd_fit(args) -> RunReport:
 def _cmd_hhi(args) -> RunReport:
     from . import concentration
 
-    entries = [
-        concentration.ShareEntry(
-            row["firm"], parse_number(args.input, line, row, "share_percent"),
-            (row.get("included") or "true").strip().lower() in ("1", "true", "yes"))
-        for line, row in read_rows(args.input, ["firm", "share_percent"])
-    ]
-    shares = concentration.MarketShares(tuple(entries))
+    shares = ingest_shares(args.input)
     index = concentration.hhi(shares)
     rows = [{"firm": e.firm, "share": e.share, "included": e.included,
              "contribution": e.share ** 2 if e.included else 0.0}

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, check_domain
 
 # DOJ concentration bands (shares in percent, index in [0, 10000])
 MODERATE_THRESHOLD = 1000.0
@@ -29,8 +29,7 @@ class ShareEntry:
     included: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.share <= 100.0:
-            raise DomainError(f"share of {self.firm!r} outside [0, 100]: {self.share}")
+        check_domain("share", self.share, "percent", DomainError)
 
 
 @dataclass(frozen=True)

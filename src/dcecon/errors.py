@@ -63,6 +63,7 @@ DOMAINS = {
     "non-negative": (lambda x: x >= 0, "be non-negative"),
     "positive": (lambda x: x > 0, "be strictly positive"),
     "unit": (lambda x: 0 < x < 1, "lie strictly inside (0, 1)"),
+    "percent": (lambda x: 0 <= x <= 100, "lie in [0, 100]"),
     "count": (lambda x: isinstance(x, int) and x >= 1, "be an integer of at least 1"),
 }
 

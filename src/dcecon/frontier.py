@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .errors import DomainError, SingularSystemError, check_domain, overflow_as_error
+from .errors import (DomainError, ParameterError, SingularSystemError, check_domain,
+                     overflow_as_error)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ def synthesize(K: float, alpha: float, beta: float, S: float, I: float,
                sigma_v: float, sigma_u: float, count: int,
                rng: random.Random) -> Iterator[SyntheticObservation]:
     """Generate `count` frontier observations at fixed input levels (S, I)."""
+    check_domain("count", count, "count", ParameterError)
     for _ in range(count):
         v, u = draw_shocks(rng, sigma_v, sigma_u)
         spec = FrontierSpec(K=K, alpha=alpha, beta=beta, v=v, u=u)

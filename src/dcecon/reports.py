@@ -16,14 +16,20 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DOMAINS, DataValidationError, EconModelError, ParameterError
+from .errors import DOMAINS, DataValidationError, DomainError, EconModelError, ParameterError
 from .optimizers import (Observer, OptimizerConfig, OptimResult, profit_table, run_year,
                          sga_revenue_max, sgd_cost_min)
 from .production import CostRecord
 
+if TYPE_CHECKING:
+    from .concentration import MarketShares
+
 COST_HEADER = ["year", "new_server_cost", "power_cooling_cost"]
+# the values of a share file's `included` cell, lower-cased; an empty cell means true
+INCLUDED = {"true": True, "1": True, "yes": True, "": True,
+            "false": False, "0": False, "no": False}
 # trace rows formatted per write
 TRACE_CHUNK_ROWS = 4096
 # The fewest trace rows a slice gets, so traces under twice this are written by
@@ -66,8 +72,11 @@ def read_rows(path, columns: Sequence[str]) -> List[Tuple[int, Dict[str, str]]]:
 
 
 def parse_number(path, line: int, row: Mapping[str, str], column: str,
-                 kind: Callable[[str], float] = float) -> float:
-    """Parse row[column] as a finite number; errors name file:line and the column."""
+                 kind: Callable[[str], float] = float, domain: str = "finite") -> float:
+    """Parse row[column] as a finite number in domain (see errors.DOMAINS).
+
+    Every error names file:line and the column.
+    """
     try:
         value = kind(row[column])
     except ValueError:
@@ -76,6 +85,9 @@ def parse_number(path, line: int, row: Mapping[str, str], column: str,
     if not math.isfinite(value):
         raise DataValidationError(
             f"{path}:{line}: non-finite value {row[column]!r} in column {column!r}")
+    inside, requirement = DOMAINS[domain]
+    if not inside(value):
+        raise DataValidationError(f"{path}:{line}: {column} must {requirement}, got {value}")
     return value
 
 
@@ -86,15 +98,11 @@ def read_by_year(path, columns: Sequence[str], domain: str) -> Dict[int, Tuple[f
     errors.DOMAINS). A year must be an integer and appear once; every error
     names file:line.
     """
-    inside, requirement = DOMAINS[domain]
     table: Dict[int, Tuple[float, ...]] = {}
     for line, row in read_rows(path, ["year", *columns]):
         year = parse_number(path, line, row, "year", int)
-        values = tuple(parse_number(path, line, row, column) for column in columns)
-        for column, value in zip(columns, values):
-            if not inside(value):
-                raise DataValidationError(
-                    f"{path}:{line}: {column} must {requirement}, got {value}")
+        values = tuple(parse_number(path, line, row, column, domain=domain)
+                       for column in columns)
         if year in table:
             raise DataValidationError(f"{path}:{line}: duplicate year {year}")
         table[year] = values
@@ -112,12 +120,35 @@ def ingest_weights(path) -> Dict[int, Tuple[float, float]]:
     return read_by_year(path, ["w1", "w2"], "non-negative")
 
 
-def read_numeric_csv(path, columns: Sequence[str]) -> Dict[str, List[float]]:
-    """Read named numeric columns from a CSV with a header row."""
+def ingest_shares(path) -> MarketShares:
+    """Parse a `firm,share_percent[,included]` CSV of market shares in percent.
+
+    A share lies in [0, 100], an `included` cell is read through INCLUDED (a
+    missing column means true), and every error names the file.
+    """
+    from . import concentration  # only hhi reads a share file
+
+    entries = []
+    for line, row in read_rows(path, ["firm", "share_percent"]):
+        share = parse_number(path, line, row, "share_percent", domain="percent")
+        included = row.get("included", "").strip().lower()
+        if included not in INCLUDED:
+            raise DataValidationError(f"{path}:{line}: included must be true/false, 1/0 or "
+                                      f"yes/no, got {row['included']!r}")
+        entries.append(concentration.ShareEntry(row["firm"], share, INCLUDED[included]))
+    try:
+        return concentration.MarketShares(tuple(entries))
+    except DomainError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
+
+
+def read_numeric_csv(path, columns: Sequence[str],
+                     domain: str = "finite") -> Dict[str, List[float]]:
+    """Read named numeric columns, each value in domain, from a CSV with a header row."""
     data: Dict[str, List[float]] = {c: [] for c in columns}
     for line, row in read_rows(path, columns):
         for column in columns:
-            data[column].append(parse_number(path, line, row, column))
+            data[column].append(parse_number(path, line, row, column, domain=domain))
     return data
 
 

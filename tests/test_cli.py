@@ -375,6 +375,39 @@ class TestSfaCommand:
         code, _, _ = run_cli(capsys, "sfa", "--S", "9", "--I", "16", "--synthesize", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_synthesis_count_below_one_is_rejected(self, capsys, count):
+        code, out, err = run_cli(capsys, "sfa", "--S", "9", "--I", "16", "--alpha", "0.4",
+                                 "--beta", "0.6", "--synthesize", count)
+        assert (code, out) == (3, "")
+        assert err == f"numerical error: count must be an integer of at least 1, got {count}\n"
+
+    @pytest.mark.parametrize("argv, flag, mode", [
+        (("--output", "20", "--seed", "3"), "--seed", "recovery"),
+        (("--output", "20", "--alpha", "0.6", "--beta", "0.3"), "--alpha", "recovery"),
+        (("--output", "20", "--sigma-u", "0.1"), "--sigma-u", "recovery"),
+        (("--synthesize", "2", "--alpha", "0.4", "--beta", "0.6", "--n", "1"), "--n", "synthesis"),
+        (("--synthesize", "2", "--alpha", "0.4", "--beta", "0.6", "--output", "20"), "--output",
+         "synthesis"),
+        (("--synthesize", "2", "--alpha", "0.4", "--beta", "0.6", "--shock", "0"), "--shock",
+         "synthesis"),
+    ], ids=["recovery-seed", "recovery-alpha", "recovery-sigma-u", "synthesis-n",
+            "synthesis-output", "synthesis-shock"])
+    def test_flag_of_the_other_mode_is_usage_error(self, capsys, argv, flag, mode):
+        code, out, err = run_cli(capsys, "sfa", "--S", "9", "--I", "16", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {flag} is not read in {mode} mode\n"
+
+    def test_each_mode_echoes_only_the_flags_it_reads(self, capsys):
+        _, out, _ = run_cli(capsys, "sfa", "--S", "9", "--I", "16", "--output", "20")
+        assert json.loads(out)["config"] == {"intercept": 0.0, "n": 1.0, "S": 9.0, "I": 16.0,
+                                             "y": 20.0, "v": 0.0, "u": 0.0}
+        _, out, _ = run_cli(capsys, "sfa", "--S", "9", "--I", "16", "--alpha", "0.4",
+                            "--beta", "0.6", "--synthesize", "2")
+        assert json.loads(out)["config"] == {"intercept": 0.0, "S": 9.0, "I": 16.0, "seed": 0,
+                                             "alpha": 0.4, "beta": 0.6, "sigma_v": 0.0,
+                                             "sigma_u": 0.0, "count": 2}
+
 
 class TestFitCommand:
     def make_csv(self, tmp_path, intercept=0.8, alpha=0.3, beta=0.5, noise=0.0, n=12):
@@ -449,6 +482,17 @@ class TestFitCommand:
         assert summary["alpha"] == pytest.approx(3.0, abs=1e-8)
         assert summary["beta"] == pytest.approx(4.0, abs=1e-8)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_value_on_the_log_scale_is_data_error(self, tmp_path, capsys, value):
+        path = tmp_path / "fit.csv"
+        path.write_text(FIT_HEADER + f"5,7,25\n12,{value},47\n20,33,209\n41,18,282\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"data error: {path}:3: power_cooling_cost must be strictly positive, "
+                       f"got {float(value)}\n")
+        # the raw scale takes the logarithm of nothing
+        assert run_cli(capsys, "fit", "--input", str(path), "--scale", "raw")[0] == 0
+
     def test_missing_target_column_is_data_error(self, tmp_path, capsys):
         path = self.make_csv(tmp_path)
         code, _, _ = run_cli(capsys, "fit", "--input", str(path), "--target", "profit")
@@ -486,9 +530,26 @@ class TestHhiCommand:
         code, _, _ = run_cli(capsys, "hhi", "--input", str(path))
         assert code == 2
 
+    def test_included_in_any_case_and_empty_means_true(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("firm,share_percent,included\na,30,YES\nb,40,False\nc,20,\nd,10,0\n")
+        code, out, _ = run_cli(capsys, "hhi", "--input", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert [row["included"] for row in payload["rows"]] == [True, False, True, False]
+        assert payload["summary"]["hhi"] == 1300.0
+
+    def test_included_shares_above_the_limit_are_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("firm,share_percent\na,60\nb,50\n")
+        code, out, err = run_cli(capsys, "hhi", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"data error: {path}: included shares sum to 110.0, above 101.0\n"
+
 
 COST_HEADER = "year,new_server_cost,power_cooling_cost\n"
 FIT_HEADER = "new_server_cost,power_cooling_cost,output\n"
+FIT_ROWS = "5,7,25.1\n12,6,47.9\n20,33,209.0\n41,18,282.5\n"
 
 
 @pytest.mark.parametrize("command, text, line, column", [
@@ -508,6 +569,35 @@ def test_non_finite_input_is_data_error(tmp_path, capsys, command, text, line, c
     assert err.startswith("data error: ")
     assert f"{path}:{line}:" in err
     assert repr(column) in err
+
+
+# each command ends with the flag that takes the bad file; "{fit}" is a good fit file
+@pytest.mark.parametrize("command, text, line, column", [
+    (("cost-min", *FAST, "--input"), COST_HEADER + "1997,65,5\n2002,0,15\n", 3,
+     "new_server_cost"),
+    (("profit", "--input", str(DATA_DIR / "tables.csv"), *FAST, "--weights"),
+     "year,w1,w2\n1997,x,0.5\n", 2, "w1"),
+    (("fit", "--input"), FIT_HEADER + FIT_ROWS + "12,6,0\n", 6, "output"),
+    (("fit", "--input", "{fit}", "--constrained"), "c1,c2,c3,b\n0,1,1,1\n0,-1,0,zero\n", 3,
+     "b"),
+    (("hhi", "--input"), "firm,share_percent,included\na,50,true\nb,30,ture\n", 3,
+     "included"),
+    (("hhi", "--input"), "firm,share_percent\na,50\nb,-5\n", 3, "share_percent"),
+    (("hhi", "--input"), "firm,share_percent\na,120\n", 2, "share_percent"),
+], ids=["costs", "weights", "fit-data-log-scale", "constraint-block", "shares-included",
+        "shares-negative", "shares-above-100"])
+def test_bad_cell_in_any_input_file_is_one_data_error_line(tmp_path, capsys, command, text,
+                                                          line, column):
+    fit = tmp_path / "fit.csv"
+    fit.write_text(FIT_HEADER + FIT_ROWS)
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    argv = [str(fit) if arg == "{fit}" else arg for arg in command]
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"data error: {path}:{line}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert f" {column} " in err or f"{column!r}" in err, err
 
 
 class TestProcessEntry:

@@ -57,8 +57,9 @@ CLOSED = {
 }
 RD_FLAGS = ["--discount-rate", "--harrod-capital", "--solow-labor", "--alpha1", "--beta1"]
 OPTIMIZER_FLAGS = ["--learning-rate", "--init-alpha", "--init-beta", "--seed"]
-SFA_FLAGS = ["--intercept", "--shock", "--inefficiency", "--n", "--alpha", "--beta",
-             "--sigma-v", "--sigma-u", "--seed"]
+# the flags only recovery, or only synthesis, reads; the other mode refuses them
+SFA_RECOVERY_FLAGS = ["--shock", "--inefficiency", "--n"]
+SFA_SYNTHESIS_FLAGS = ["--alpha", "--beta", "--sigma-v", "--sigma-u", "--seed"]
 
 
 @st.composite
@@ -116,9 +117,13 @@ def invocations(draw, workdir: Path):
             argv += some(RD_FLAGS)
     elif command == "sfa":
         argv += some(["--S", "--I"])
-        argv += optional(SFA_FLAGS)
-        argv += draw(st.sampled_from([["--output", draw(value)],
-                                      ["--synthesize", str(draw(st.integers(-2, 50)))], []]))
+        mode = draw(st.sampled_from([["--output", draw(value)],
+                                     ["--synthesize", str(draw(st.integers(-2, 50)))], []]))
+        own = SFA_SYNTHESIS_FLAGS if "--synthesize" in mode else SFA_RECOVERY_FLAGS
+        # unclean examples may also give a flag of the other mode
+        argv += optional(["--intercept", *(own if clean else
+                                           SFA_RECOVERY_FLAGS + SFA_SYNTHESIS_FLAGS)])
+        argv += mode
     elif command == "fit":
         argv += ["--input", table("fit", {})]
         argv += draw(st.sampled_from([[], ["--scale", "raw"], ["--no-intercept"]]))
@@ -127,7 +132,8 @@ def invocations(draw, workdir: Path):
             argv += ["--constrained", table("constraints", dict.fromkeys(range(4), signed))]
     else:
         firm = st.sampled_from(["AWS", "Azure", "Google", "IBM", ""])
-        included = st.sampled_from(["true", "false", "1", "no", ""])
+        included = st.sampled_from(["true", "false", "1", "no", "", "YES"]
+                                   + ([] if clean else ["ture"]))
         argv += ["--input", table("shares", {0: firm, 2: included})]
     return argv, fmt
 

@@ -190,11 +190,19 @@ class TestFrontier:
     def test_draw_shocks(self, sigma_v, sigma_u):
         holds(["sigma_v", "sigma_u"], frontier.draw_shocks, random.Random(1), sigma_v, sigma_u)
 
-    @given(st.tuples(*[FLOATS] * 7))
+    @given(st.tuples(*[FLOATS] * 7), st.one_of(st.integers(-2, 3), st.sampled_from([1.0, 2.5])))
+    @example((0.0, 0.5, 0.5, 2.0, 3.0, 0.1, 0.1), 0)
+    @example((0.0, 0.5, 0.5, 2.0, 3.0, 0.1, 0.1), -2)
     @SETTINGS
-    def test_synthesize(self, args):
-        holds(["K", "alpha", "beta", "S", "I", "sigma_v", "sigma_u", "v", "u"],
-              lambda: list(frontier.synthesize(*args, 2, random.Random(3))))
+    def test_synthesize(self, args, count):
+        holds(["K", "alpha", "beta", "S", "I", "sigma_v", "sigma_u", "v", "u", "count"],
+              lambda: list(frontier.synthesize(*args, count, random.Random(3))))
+
+    @pytest.mark.parametrize("count", [0, -2, 2.0])
+    def test_synthesize_rejects_a_count_that_is_not_a_positive_integer(self, count):
+        with pytest.raises(ParameterError, match=f"^count must be an integer of at least 1, "
+                                                 f"got {count}$"):
+            list(frontier.synthesize(0.0, 0.5, 0.5, 2.0, 3.0, 0.1, 0.1, count, random.Random(3)))
 
 
 class TestConcentration:

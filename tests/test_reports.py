@@ -13,8 +13,9 @@ from dcecon.cli import main
 from dcecon.errors import DataValidationError, EconModelError, ParameterError
 from dcecon.optimizers import OptimizerConfig, sgd_cost_min
 from dcecon.production import CostRecord
-from dcecon.reports import (TRACE_SLICE_ROWS, RunReport, ingest_costs, ingest_weights,
-                            read_by_year, read_numeric_csv, record_row, run_table)
+from dcecon.reports import (TRACE_SLICE_ROWS, RunReport, ingest_costs, ingest_shares,
+                            ingest_weights, parse_number, read_by_year, read_numeric_csv,
+                            record_row, run_table)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -362,6 +363,85 @@ class TestReadByYear:
         with pytest.raises(DataValidationError,
                            match=f":3: non-numeric value '{year}' in column 'year'$"):
             read_by_year(path, ["w1"], "non-negative")
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize("cell, kind, domain, value", [
+        ("-2.5", float, "finite", -2.5),
+        ("0", float, "non-negative", 0.0),
+        ("1e-300", float, "positive", 1e-300),
+        ("100", float, "percent", 100.0),
+        ("1997", int, "finite", 1997),
+    ])
+    def test_value_in_domain(self, cell, kind, domain, value):
+        parsed = parse_number("f.csv", 4, {"x": cell}, "x", kind, domain)
+        assert (parsed, type(parsed)) == (value, kind)
+
+    @pytest.mark.parametrize("cell, domain, message", [
+        ("0", "positive", "x must be strictly positive, got 0.0"),
+        ("-1e-300", "non-negative", "x must be non-negative, got -1e-300"),
+        ("100.5", "percent", "x must lie in [0, 100], got 100.5"),
+        ("-5", "percent", "x must lie in [0, 100], got -5.0"),
+        # finiteness is checked before the domain
+        ("nan", "positive", "non-finite value 'nan' in column 'x'"),
+        ("-inf", "percent", "non-finite value '-inf' in column 'x'"),
+        ("1,5", "percent", "non-numeric value '1,5' in column 'x'"),
+    ])
+    def test_value_outside_domain_names_file_line_and_column(self, cell, domain, message):
+        with pytest.raises(DataValidationError) as raised:
+            parse_number("f.csv", 4, {"x": cell}, "x", domain=domain)
+        assert str(raised.value) == f"f.csv:4: {message}"
+
+    def test_numeric_csv_takes_a_domain(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n3,-4\n")
+        assert read_numeric_csv(path, ["a", "b"]) == {"a": [1.0, 3.0], "b": [2.0, -4.0]}
+        with pytest.raises(DataValidationError, match=":3: b must be strictly positive"):
+            read_numeric_csv(path, ["a", "b"], "positive")
+
+
+class TestIngestShares:
+    def test_bundled_files(self):
+        apac = ingest_shares(DATA_DIR / "apac_shares.csv")
+        assert [e.share for e in apac.entries] == list(reference.APAC_SHARES)
+        assert all(e.included for e in apac.entries)
+        with pytest.warns(UserWarning, match="included shares sum to 100.1.* > 100$"):
+            iaas = ingest_shares(DATA_DIR / "iaas_shares.csv")
+        assert [(e.firm, e.share, e.included) for e in iaas.entries][:2] == [
+            ("AWS", 27.2, True), ("vendor_2", 16.6, True)]
+        assert len(iaas.entries) == 7 and all(e.included for e in iaas.entries)
+
+    def test_included_values_in_any_case(self, tmp_path):
+        cells = ["true", "TRUE", "Yes", "1", "", " no ", "False", "0"]
+        rows = "".join(f"f{i},1,{cell}\n" for i, cell in enumerate(cells))
+        shares = ingest_shares(write(tmp_path, "s.csv", "firm,share_percent,included\n" + rows))
+        assert [e.included for e in shares.entries] == [True] * 5 + [False] * 3
+
+    @pytest.mark.parametrize("cell", ["ture", "y", "2", "on", "none"])
+    def test_other_included_value_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "s.csv", f"firm,share_percent,included\na,50,true\nb,10,{cell}\n")
+        with pytest.raises(DataValidationError) as raised:
+            ingest_shares(path)
+        assert str(raised.value) == (f"{path}:3: included must be true/false, 1/0 or yes/no, "
+                                     f"got {cell!r}")
+
+    @pytest.mark.parametrize("share", ["-5", "120", "100.000001"])
+    def test_share_outside_percent_rejected(self, tmp_path, share):
+        path = write(tmp_path, "s.csv", f"firm,share_percent\na,{share}\n")
+        with pytest.raises(DataValidationError) as raised:
+            ingest_shares(path)
+        assert str(raised.value) == (f"{path}:2: share_percent must lie in [0, 100], "
+                                     f"got {float(share)}")
+
+    def test_included_sum_above_limit_names_the_file(self, tmp_path):
+        path = write(tmp_path, "s.csv", "firm,share_percent,included\na,60,1\nb,50,yes\n"
+                                        "c,70,no\n")
+        with pytest.raises(DataValidationError) as raised:
+            ingest_shares(path)
+        assert str(raised.value) == f"{path}: included shares sum to 110.0, above 101.0"
+
+    def test_excluded_shares_may_sum_above_limit(self, tmp_path):
+        path = write(tmp_path, "s.csv", "firm,share_percent,included\na,60,1\nb,50,0\n")
+        assert [e.included for e in ingest_shares(path).entries] == [True, False]
 
 
 def test_record_row_keeps_declaration_order_and_drops_none():
