@@ -55,6 +55,7 @@ INPUTS = {
     "negative_share.csv": "firm,share_percent\na,50\nb,-5\n",
     "share_above_100.csv": "firm,share_percent\na,120\n",
     "shares_above_101.csv": "firm,share_percent\na,60\nb,50\n",
+    "index_above_10000_shares.csv": "firm,share_percent\na,100\nb,1\n",
     "fit_zero_cost.csv": "new_server_cost,power_cooling_cost,output\n"
                          "5,7,25.1\n0,6,47.9\n20,33,209.0\n41,18,282.5\n",
 }
@@ -183,6 +184,8 @@ def invocations(quick):
           "--synthesize", "0"), False),
         (("sfa", "--S", "9", "--I", "16", "--output", "20", "--seed", "3"), False),
     ]
+    # included shares within the sum limit whose index is above 10000 (exit 2)
+    calls += [(("hhi", "--input", "inputs/index_above_10000_shares.csv"), False)]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 

@@ -29,13 +29,13 @@ _EXPORTS = {
                 "ols_fit", "predict", "qp_fit", "qp_solve", "r_squared"),
     "frontier": ("FrontierSpec", "draw_shocks", "elasticities_from_frontier",
                  "frontier_output", "synthesize", "technical_efficiency"),
-    "optimizers": ("OptimResult", "OptimizerConfig", "Termination", "profit_table",
-                   "sga_revenue_max", "sgd_cost_min", "sgd_linear_cost_min"),
+    "optimizers": ("OptimResult", "OptimizerConfig", "Termination", "sga_revenue_max",
+                   "sgd_cost_min", "sgd_linear_cost_min"),
     "production": ("CobbDouglasParams", "CostRecord", "RdDeterminants", "ScaleClassification",
                    "ScaleRegime", "TechProgress", "evaluate_augmented", "evaluate_output",
                    "harrod_progress", "invert_harrod", "invert_solow", "linear_cost",
                    "returns_to_scale", "solow_progress"),
-    "reports": ("RunReport", "ingest_costs", "run_table"),
+    "reports": ("RunReport", "ingest_costs", "profit_table", "run_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "reference"}

@@ -15,10 +15,10 @@ import random
 import sys
 import warnings
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, get_args
 
 from .errors import DataValidationError, EconModelError
-from .optimizers import OptimizerConfig
+from .optimizers import GradientMode, OptimizerConfig
 from .reports import (RunReport, ingest_costs, ingest_shares, ingest_weights, read_numeric_csv,
                       record_row, run_table)
 
@@ -55,14 +55,16 @@ def _add_command(sub, name: str, run) -> argparse.ArgumentParser:
 
 def _add_optimizer_flags(parser: argparse.ArgumentParser, ascent: bool) -> None:
     parser.add_argument("--input", required=True, help="cost CSV (year,new_server_cost,power_cooling_cost)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--learning-rate", type=float, default=0.01)
-    parser.add_argument("--mode", choices=["marginal", "analytic"], default="marginal")
+    # an absent flag is left out of args, so the config keeps its field's default
+    absent = argparse.SUPPRESS
+    parser.add_argument("--seed", type=int, default=absent)
+    parser.add_argument("--learning-rate", type=float, default=absent)
+    parser.add_argument("--mode", choices=get_args(GradientMode), default=absent)
     if ascent:
-        parser.add_argument("--cap", type=float, default=1.8)
-    parser.add_argument("--max-iters", type=int, default=1_000_000)
-    parser.add_argument("--init-alpha", type=float, default=None)
-    parser.add_argument("--init-beta", type=float, default=None)
+        parser.add_argument("--cap", type=float, default=absent)
+    parser.add_argument("--max-iters", type=int, default=absent)
+    parser.add_argument("--init-alpha", type=float, default=absent)
+    parser.add_argument("--init-beta", type=float, default=absent)
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help="write per-iteration trajectories as CSV files into DIR")
 

@@ -43,6 +43,9 @@ class MarketShares:
         total = sum(e.share for e in self.included_entries())
         if total > SHARE_SUM_LIMIT:
             raise DomainError(f"included shares sum to {total}, above {SHARE_SUM_LIMIT}")
+        index = hhi(self)
+        if index > 10000.0:
+            raise DomainError(f"included shares give an index of {index}, above 10000")
         if total > 100.0 + 1e-9:
             warnings.warn(f"included shares sum to {total} > 100", stacklevel=2)
 

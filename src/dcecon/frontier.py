@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from .errors import (DomainError, ParameterError, SingularSystemError, check_domain,
                      overflow_as_error)
@@ -20,22 +20,18 @@ from .errors import (DomainError, ParameterError, SingularSystemError, check_dom
 
 @dataclass(frozen=True)
 class FrontierSpec:
-    """Log-frontier intercept, elasticities, shock v, inefficiency u >= 0, and scale sum n."""
+    """Log-frontier intercept, elasticities, shock v and inefficiency u >= 0."""
 
     K: float
     alpha: float
     beta: float
     v: float = 0.0
     u: float = 0.0
-    n: Optional[float] = None
 
     def __post_init__(self):
         for name in ("K", "alpha", "beta", "v"):
             check_domain(name, getattr(self, name), "finite", DomainError)
         check_domain("u", self.u, "non-negative", DomainError)
-        if self.n is None:
-            object.__setattr__(self, "n", self.alpha + self.beta)
-        check_domain("n", self.n, "finite", DomainError)
 
 
 @overflow_as_error

@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Dict, List, Literal, Mapping, Optional, Sequence, Tuple
+from typing import List, Literal, Optional, Tuple
 
-from .errors import EconModelError, ParameterError, check_domain, overflow_as_error
+from .errors import ParameterError, check_domain, overflow_as_error
 from .production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
 
 GradientMode = Literal["marginal", "analytic"]
@@ -213,19 +213,6 @@ def sga_revenue_max(record: CostRecord, config: OptimizerConfig) -> OptimResult:
 
 
 Interval = Tuple[float, float]
-Observer = Callable[[str, int, OptimResult], None]
-
-
-def run_year(runner, record: CostRecord, config: OptimizerConfig,
-              observe: Optional[Observer], command: str) -> OptimResult:
-    """One run with the year prefixed to its errors; observe, if given, sees the result."""
-    try:
-        result = runner(record, config)
-    except EconModelError as exc:
-        raise type(exc)(f"year {record.year}: {exc}") from exc
-    if observe is not None:
-        observe(command, record.year, result)
-    return result
 
 
 def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval,
@@ -242,41 +229,3 @@ def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval,
             raise ParameterError(f"{name} is an empty interval: ({lo}, {hi})")
     w1, w2 = w1_bounds[0], w2_bounds[0]
     return w1, w2, linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)
-
-
-def profit_row(max_rev: float, min_cost: float, min_cost_linear: float) -> Dict[str, float]:
-    """One profit-table row: revenue minus the Cobb-Douglas and the linear cost."""
-    for name, value in (("max_rev", max_rev), ("min_cost", min_cost),
-                        ("min_cost_linear", min_cost_linear)):
-        check_domain(name, value, "non-negative", ParameterError)
-    return {
-        "max_rev_cd": max_rev,
-        "min_cost_cd": min_cost,
-        "profit_cd": max_rev - min_cost,
-        "min_cost_linear": min_cost_linear,
-        "profit_linear": max_rev - min_cost_linear,
-    }
-
-
-def profit_table(records: Sequence[CostRecord], config: OptimizerConfig,
-                 linear_weights: Mapping[int, Tuple[float, float]],
-                 observe: Optional[Observer] = None) -> Dict[int, Dict[str, float]]:
-    """Per-year profit rows: ascent revenue minus descent cost, plus the linear-cost variant.
-
-    linear_weights maps year -> (w1, w2) for the linear comparison column.
-    observe, when given, is called as observe(command, year, result) after each
-    run, with command "revenue_max" or "cost_min".
-    """
-    if not records:
-        raise ParameterError("records must be non-empty")
-    missing = [r.year for r in records if r.year not in linear_weights]
-    if missing:
-        raise ParameterError(f"linear weights missing for years {missing}")
-    rows: Dict[int, Dict[str, float]] = {}
-    for record in sorted(records, key=lambda r: r.year):
-        revenue = run_year(sga_revenue_max, record, config, observe, "revenue_max")
-        cost = run_year(sgd_cost_min, record, config, observe, "cost_min")
-        w1, w2 = linear_weights[record.year]
-        cost_linear = linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)
-        rows[record.year] = profit_row(revenue.objective, cost.objective, cost_linear)
-    return rows

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .optimizers import profit_row
 from .production import CostRecord, linear_cost
+from .reports import profit_row
 
 
 @dataclass(frozen=True)

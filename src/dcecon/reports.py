@@ -1,4 +1,4 @@
-"""Dataset ingestion and run reports.
+"""Dataset ingestion, the per-year optimizer tables and their traces, and run reports.
 
 A RunReport is the canonical, reproducible record of one CLI invocation: the
 command, the fully resolved configuration (seed and initialization pinned), the
@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DOMAINS, DataValidationError, DomainError, EconModelError, ParameterError
-from .optimizers import (Observer, OptimizerConfig, OptimResult, profit_table, run_year,
-                         sga_revenue_max, sgd_cost_min)
-from .production import CostRecord
+from .errors import (DOMAINS, DataValidationError, DomainError, EconModelError,
+                     ParameterError, check_domain)
+from .optimizers import OptimizerConfig, OptimResult, sga_revenue_max, sgd_cost_min
+from .production import CostRecord, linear_cost
 
 if TYPE_CHECKING:
     from .concentration import MarketShares
@@ -218,25 +218,6 @@ def _non_finite_field(value, path: str = "") -> Optional[str]:
     return None
 
 
-def _trace_writer(trace_dir) -> Observer:
-    """Observer that writes each run's trajectory to trace_dir/<command>_<year>.csv.
-
-    An OSError from creating the directory or writing a file is raised as a
-    DataValidationError naming the path.
-    """
-    trace_dir = Path(trace_dir)
-
-    def write(command: str, year: int, result: OptimResult) -> None:
-        path = trace_dir / f"{command}_{year}.csv"
-        try:
-            trace_dir.mkdir(parents=True, exist_ok=True)
-            _write_trace(path, result.trajectory)
-        except OSError as exc:
-            raise DataValidationError(
-                f"cannot write trace {exc.filename or path}: {exc.strerror or exc}") from None
-    return write
-
-
 def _write_trace(path: Path, points: Sequence[Tuple[float, float, float]]) -> None:
     """Write a trajectory as trace CSV; a file that fails part way is removed."""
     with path.open("wb") as handle:
@@ -340,6 +321,69 @@ def _reference_note(records: Sequence[CostRecord], table: str) -> Optional[str]:
     return None
 
 
+def run_year(runner, record: CostRecord, config: OptimizerConfig, command: str,
+             trace_dir=None) -> OptimResult:
+    """runner(record, config) with the year prefixed to its errors.
+
+    When trace_dir is given the run records its trajectory, which is written to
+    trace_dir/<command>_<year>.csv; an OSError from creating the directory or
+    writing the file is raised as a DataValidationError naming the path.
+    """
+    if trace_dir is not None:
+        config = dataclasses.replace(config, record_trajectory=True)
+    try:
+        result = runner(record, config)
+    except EconModelError as exc:
+        raise type(exc)(f"year {record.year}: {exc}") from exc
+    if trace_dir is not None:
+        path = Path(trace_dir) / f"{command}_{record.year}.csv"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_trace(path, result.trajectory)
+        except OSError as exc:
+            raise DataValidationError(
+                f"cannot write trace {exc.filename or path}: {exc.strerror or exc}") from None
+    return result
+
+
+def profit_row(max_rev: float, min_cost: float, min_cost_linear: float) -> Dict[str, float]:
+    """One profit-table row: revenue minus the Cobb-Douglas and the linear cost."""
+    for name, value in (("max_rev", max_rev), ("min_cost", min_cost),
+                        ("min_cost_linear", min_cost_linear)):
+        check_domain(name, value, "non-negative", ParameterError)
+    return {
+        "max_rev_cd": max_rev,
+        "min_cost_cd": min_cost,
+        "profit_cd": max_rev - min_cost,
+        "min_cost_linear": min_cost_linear,
+        "profit_linear": max_rev - min_cost_linear,
+    }
+
+
+def profit_table(records: Sequence[CostRecord], config: OptimizerConfig,
+                 linear_weights: Mapping[int, Tuple[float, float]],
+                 trace_dir=None) -> Dict[int, Dict[str, float]]:
+    """Per-year profit rows: ascent revenue minus descent cost, plus the linear-cost variant.
+
+    linear_weights maps year -> (w1, w2) for the linear comparison column. With
+    trace_dir, each run's trace is written there as revenue_max_<year>.csv or
+    cost_min_<year>.csv (see run_year).
+    """
+    if not records:
+        raise ParameterError("records must be non-empty")
+    missing = [r.year for r in records if r.year not in linear_weights]
+    if missing:
+        raise ParameterError(f"linear weights missing for years {missing}")
+    rows: Dict[int, Dict[str, float]] = {}
+    for record in sorted(records, key=lambda r: r.year):
+        revenue = run_year(sga_revenue_max, record, config, "revenue_max", trace_dir)
+        cost = run_year(sgd_cost_min, record, config, "cost_min", trace_dir)
+        w1, w2 = linear_weights[record.year]
+        cost_linear = linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)
+        rows[record.year] = profit_row(revenue.objective, cost.objective, cost_linear)
+    return rows
+
+
 def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConfig,
               linear_weights: Optional[Mapping[int, Tuple[float, float]]] = None,
               trace_dir=None, use_reference: bool = False) -> RunReport:
@@ -353,10 +397,8 @@ def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConf
     if not records:
         raise ParameterError("records must be non-empty")
     records = sorted(records, key=lambda r: r.year)
-    observe = None
     if trace_dir is not None:
         config = dataclasses.replace(config, record_trajectory=True)
-        observe = _trace_writer(trace_dir)
     resolved = dataclasses.asdict(config.resolved())
     rows: List[Dict] = []
     warnings: List[str] = []
@@ -368,7 +410,7 @@ def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConf
             runner, key, table = sga_revenue_max, "max_revenue", "revenue-maximization table"
         note = _reference_note(records, table)
         for record in records:
-            result = run_year(runner, record, config, observe, command)
+            result = run_year(runner, record, config, command, trace_dir)
             rows.append({"year": record.year, "alpha": result.alpha, "beta": result.beta,
                          key: result.objective, "iterations": result.iterations,
                          "terminated_by": result.terminated_by.value})
@@ -387,7 +429,7 @@ def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConf
             weights = {r.year: reference.LINEAR_COST_TABLE[r.year][:2] for r in records
                        if r.year in reference.LINEAR_COST_TABLE}
             weights.update(linear_weights or {})
-            per_year = profit_table(records, config, weights, observe)
+            per_year = profit_table(records, config, weights, trace_dir)
         rows = [{"year": year, **per_year[year]} for year in sorted(per_year)]
     else:
         raise ParameterError(f"unknown command {command!r}")

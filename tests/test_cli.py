@@ -546,6 +546,14 @@ class TestHhiCommand:
         assert (code, out) == (2, "")
         assert err == f"data error: {path}: included shares sum to 110.0, above 101.0\n"
 
+    def test_included_shares_with_an_index_above_10000_are_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("firm,share_percent\na,100\nb,1\n")
+        code, out, err = run_cli(capsys, "hhi", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"data error: {path}: included shares give an index of 10001.0, "
+                       f"above 10000\n")
+
 
 COST_HEADER = "year,new_server_cost,power_cooling_cost\n"
 FIT_HEADER = "new_server_cost,power_cooling_cost,output\n"

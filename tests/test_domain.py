@@ -1,7 +1,8 @@
 """The input-domain contract of the library, checked over generated floats.
 
 Every public constructor and function of production, closed_form, frontier,
-concentration, optimizers and fitting, called with arguments drawn from normal
+concentration, optimizers and fitting, and the year-table layer of reports
+(run_year, profit_row, profit_table), called with arguments drawn from normal
 and subnormal floats, +-0, +-inf, NaN and +-1e300, either returns a result
 whose float fields are all finite, or raises an EconModelError. When it
 rejects an input (DomainError or ParameterError) the message names the
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dcecon import closed_form, concentration, fitting, frontier, optimizers, production
+from dcecon import (closed_form, concentration, fitting, frontier, optimizers, production,
+                    reports)
 from dcecon.errors import DomainError, EconModelError, ParameterError
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324,
@@ -156,14 +158,14 @@ class TestClosedForm:
               lambda: closed_form.profit_max(*args, rd=rd_from(rd)))
 
 
-SPEC = ["K", "alpha", "beta", "v", "u", "n"]
+SPEC = ["K", "alpha", "beta", "v", "u"]
 
 
 class TestFrontier:
-    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, MAYBE)
+    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
     @SETTINGS
-    def test_spec(self, K, alpha, beta, v, u, n):
-        holds(SPEC, frontier.FrontierSpec, K, alpha, beta, v, u, n)
+    def test_spec(self, K, alpha, beta, v, u):
+        holds(SPEC, frontier.FrontierSpec, K, alpha, beta, v, u)
 
     @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
     @example(math.inf, 0.5, 0.5, 0.0, 0.0, 1.0, 1.0)
@@ -250,8 +252,8 @@ class TestOptimizers:
     @SETTINGS
     def test_runner(self, runner, L, K, values, mode, record):
         holds(["server_cost", "power_cooling_cost", "alpha", "beta"] + CONFIG,
-              lambda: optimizers.run_year(runner, production.CostRecord(2000, L, K),
-                                          config_from(values, mode, record), None, "run"))
+              lambda: reports.run_year(runner, production.CostRecord(2000, L, K),
+                                       config_from(values, mode, record), "run"))
 
     @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
     @SETTINGS
@@ -264,16 +266,16 @@ class TestOptimizers:
     @example(1e308, -1e308, 0.0)
     @SETTINGS
     def test_profit_row(self, revenue, cost, linear):
-        holds(["max_rev", "min_cost", "min_cost_linear"], optimizers.profit_row,
+        holds(["max_rev", "min_cost", "min_cost_linear"], reports.profit_row,
               revenue, cost, linear)
 
     @given(FLOATS, FLOATS, FLOATS, FLOATS, CONFIG_VALUES)
     @SETTINGS
     def test_profit_table(self, L, K, w1, w2, values):
         holds(["server_cost", "power_cooling_cost", "w1", "w2", "L", "K"] + CONFIG,
-              lambda: optimizers.profit_table([production.CostRecord(2000, L, K)],
-                                              config_from(values, "marginal", False),
-                                              {2000: (w1, w2)}))
+              lambda: reports.profit_table([production.CostRecord(2000, L, K)],
+                                           config_from(values, "marginal", False),
+                                           {2000: (w1, w2)}))
 
 
 ROWS = st.lists(FLOATS, min_size=4, max_size=4)

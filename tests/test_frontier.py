@@ -52,10 +52,6 @@ class TestFrontierOutput:
         with pytest.raises(DomainError):
             FrontierSpec(K=0, alpha=0.5, beta=0.5, u=-0.1)
 
-    def test_scale_sum_defaults_to_elasticity_sum(self):
-        spec = FrontierSpec(K=0, alpha=0.4, beta=0.8)
-        assert spec.n == pytest.approx(1.2)
-
     @given(
         u1=st.floats(min_value=0, max_value=2),
         du=st.floats(min_value=1e-3, max_value=2),

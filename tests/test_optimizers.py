@@ -8,12 +8,12 @@ from dcecon.optimizers import (
     OptimizerConfig,
     OptimResult,
     Termination,
-    profit_table,
     sga_revenue_max,
     sgd_cost_min,
     sgd_linear_cost_min,
 )
 from dcecon.production import CobbDouglasParams, CostRecord, evaluate_output
+from dcecon.reports import profit_table
 
 # frozen terminal values from a reference run of the documented configs below
 GOLDEN_SGD_CONFIG = dict(learning_rate=0.01, init_alpha=0.5, init_beta=0.5,

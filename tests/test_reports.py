@@ -223,6 +223,28 @@ class TestRunTable:
         assert (tmp_path / "cost_min_1997.csv").exists()
         assert (tmp_path / "revenue_max_1997.csv").exists()
 
+    def test_profit_table_writes_the_traces_run_table_writes(self, tmp_path):
+        records = self.records()[:2]
+        run_table("profit", records, FAST_CONFIG, trace_dir=tmp_path / "run_table")
+        weights = {r.year: reference.LINEAR_COST_TABLE[r.year][:2] for r in records}
+        # FAST_CONFIG records no trajectory: a trace_dir alone makes the runs record one
+        reports.profit_table(records, FAST_CONFIG, weights, trace_dir=tmp_path / "profit_table")
+        names = sorted(p.name for p in (tmp_path / "run_table").iterdir())
+        assert names == ["cost_min_1997.csv", "cost_min_2002.csv",
+                         "revenue_max_1997.csv", "revenue_max_2002.csv"]
+        assert sorted(p.name for p in (tmp_path / "profit_table").iterdir()) == names
+        for name in names:
+            trace = (tmp_path / "profit_table" / name).read_bytes()
+            assert trace.count(b"\n") > 2
+            assert trace == (tmp_path / "run_table" / name).read_bytes()
+
+    def test_run_year_into_an_unwritable_trace_dir_is_data_error(self, tmp_path):
+        trace_dir = write(tmp_path, "taken", "") / "traces"
+        with pytest.raises(DataValidationError) as raised:
+            reports.run_year(sgd_cost_min, self.records()[0], FAST_CONFIG, "cost_min", trace_dir)
+        assert str(raised.value) == (f"cannot write trace {trace_dir}: "
+                                     f"{os.strerror(errno.ENOTDIR)}")
+
 
 def csv_writer_trace(trajectory) -> bytes:
     """A trace file as csv.writer wrote it before rows were formatted directly."""
