@@ -58,6 +58,8 @@ INPUTS = {
     "index_above_10000_shares.csv": "firm,share_percent\na,100\nb,1\n",
     "fit_zero_cost.csv": "new_server_cost,power_cooling_cost,output\n"
                          "5,7,25.1\n0,6,47.9\n20,33,209.0\n41,18,282.5\n",
+    # Latin-1, not UTF-8
+    "latin1_shares.csv": b"firm,share_percent\n\xc9tat,50\n",
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -186,6 +188,14 @@ def invocations(quick):
     ]
     # included shares within the sum limit whose index is above 10000 (exit 2)
     calls += [(("hhi", "--input", "inputs/index_above_10000_shares.csv"), False)]
+    # an input that is a directory and one that is not UTF-8 (exit 2); --trace and an
+    # optimizer flag, which the reference table makes no run to read (exit 1)
+    calls += [
+        (("hhi", "--input", "data"), False),
+        (("hhi", "--input", "inputs/latin1_shares.csv"), False),
+        (("profit", *COSTS, "--reference", "--trace", "{trace}"), False),
+        (("profit", *COSTS, "--reference", "--max-iters", "5"), False),
+    ]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 
@@ -234,8 +244,9 @@ def main():
         workdir = Path(tmp)
         shutil.copytree(root / "data", workdir / "data")
         (workdir / "inputs").mkdir()
-        for name, text in INPUTS.items():
-            (workdir / "inputs" / name).write_text(text)
+        for name, content in INPUTS.items():
+            data = content if isinstance(content, bytes) else content.encode()
+            (workdir / "inputs" / name).write_bytes(data)
         for index, argv in enumerate(invocations(args.quick)):
             print(run(argv, root, workdir, index), flush=True)
 

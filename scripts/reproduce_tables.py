@@ -9,6 +9,7 @@ Run from the repository root:  python3 scripts/reproduce_tables.py
 
 from dcecon import reference
 from dcecon.production import CobbDouglasParams, evaluate_output, linear_cost
+from dcecon.reports import reference_profit_report
 
 
 def evaluate_row(row):
@@ -43,10 +44,10 @@ def main():
 
     print("\nprofit from reference objectives (CD and linear variants)")
     print(f"{'year':>6} {'profit_cd':>12} {'recorded':>12} {'profit_lin':>12} {'recorded':>10}")
-    rows = reference.reference_profit_rows()
-    for year in reference.YEARS:
+    report = reference_profit_report(list(reference.COST_RECORDS.values()))
+    for row in report.rows:
+        year = row["year"]
         rec_cd, rec_lin = reference.PROFIT_TABLE[year]
-        row = rows[year]
         flag = "" if abs(row["profit_cd"] - rec_cd) <= 1e-2 else "  <- known deviation"
         print(f"{year:>6} {row['profit_cd']:>12.4f} {rec_cd:>12.4f} "
               f"{row['profit_linear']:>12.2f} {rec_lin:>10.2f}{flag}")

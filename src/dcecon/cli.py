@@ -20,7 +20,7 @@ from typing import List, Optional, get_args
 from .errors import DataValidationError, EconModelError
 from .optimizers import GradientMode, OptimizerConfig
 from .reports import (RunReport, ingest_costs, ingest_shares, ingest_weights, read_numeric_csv,
-                      record_row, run_table)
+                      record_row, reference_profit_report, run_table)
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -149,20 +149,21 @@ def _rd_from_args(args):
     return RdDeterminants(*values)
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    """The config of the flags named after its fields; an absent flag keeps the field's default."""
-    names = {field.name for field in dataclasses.fields(OptimizerConfig)}
-    return OptimizerConfig(**{name: value for name, value in vars(args).items() if name in names})
-
-
 def _cmd_optimizer(args) -> RunReport:
+    # the flags named after config fields; an absent flag keeps the field's default
+    names = {field.name for field in dataclasses.fields(OptimizerConfig)}
+    flags = {name: value for name, value in vars(args).items() if name in names}
+    if getattr(args, "reference", False):
+        # the reference table makes no optimizer run, so a flag that configures one is refused
+        for name in [*flags, "trace"]:
+            if getattr(args, name) is not None:
+                raise _UsageError(f"--{name.replace('_', '-')} is not read with --reference")
+        return reference_profit_report(ingest_costs(args.input))
     records = ingest_costs(args.input)
-    config = _optimizer_config(args)
     weights = getattr(args, "weights", None)
-    return run_table(args.command.replace("-", "_"), records, config,
+    return run_table(args.command.replace("-", "_"), records, OptimizerConfig(**flags),
                      linear_weights=None if weights is None else ingest_weights(weights),
-                     trace_dir=args.trace,
-                     use_reference=getattr(args, "reference", False))
+                     trace_dir=args.trace)
 
 
 def _cmd_closed(args) -> RunReport:
@@ -248,8 +249,7 @@ def _cmd_hhi(args) -> RunReport:
 
     shares = ingest_shares(args.input)
     index = concentration.hhi(shares)
-    rows = [{"firm": e.firm, "share": e.share, "included": e.included,
-             "contribution": e.share ** 2 if e.included else 0.0}
+    rows = [{**record_row(e), "contribution": e.share ** 2 if e.included else 0.0}
             for e in shares.entries]
     summary = {"hhi": index, "classification": concentration.classify_hhi(index).value}
     return RunReport(command="hhi", config={"input": str(Path(args.input))}, rows=rows,

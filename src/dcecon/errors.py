@@ -65,6 +65,7 @@ DOMAINS = {
     "unit": (lambda x: 0 < x < 1, "lie strictly inside (0, 1)"),
     "percent": (lambda x: 0 <= x <= 100, "lie in [0, 100]"),
     "count": (lambda x: isinstance(x, int) and x >= 1, "be an integer of at least 1"),
+    "integer": (lambda x: isinstance(x, int), "be an integer"),
 }
 
 
@@ -73,7 +74,8 @@ def check_domain(name: str, value, domain: str, error: type) -> None:
     inside, requirement = DOMAINS[domain]
     if not inside(value):
         raise error(f"{name} must {requirement}, got {value}")
-    if not math.isfinite(value):
+    # a comparison, as math.isfinite overflows on an int beyond the float range
+    if abs(value) == math.inf:
         raise error(f"{name} must be finite, got {value}")
 
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
-from typing import List, Literal, Optional, Tuple
+from typing import List, Literal, Optional, Tuple, get_args
 
 from .errors import ParameterError, check_domain, overflow_as_error
 from .production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
@@ -63,7 +63,8 @@ class OptimizerConfig:
             if value is not None:
                 check_domain(name, value, "positive", ParameterError)
         check_domain("max_iters", self.max_iters, "count", ParameterError)
-        if self.mode not in ("marginal", "analytic"):
+        check_domain("seed", self.seed, "integer", ParameterError)
+        if self.mode not in get_args(GradientMode):
             raise ParameterError(f"unknown gradient mode {self.mode!r}")
 
     def initial_point(self) -> Tuple[float, float]:

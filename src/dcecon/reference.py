@@ -2,6 +2,9 @@
 (new-server vs power & cooling, billions USD) with the reference simulation
 results the regression suite checks against.
 
+This module is data only; reports.reference_profit_report builds the profit
+table of these objectives.
+
 Known quirks of the reference tables, asserted as such by the tests:
 
 * The 1997 minimum-cost value (6.8672) is not reproducible to 1e-3 absolute
@@ -16,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .production import CostRecord, linear_cost
-from .reports import profit_row
+from .production import CostRecord
 
 
 @dataclass(frozen=True)
@@ -88,17 +90,3 @@ IAAS_SHARES: Tuple[Tuple[str, float], ...] = (
     ("others", 35.9),
 )
 
-
-def reference_profit_rows() -> Dict[int, Dict[str, float]]:
-    """Profit table built from the reference objectives (not fresh optimizer runs).
-
-    CD profit is max-revenue minus min-cost from the reference tables; the linear
-    side re-evaluates w1*L + w2*K at the reference weights.
-    """
-    rows: Dict[int, Dict[str, float]] = {}
-    for year in YEARS:
-        record = COST_RECORDS[year]
-        w1, w2, _ = LINEAR_COST_TABLE[year]
-        rows[year] = profit_row(MAX_REVENUE_TABLE[year].objective, MIN_COST_TABLE[year].objective,
-                                linear_cost(w1, w2, record.server_cost, record.power_cooling_cost))
-    return rows

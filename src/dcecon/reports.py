@@ -41,31 +41,39 @@ TRACE_SLICE_ROWS = 4096
 
 
 def read_rows(path, columns: Sequence[str]) -> List[Tuple[int, Dict[str, str]]]:
-    """Read a headed CSV into (line number, row) pairs, checking its shape.
+    """Read a headed UTF-8 CSV into (line number, row) pairs, checking its shape.
 
     The file must exist and its header must name every one of columns (extra
     columns are allowed). Every data row must have as many fields as the
-    header; blank rows are skipped. Values stay strings, see parse_number.
+    header; blank rows are skipped. Values stay strings, see parse_number. Any
+    failure to open, decode or parse the file is a DataValidationError naming it.
     """
-    if not Path(path).exists():
-        raise DataValidationError(f"input file not found: {path}")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = [cell.strip() for cell in next(reader, [])]
-        if not any(header):
-            raise DataValidationError(f"{path}: empty file")
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise DataValidationError(f"{path}: expected header with columns "
-                                      f"{','.join(columns)!r}, missing columns {missing}")
-        rows = []
-        for line, cells in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in cells):
-                continue
-            if len(cells) != len(header):
-                raise DataValidationError(
-                    f"{path}:{line}: expected {len(header)} fields, got {len(cells)}")
-            rows.append((line, dict(zip(header, cells))))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = [cell.strip() for cell in next(reader, [])]
+            if not any(header):
+                raise DataValidationError(f"{path}: empty file")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise DataValidationError(f"{path}: expected header with columns "
+                                          f"{','.join(columns)!r}, missing columns {missing}")
+            rows = []
+            for line, cells in enumerate(reader, start=2):
+                if not any(cell.strip() for cell in cells):
+                    continue
+                if len(cells) != len(header):
+                    raise DataValidationError(
+                        f"{path}:{line}: expected {len(header)} fields, got {len(cells)}")
+                rows.append((line, dict(zip(header, cells))))
+    except (FileNotFoundError, NotADirectoryError):
+        raise DataValidationError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise DataValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DataValidationError(f"{path}: no data rows")
     return rows
@@ -313,14 +321,6 @@ def _fork_rows(spill, points: Sequence[Tuple[float, float, float]], start: int, 
         os._exit(status)
 
 
-def _reference_note(records: Sequence[CostRecord], table: str) -> Optional[str]:
-    from . import reference
-
-    if all(r.year in reference.YEARS for r in records):
-        return f"comparable to the bundled reference {table}"
-    return None
-
-
 def run_year(runner, record: CostRecord, config: OptimizerConfig, command: str,
              trace_dir=None) -> OptimResult:
     """runner(record, config) with the year prefixed to its errors.
@@ -386,53 +386,67 @@ def profit_table(records: Sequence[CostRecord], config: OptimizerConfig,
 
 def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConfig,
               linear_weights: Optional[Mapping[int, Tuple[float, float]]] = None,
-              trace_dir=None, use_reference: bool = False) -> RunReport:
+              trace_dir=None) -> RunReport:
     """Run one optimizer command over a year series and assemble the report.
 
     command is one of cost_min, revenue_max, profit. Traces are written as one
-    CSV per run and year when trace_dir is given. For profit, use_reference
-    swaps fresh optimizer runs for the bundled reference objectives, and
-    linear_weights defaults to the bundled reference weights for reference years.
+    CSV per run and year when trace_dir is given. For profit, linear_weights
+    defaults to the bundled reference weights for reference years.
     """
+    from . import reference
+
     if not records:
         raise ParameterError("records must be non-empty")
     records = sorted(records, key=lambda r: r.year)
     if trace_dir is not None:
         config = dataclasses.replace(config, record_trajectory=True)
     resolved = dataclasses.asdict(config.resolved())
-    rows: List[Dict] = []
-    warnings: List[str] = []
 
     if command in ("cost_min", "revenue_max"):
         if command == "cost_min":
             runner, key, table = sgd_cost_min, "min_cost", "cost-minimization table"
         else:
             runner, key, table = sga_revenue_max, "max_revenue", "revenue-maximization table"
-        note = _reference_note(records, table)
+        rows = []
         for record in records:
             result = run_year(runner, record, config, command, trace_dir)
             rows.append({"year": record.year, "alpha": result.alpha, "beta": result.beta,
                          key: result.objective, "iterations": result.iterations,
                          "terminated_by": result.terminated_by.value})
     elif command == "profit":
-        from . import reference
-
-        note = _reference_note(records, "profit table")
-        if use_reference:
-            missing = [r.year for r in records if r.year not in reference.YEARS]
-            if missing:
-                raise ParameterError(f"reference mode has no data for years {missing}")
-            all_rows = reference.reference_profit_rows()
-            per_year = {r.year: all_rows[r.year] for r in records}
-            warnings.append("profit computed from bundled reference objectives, not fresh runs")
-        else:
-            weights = {r.year: reference.LINEAR_COST_TABLE[r.year][:2] for r in records
-                       if r.year in reference.LINEAR_COST_TABLE}
-            weights.update(linear_weights or {})
-            per_year = profit_table(records, config, weights, trace_dir)
-        rows = [{"year": year, **per_year[year]} for year in sorted(per_year)]
+        table = "profit table"
+        weights = {r.year: reference.LINEAR_COST_TABLE[r.year][:2] for r in records
+                   if r.year in reference.LINEAR_COST_TABLE}
+        weights.update(linear_weights or {})
+        per_year = profit_table(records, config, weights, trace_dir)
+        rows = [{"year": year, **row} for year, row in per_year.items()]
     else:
         raise ParameterError(f"unknown command {command!r}")
 
-    return RunReport(command=command, config=resolved, rows=rows,
-                     warnings=warnings, reference_note=note)
+    comparable = all(r.year in reference.YEARS for r in records)
+    return RunReport(command=command, config=resolved, rows=rows, reference_note=(
+        f"comparable to the bundled reference {table}" if comparable else None))
+
+
+def reference_profit_report(records: Sequence[CostRecord]) -> RunReport:
+    """The profit report of the bundled reference objectives, not of fresh optimizer runs.
+
+    Only the years of records are read, and each must be a reference year. The
+    CD profit is the reference maximum revenue minus the reference minimum
+    cost; the linear cost is w1*L + w2*K at that year's reference weights and costs.
+    """
+    from . import reference
+
+    years = sorted({r.year for r in records})
+    missing = [year for year in years if year not in reference.YEARS]
+    if missing:
+        raise ParameterError(f"reference mode has no data for years {missing}")
+    rows = []
+    for year in years:
+        record, (w1, w2, _) = reference.COST_RECORDS[year], reference.LINEAR_COST_TABLE[year]
+        rows.append({"year": year, **profit_row(
+            reference.MAX_REVENUE_TABLE[year].objective, reference.MIN_COST_TABLE[year].objective,
+            linear_cost(w1, w2, record.server_cost, record.power_cooling_cost))})
+    return RunReport(command="profit", config={}, rows=rows,
+                     warnings=["profit computed from bundled reference objectives, not fresh runs"],
+                     reference_note="comparable to the bundled reference profit table")

@@ -30,6 +30,7 @@ from dcecon.optimizers import (
     sgd_cost_min,
 )
 from dcecon.production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
+from dcecon.reports import reference_profit_report
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -48,6 +49,12 @@ def announce(criterion, name, ok, detail=""):
 def evaluate_row(row):
     return evaluate_output(
         CobbDouglasParams(1.0, row.alpha, row.beta), row.server_cost, row.power_cooling_cost)
+
+
+def reference_profit_rows():
+    """The rows of the reference profit report over the bundled years, by year."""
+    report = reference_profit_report(list(reference.COST_RECORDS.values()))
+    return {row.pop("year"): row for row in report.rows}
 
 
 class TestCriterion1TableReproduction:
@@ -73,6 +80,24 @@ class TestCriterion1TableReproduction:
             f"perturbation of alpha alone moves the output by ~1.4e-3, so this tolerance "
             f"is below the reproducibility floor of the published row."
         )
+
+    @pytest.mark.parametrize("year", reference.YEARS)
+    def test_no_analytic_descent_step_ends_at_a_cost_row(self, year):
+        # An analytic descent step at lr 0.01 moves (alpha, beta) by -lr * c * (ln L, ln K),
+        # c = L^alpha K^beta, so alpha - (ln L / ln K) * beta stays constant. A step that
+        # ends at the row (alpha_T, beta_T) starts at beta = b on that line, with
+        # alpha(b) = alpha_T + (ln L / ln K) * (b - beta_T), and solves g(b) = 0, where
+        # g(b) = beta_T + lr * ln K * L^alpha(b) * K^b - b. The bound checked: g > 0.05
+        # for every b in [0, 10] (minima 0.1105, 0.0935, 0.0863, 0.0601 on this grid),
+        # so no such start exists and no analytic descent reaches a cost row.
+        row, lr = reference.MIN_COST_TABLE[year], 0.01
+        log_L, log_K = math.log(row.server_cost), math.log(row.power_cooling_cost)
+        b = np.linspace(0.0, 10.0, 100_001)
+        alpha = row.alpha + (log_L / log_K) * (b - row.beta)
+        g = row.beta + lr * log_K * np.exp(alpha * log_L + b * log_K) - b
+        announce(1, f"no analytic descent reaches the cost {year} row", g.min() > 0.05,
+                 f"min g = {g.min():.4f}")
+        assert g.min() > 0.05
 
     @pytest.mark.parametrize("year", reference.YEARS)
     def test_revenue_table_rows(self, year):
@@ -104,7 +129,7 @@ class TestCriterion2LinearCost:
 
 class TestCriterion3ProfitConsistency:
     def test_cd_profit_2009_2012(self):
-        rows = reference.reference_profit_rows()
+        rows = reference_profit_rows()
         for year in (2009, 2012):
             expected = reference.PROFIT_TABLE[year][0]
             diff = abs(rows[year]["profit_cd"] - expected)
@@ -112,7 +137,7 @@ class TestCriterion3ProfitConsistency:
             assert diff <= PROFIT_TOL
 
     def test_linear_profit_all_rows(self):
-        rows = reference.reference_profit_rows()
+        rows = reference_profit_rows()
         for year in reference.YEARS:
             expected = reference.PROFIT_TABLE[year][1]
             diff = abs(rows[year]["profit_linear"] - expected)
@@ -120,7 +145,7 @@ class TestCriterion3ProfitConsistency:
             assert diff <= PROFIT_TOL
 
     def test_1997_2002_cd_rows_are_documented_deviations(self):
-        rows = reference.reference_profit_rows()
+        rows = reference_profit_rows()
         computed = {1997: 63.76, 2002: 252.74}
         for year, value in computed.items():
             cross_table = rows[year]["profit_cd"]

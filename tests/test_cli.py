@@ -11,6 +11,7 @@ import pytest
 
 from dcecon import reference
 from dcecon.cli import main
+from dcecon.reports import reference_profit_report
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = ROOT / "data"
@@ -238,10 +239,23 @@ class TestOptimizerCommands:
                                "--reference")
         assert code == 0
         payload = json.loads(out)
-        expected = reference.reference_profit_rows()
-        for row in payload["rows"]:
-            year = row.pop("year")
-            assert row == pytest.approx(expected[year])
+        expected = reference_profit_report(list(reference.COST_RECORDS.values()))
+        assert payload["config"] == {}
+        assert payload["rows"] == expected.rows
+        assert payload["warnings"] == expected.warnings
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "3"), ("--learning-rate", "0.1"), ("--mode", "analytic"), ("--cap", "1.5"),
+        ("--max-iters", "5"), ("--init-alpha", "0.3"), ("--init-beta", "0.3"),
+        ("--trace", None),
+    ])
+    def test_reference_mode_refuses_the_flags_of_a_run(self, tmp_path, capsys, flag, value):
+        trace = tmp_path / "trace"
+        code, out, err = run_cli(capsys, "profit", "--input", str(DATA_DIR / "tables.csv"),
+                                 "--reference", flag, value or str(trace))
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {flag} is not read with --reference\n"
+        assert not trace.exists()
 
     def test_profit_with_explicit_weights(self, capsys):
         code, out, _ = run_cli(capsys, "profit", "--input", str(DATA_DIR / "tables.csv"),
@@ -606,6 +620,38 @@ def test_bad_cell_in_any_input_file_is_one_data_error_line(tmp_path, capsys, com
     assert err.startswith(f"data error: {path}:{line}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert f" {column} " in err or f"{column!r}" in err, err
+
+
+# each command ends with the flag that takes the file, whose header is given;
+# "{fit}" is a good fit file
+INPUT_FILES = {
+    "costs": (("cost-min", *FAST, "--input"), COST_HEADER),
+    "weights": (("profit", "--input", str(DATA_DIR / "tables.csv"), *FAST, "--weights"),
+                "year,w1,w2\n"),
+    "fit-data": (("fit", "--input"), FIT_HEADER),
+    "constraints": (("fit", "--input", "{fit}", "--constrained"), "c1,c2,c3,b\n"),
+    "shares": (("hhi", "--input"), "firm,share_percent\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUT_FILES))
+@pytest.mark.parametrize("failure", ["directory", "not-utf-8", "field-over-csv-limit"])
+def test_unreadable_input_file_is_one_data_error_line(tmp_path, capsys, kind, failure):
+    command, header = INPUT_FILES[kind]
+    fit = tmp_path / "fit.csv"
+    fit.write_text(FIT_HEADER + FIT_ROWS)
+    path = tmp_path / "input.csv"
+    if failure == "directory":
+        path.mkdir()
+        message = f"cannot read {path}: Is a directory"
+    elif failure == "not-utf-8":
+        path.write_bytes(header.encode() + b"\xff,1,2,3\n")
+        message = f"cannot read {path}: not UTF-8 text (invalid start byte)"
+    else:
+        path.write_text(header + "1" * 131_073 + "\n")
+        message = f"{path}:2: field larger than field limit (131072)"
+    argv = [str(fit) if arg == "{fit}" else arg for arg in command]
+    assert run_cli(capsys, *argv, str(path)) == (2, "", f"data error: {message}\n")
 
 
 class TestProcessEntry:

@@ -95,8 +95,14 @@ def invocations(draw, workdir: Path):
             cells = draw(st.lists(st.sampled_from(cells), min_size=width - 1, max_size=width + 1))
         rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=8,
                              unique_by=(lambda row: row[0]) if clean else None))
+        data = ("\n".join([header, *(",".join(row) for row in rows)]) + "\n").encode()
+        if not clean and draw(st.booleans()):
+            # raw bytes spliced in: invalid UTF-8, NUL, quotes, line breaks
+            at = draw(st.integers(0, len(data)))
+            raw = draw(st.one_of(st.just(b"\xff"), st.binary(min_size=1, max_size=8)))
+            data = data[:at] + raw + data[at:]
         path = workdir / f"{kind}.csv"
-        path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+        path.write_bytes(data)
         return str(path)
 
     command = draw(st.sampled_from(["cost-min", "revenue-max", "profit", *CLOSED, "sfa",
@@ -104,13 +110,19 @@ def invocations(draw, workdir: Path):
     fmt = draw(st.sampled_from(["json", "csv"]))
     argv = [command, "--format", fmt]
     if command in ("cost-min", "revenue-max", "profit"):
-        argv += ["--input", table("costs", {0: YEAR}), "--max-iters", draw(MAX_ITERS)]
-        # only the ascents stop at a cap
-        argv += optional(OPTIMIZER_FLAGS + (["--cap"] if command != "cost-min" else []))
-        argv += draw(st.sampled_from([[], ["--mode", "analytic"], ["--trace", str(workdir / "t")]]))
+        argv += ["--input", table("costs", {0: YEAR})]
+        source = []
         if command == "profit":
-            argv += draw(st.sampled_from([[], ["--reference"],
-                                          ["--weights", table("weights", {0: YEAR})]]))
+            source = draw(st.sampled_from([[], ["--reference"],
+                                           ["--weights", table("weights", {0: YEAR})]]))
+        # --reference makes no run and refuses the flags of one; unclean examples may give them
+        if not (clean and "--reference" in source):
+            argv += ["--max-iters", draw(MAX_ITERS)]
+            # only the ascents stop at a cap
+            argv += optional(OPTIMIZER_FLAGS + (["--cap"] if command != "cost-min" else []))
+            argv += draw(st.sampled_from([[], ["--mode", "analytic"],
+                                          ["--trace", str(workdir / "t")]]))
+        argv += source
     elif command in CLOSED:
         argv += some(CLOSED[command])
         if draw(st.booleans()):

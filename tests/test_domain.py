@@ -247,6 +247,12 @@ class TestOptimizers:
     def test_config(self, values):
         holds(CONFIG, lambda: config_from(values, "marginal", True).resolved())
 
+    @given(st.one_of(st.none(), FLOATS, st.integers(), st.integers(-10 ** 400, 10 ** 400),
+                     st.text(max_size=3), st.lists(st.integers(), max_size=2)))
+    @SETTINGS
+    def test_config_seed(self, seed):
+        holds(["seed"], lambda: optimizers.OptimizerConfig(seed=seed).resolved())
+
     @pytest.mark.parametrize("runner", [optimizers.sgd_cost_min, optimizers.sga_revenue_max])
     @given(FLOATS, FLOATS, CONFIG_VALUES, MODES, st.booleans())
     @SETTINGS
@@ -348,6 +354,8 @@ class TestFitting:
      ParameterError, "L_star must be finite, got inf"),
     (lambda: optimizers.OptimizerConfig(max_iters=1.5),
      ParameterError, "max_iters must be an integer of at least 1, got 1.5"),
+    (lambda: optimizers.OptimizerConfig(seed=None),
+     ParameterError, "seed must be an integer, got None"),
     (lambda: production.returns_to_scale(0.5, 0.5, tol=math.nan),
      ParameterError, "tol must be non-negative, got nan"),
     (lambda: fitting.DesignMatrix.raw_scale([1, 2, math.nan, 4], [1, 3, 2, 5], [1, 2, 3, 4]),
@@ -363,7 +371,7 @@ class TestFitting:
                                            1.0, 1e-300),
      DomainError, r"B\*I must be strictly positive, got 0.0"),
 ], ids=["params-P", "spec-K", "recovery-K", "shocks-sigma-v", "progress-L-star", "max-iters",
-        "scale-tol", "design-matrix", "design-outputs", "predict-S", "augmented-A-R",
+        "seed", "scale-tol", "design-matrix", "design-outputs", "predict-S", "augmented-A-R",
         "augmented-B-I"])
 def test_rejection_names_the_argument(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -61,6 +62,17 @@ class TestConfig:
         with pytest.raises(ParameterError,
                            match=f"^max_iters must be an integer of at least 1, got {max_iters}$"):
             OptimizerConfig(max_iters=max_iters)
+
+    @pytest.mark.parametrize("seed", [None, [1], 1.5, "7", math.nan])
+    def test_seed_must_be_an_integer(self, seed):
+        # seed=None would draw a new start on each call, seeded from the OS
+        with pytest.raises(ParameterError,
+                           match=f"^{re.escape(f'seed must be an integer, got {seed}')}$"):
+            OptimizerConfig(seed=seed)
+
+    def test_seed_beyond_the_float_range_is_an_integer(self):
+        config = OptimizerConfig(seed=-10 ** 400)
+        assert config.initial_point() == config.initial_point()
 
     def test_seed_zero_initial_point_is_stable(self):
         assert OptimizerConfig(seed=0).initial_point() == (

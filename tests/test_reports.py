@@ -15,7 +15,7 @@ from dcecon.optimizers import OptimizerConfig, sgd_cost_min
 from dcecon.production import CostRecord
 from dcecon.reports import (TRACE_SLICE_ROWS, RunReport, ingest_costs, ingest_shares,
                             ingest_weights, parse_number, read_by_year, read_numeric_csv,
-                            record_row, run_table)
+                            record_row, reference_profit_report, run_table)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -179,16 +179,27 @@ class TestRunTable:
             assert row["profit_cd"] == pytest.approx(row["max_rev_cd"] - row["min_cost_cd"])
 
     def test_profit_reference_mode_reproduces_reference_rows(self):
-        report = run_table("profit", self.records(), FAST_CONFIG, use_reference=True)
-        expected = reference.reference_profit_rows()
+        # the costs of the records are not read: each row is the reference year's
+        records = [CostRecord(2009, 1.0, 2.0), CostRecord(1997, 3.0, 4.0)]
+        report = reference_profit_report(records)
+        assert (report.command, report.config) == ("profit", {})
+        assert [row["year"] for row in report.rows] == [1997, 2009]
         for row in report.rows:
-            year = row.pop("year")
-            assert row == pytest.approx(expected[year])
-        assert report.warnings
+            year = row["year"]
+            record = reference.COST_RECORDS[year]
+            w1, w2, _ = reference.LINEAR_COST_TABLE[year]
+            assert row == {"year": year, **reports.profit_row(
+                reference.MAX_REVENUE_TABLE[year].objective,
+                reference.MIN_COST_TABLE[year].objective,
+                w1 * record.server_cost + w2 * record.power_cooling_cost)}
+        assert report.warnings == [
+            "profit computed from bundled reference objectives, not fresh runs"]
+        assert report.reference_note == "comparable to the bundled reference profit table"
 
     def test_reference_mode_rejects_unknown_years(self):
-        with pytest.raises(ParameterError):
-            run_table("profit", [CostRecord(1890, 5, 5)], FAST_CONFIG, use_reference=True)
+        with pytest.raises(ParameterError,
+                           match=r"^reference mode has no data for years \[1890\]$"):
+            reference_profit_report([CostRecord(1890, 5, 5), CostRecord(1997, 5, 5)])
 
     def test_profit_needs_weights_for_unknown_years(self):
         with pytest.raises(ParameterError, match="weights"):
