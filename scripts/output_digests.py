@@ -60,6 +60,8 @@ INPUTS = {
                          "5,7,25.1\n0,6,47.9\n20,33,209.0\n41,18,282.5\n",
     # Latin-1, not UTF-8
     "latin1_shares.csv": b"firm,share_percent\n\xc9tat,50\n",
+    # a year with neither bundled weights nor reference objectives
+    "year_1890.csv": "year,new_server_cost,power_cooling_cost\n1890,65,5\n",
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -195,6 +197,12 @@ def invocations(quick):
         (("hhi", "--input", "inputs/latin1_shares.csv"), False),
         (("profit", *COSTS, "--reference", "--trace", "{trace}"), False),
         (("profit", *COSTS, "--reference", "--max-iters", "5"), False),
+    ]
+    # profit over a year without weights, and --reference over a year without
+    # reference objectives (exit 2)
+    calls += [
+        (("profit", "--input", "inputs/year_1890.csv"), False),
+        (("profit", "--input", "inputs/year_1890.csv", "--reference"), False),
     ]
     return [argv for argv, slow in calls if not (quick and slow)]
 

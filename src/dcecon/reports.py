@@ -3,8 +3,9 @@
 A RunReport is the canonical, reproducible record of one CLI invocation: the
 command, the fully resolved configuration (seed and initialization pinned), the
 per-year result rows, any warnings, and a note naming the bundled reference
-table the run is comparable to. JSON is the canonical encoding and round-trips
-losslessly; CSV is a lossy convenience view of the rows.
+table the run is comparable to. RunReport.render is its only serializer. JSON
+is the canonical encoding: its keys are the field names, so
+RunReport(**json.loads(text)) rebuilds the report. CSV is a lossy view of the rows.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (DOMAINS, DataValidationError, DomainError, EconModelError,
-                     ParameterError, check_domain)
+from .errors import (DataValidationError, DomainError, EconModelError, ParameterError,
+                     check_domain)
 from .optimizers import OptimizerConfig, OptimResult, sga_revenue_max, sgd_cost_min
 from .production import CostRecord, linear_cost
 
@@ -93,9 +94,7 @@ def parse_number(path, line: int, row: Mapping[str, str], column: str,
     if not math.isfinite(value):
         raise DataValidationError(
             f"{path}:{line}: non-finite value {row[column]!r} in column {column!r}")
-    inside, requirement = DOMAINS[domain]
-    if not inside(value):
-        raise DataValidationError(f"{path}:{line}: {column} must {requirement}, got {value}")
+    check_domain(f"{path}:{line}: {column}", value, domain, DataValidationError)
     return value
 
 
@@ -171,41 +170,29 @@ class RunReport:
     reference_note: Optional[str] = None
     summary: Optional[Dict] = None
 
-    def to_json(self) -> str:
-        # vars(self) holds the fields in declaration order; dataclasses.asdict would deep-copy them
-        return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        payload = json.loads(text)
-        return cls(command=payload["command"], config=payload["config"], rows=payload["rows"],
-                   warnings=payload.get("warnings", []),
-                   reference_note=payload.get("reference_note"), summary=payload.get("summary"))
-
-    def to_csv(self) -> str:
-        """Rows only (no config, warnings, or nested structures)."""
-        buffer = io.StringIO()
-        if self.rows:
-            writer = csv.DictWriter(buffer, fieldnames=list(self.rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(self.rows)
-        return buffer.getvalue()
-
     def render(self, fmt: str = "json") -> str:
-        """The report as JSON or CSV; a NaN or infinite value anywhere is an error."""
+        """The report as JSON (every field, by name) or CSV (the rows only); a NaN
+        or infinite value anywhere is an error."""
         field_name = _non_finite_field(vars(self))
         if field_name is not None:
             raise EconModelError(f"non-finite value in report field {field_name}")
         if fmt == "json":
-            return self.to_json()
+            # vars(self) holds the fields in declaration order; asdict would deep-copy them
+            return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
         if fmt == "csv":
-            return self.to_csv()
+            buffer = io.StringIO()
+            if self.rows:
+                writer = csv.DictWriter(buffer, fieldnames=list(self.rows[0].keys()),
+                                        lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(self.rows)
+            return buffer.getvalue()
         raise ParameterError(f"unknown format {fmt!r}")
 
 
 def record_row(record) -> Dict:
     """A result dataclass as a report row: its fields in declaration order, None ones dropped."""
-    # vars(record) holds the fields in declaration order, as in RunReport.to_json
+    # vars(record) holds the fields in declaration order, as in RunReport.render
     return {name: value for name, value in vars(record).items() if value is not None}
 
 
@@ -326,8 +313,9 @@ def run_year(runner, record: CostRecord, config: OptimizerConfig, command: str,
     """runner(record, config) with the year prefixed to its errors.
 
     When trace_dir is given the run records its trajectory, which is written to
-    trace_dir/<command>_<year>.csv; an OSError from creating the directory or
-    writing the file is raised as a DataValidationError naming the path.
+    trace_dir/<command>_<year>.csv and not returned: the result's trajectory is
+    empty. An OSError from creating the directory or writing the file is raised
+    as a DataValidationError naming the path.
     """
     if trace_dir is not None:
         config = dataclasses.replace(config, record_trajectory=True)
@@ -343,6 +331,7 @@ def run_year(runner, record: CostRecord, config: OptimizerConfig, command: str,
         except OSError as exc:
             raise DataValidationError(
                 f"cannot write trace {exc.filename or path}: {exc.strerror or exc}") from None
+        result.trajectory = []
     return result
 
 
@@ -373,7 +362,7 @@ def profit_table(records: Sequence[CostRecord], config: OptimizerConfig,
         raise ParameterError("records must be non-empty")
     missing = [r.year for r in records if r.year not in linear_weights]
     if missing:
-        raise ParameterError(f"linear weights missing for years {missing}")
+        raise DataValidationError(f"linear weights missing for years {missing}")
     rows: Dict[int, Dict[str, float]] = {}
     for record in sorted(records, key=lambda r: r.year):
         revenue = run_year(sga_revenue_max, record, config, "revenue_max", trace_dir)
@@ -440,7 +429,7 @@ def reference_profit_report(records: Sequence[CostRecord]) -> RunReport:
     years = sorted({r.year for r in records})
     missing = [year for year in years if year not in reference.YEARS]
     if missing:
-        raise ParameterError(f"reference mode has no data for years {missing}")
+        raise DataValidationError(f"reference mode has no data for years {missing}")
     rows = []
     for year in years:
         record, (w1, w2, _) = reference.COST_RECORDS[year], reference.LINEAR_COST_TABLE[year]

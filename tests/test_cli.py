@@ -283,6 +283,17 @@ class TestOptimizerCommands:
         assert out == ""
         assert err == f"data error: {weights}:{line}: {message}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        ((), "linear weights missing for years [1890]"),
+        (("--reference",), "reference mode has no data for years [1890]"),
+    ], ids=["no-weights", "reference"])
+    def test_profit_year_without_data_is_data_error(self, tmp_path, capsys, flags, message):
+        costs = tmp_path / "costs.csv"
+        costs.write_text("year,new_server_cost,power_cooling_cost\n1890,65,5\n")
+        code, out, err = run_cli(capsys, "profit", "--input", str(costs), *flags)
+        assert (code, out) == (2, "")
+        assert err == f"data error: {message}\n"
+
     def test_weights_and_reference_are_exclusive(self, capsys):
         code, out, err = run_cli(capsys, "profit", "--input", str(DATA_DIR / "tables.csv"),
                                  "--weights", str(DATA_DIR / "linear_weights.csv"),

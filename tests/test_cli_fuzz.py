@@ -28,8 +28,8 @@ ANY = st.one_of(
                      "true", " ", '"']),
 )
 # the bundled reference years (which need no profit weights) or any other
-YEAR = st.one_of(st.sampled_from(["1997", "2002", "2009", "2012"]),
-                 st.integers(1990, 2030).map(str))
+REFERENCE_YEAR = st.sampled_from(["1997", "2002", "2009", "2012"])
+YEAR = st.one_of(REFERENCE_YEAR, st.integers(1990, 2030).map(str))
 # clean values for the flags that PLAUSIBLE would mostly make invalid
 CLEAN_VALUES = {
     "--seed": st.integers(0, 2**32).map(str),
@@ -110,11 +110,13 @@ def invocations(draw, workdir: Path):
     fmt = draw(st.sampled_from(["json", "csv"]))
     argv = [command, "--format", fmt]
     if command in ("cost-min", "revenue-max", "profit"):
-        argv += ["--input", table("costs", {0: YEAR})]
         source = []
         if command == "profit":
             source = draw(st.sampled_from([[], ["--reference"],
                                            ["--weights", table("weights", {0: YEAR})]]))
+        # a clean --reference example gives only the years it has data for
+        years = REFERENCE_YEAR if clean and "--reference" in source else YEAR
+        argv += ["--input", table("costs", {0: years})]
         # --reference makes no run and refuses the flags of one; unclean examples may give them
         if not (clean and "--reference" in source):
             argv += ["--max-iters", draw(MAX_ITERS)]

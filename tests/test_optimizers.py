@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dcecon.errors import NumericalOverflowError, ParameterError
+from dcecon.errors import DataValidationError, NumericalOverflowError, ParameterError
 from dcecon.optimizers import (
     OptimizerConfig,
     OptimResult,
@@ -298,7 +298,7 @@ class TestProfitTable:
         assert rows[2000]["profit_linear"] == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_weights_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataValidationError):
             profit_table([RECORD_1997], OptimizerConfig(max_iters=10), {})
 
     def test_empty_records_rejected(self):

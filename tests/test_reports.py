@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -110,16 +111,16 @@ class TestRunReport:
 
     def test_json_round_trip_is_lossless(self):
         report = self.sample()
-        assert RunReport.from_json(report.to_json()) == report
+        assert RunReport(**json.loads(report.render())) == report
 
     def test_json_is_valid_and_complete(self):
-        payload = json.loads(self.sample().to_json())
+        payload = json.loads(self.sample().render("json"))
         assert payload["command"] == "cost_min"
         assert payload["config"]["seed"] == 3
         assert len(payload["rows"]) == 2
 
     def test_csv_view_contains_rows_only(self):
-        text = self.sample().to_csv()
+        text = self.sample().render("csv")
         lines = text.strip().splitlines()
         assert lines[0] == "year,min_cost"
         assert len(lines) == 3
@@ -140,12 +141,6 @@ class TestRunReport:
         report.summary = {"nested": [1.0, {"x": value}]}
         with pytest.raises(EconModelError, match=r"report field summary\.nested\[1\]\.x$"):
             report.render(fmt)
-
-    def test_json_never_encodes_non_finite_values(self):
-        report = self.sample()
-        report.config["learning_rate"] = math.nan
-        with pytest.raises(ValueError):
-            report.to_json()
 
 
 class TestRunTable:
@@ -197,12 +192,13 @@ class TestRunTable:
         assert report.reference_note == "comparable to the bundled reference profit table"
 
     def test_reference_mode_rejects_unknown_years(self):
-        with pytest.raises(ParameterError,
+        with pytest.raises(DataValidationError,
                            match=r"^reference mode has no data for years \[1890\]$"):
             reference_profit_report([CostRecord(1890, 5, 5), CostRecord(1997, 5, 5)])
 
     def test_profit_needs_weights_for_unknown_years(self):
-        with pytest.raises(ParameterError, match="weights"):
+        with pytest.raises(DataValidationError,
+                           match=r"^linear weights missing for years \[1890\]$"):
             run_table("profit", [CostRecord(1890, 5, 5)], FAST_CONFIG)
 
     def test_unknown_command_rejected(self):
@@ -248,6 +244,28 @@ class TestRunTable:
             trace = (tmp_path / "profit_table" / name).read_bytes()
             assert trace.count(b"\n") > 2
             assert trace == (tmp_path / "run_table" / name).read_bytes()
+
+    def test_traced_run_year_returns_no_points(self, tmp_path):
+        result = reports.run_year(sgd_cost_min, self.records()[0], FAST_CONFIG, "cost_min",
+                                  tmp_path)
+        assert result.trajectory == []
+        lines = (tmp_path / "cost_min_1997.csv").read_bytes().splitlines()
+        assert len(lines) == result.iterations + 2
+
+    def test_traced_years_hold_one_trajectory_at_a_time(self, tmp_path):
+        # 6,001 rows are below 2 * TRACE_SLICE_ROWS, so no forked child formats a slice
+        # that tracemalloc would not see
+        config = OptimizerConfig(seed=3, max_iters=6000)
+        peaks = []
+        for count in (1, 2):
+            tracemalloc.start()
+            try:
+                run_table("cost_min", self.records()[:count], config,
+                          trace_dir=tmp_path / str(count))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_run_year_into_an_unwritable_trace_dir_is_data_error(self, tmp_path):
         trace_dir = write(tmp_path, "taken", "") / "traces"
