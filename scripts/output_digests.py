@@ -204,6 +204,14 @@ def invocations(quick):
         (("profit", "--input", "inputs/year_1890.csv"), False),
         (("profit", "--input", "inputs/year_1890.csv", "--reference"), False),
     ]
+    # a budget of 0, and a synthesis with an infinite elasticity or a NaN intercept (exit 3)
+    synthesis = ("sfa", "--S", "9", "--I", "16", "--alpha", "0.6", "--beta", "0.3",
+                 "--synthesize", "2")
+    calls += [
+        (("revenue-max-closed", *CLOSED["revenue-max-closed"], "--budget", "0"), False),
+        ((*synthesis, "--alpha", "inf"), False),
+        ((*synthesis, "--intercept", "nan"), False),
+    ]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 

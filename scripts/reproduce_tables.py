@@ -8,13 +8,12 @@ Run from the repository root:  python3 scripts/reproduce_tables.py
 """
 
 from dcecon import reference
-from dcecon.production import CobbDouglasParams, evaluate_output, linear_cost
+from dcecon.production import evaluate_output, linear_cost
 from dcecon.reports import reference_profit_report
 
 
 def evaluate_row(row):
-    params = CobbDouglasParams(1.0, row.alpha, row.beta)
-    return evaluate_output(params, row.server_cost, row.power_cooling_cost)
+    return evaluate_output(1.0, row.alpha, row.beta, row.server_cost, row.power_cooling_cost)
 
 
 def main():

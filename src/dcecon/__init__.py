@@ -19,22 +19,21 @@ __version__ = "0.1.0"
 
 # the exported names of each submodule
 _EXPORTS = {
-    "closed_form": ("BudgetProblem", "ClosedFormSolution", "ProfitSolution", "cost_min",
-                    "profit_max", "revenue_max"),
+    "closed_form": ("ClosedFormSolution", "ProfitSolution", "cost_min", "profit_max",
+                    "revenue_max"),
     "concentration": ("Concentration", "MarketShares", "ShareEntry", "classify_hhi", "hhi"),
     "errors": ("DataValidationError", "DegenerateProblemError", "DomainError",
                "EconModelError", "InfeasibleProblemError", "NumericalOverflowError",
                "ParameterError", "SingularSystemError", "UnboundedProblemError"),
     "fitting": ("DesignMatrix", "FitResult", "QuadraticProgram", "certify_solution",
                 "ols_fit", "predict", "qp_fit", "qp_solve", "r_squared"),
-    "frontier": ("FrontierSpec", "draw_shocks", "elasticities_from_frontier",
-                 "frontier_output", "synthesize", "technical_efficiency"),
+    "frontier": ("draw_shocks", "elasticities_from_frontier", "frontier_output", "synthesize",
+                 "technical_efficiency"),
     "optimizers": ("OptimResult", "OptimizerConfig", "Termination", "sga_revenue_max",
                    "sgd_cost_min", "sgd_linear_cost_min"),
-    "production": ("CobbDouglasParams", "CostRecord", "RdDeterminants", "ScaleClassification",
-                   "ScaleRegime", "TechProgress", "evaluate_augmented", "evaluate_output",
-                   "harrod_progress", "invert_harrod", "invert_solow", "linear_cost",
-                   "returns_to_scale", "solow_progress"),
+    "production": ("CostRecord", "RdDeterminants", "ScaleClassification", "ScaleRegime",
+                   "evaluate_augmented", "evaluate_output", "harrod_progress", "invert_harrod",
+                   "invert_solow", "linear_cost", "returns_to_scale", "solow_progress"),
     "reports": ("RunReport", "ingest_costs", "profit_table", "run_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -174,7 +174,7 @@ def _cmd_closed(args) -> RunReport:
     inputs = (args.w1, args.w2, args.recurring, args.infrastructure, args.alpha, args.beta)
     config = dict(zip(("w1", "w2", "R", "I", "alpha", "beta"), inputs))
     if args.command == "revenue-max-closed":
-        solution = closed_form.revenue_max(closed_form.BudgetProblem(args.budget, *inputs), rd)
+        solution = closed_form.revenue_max(args.budget, *inputs, rd)
         config = {"m": args.budget, **config}
     elif args.command == "cost-min-closed":
         solution = closed_form.cost_min(args.target_output, *inputs, rd)
@@ -220,16 +220,18 @@ def _cmd_sfa(args) -> RunReport:
 
 
 def _cmd_fit(args) -> RunReport:
-    from . import fitting  # numpy is loaded only by the command that needs it
-
     # the log scale takes the logarithm of every value
     data = read_numeric_csv(args.input, [args.x1, args.x2, args.target],
                             "positive" if args.scale == "log" else "finite")
+    block = (read_numeric_csv(args.constrained, ["c1", "c2", "c3", "b"])
+             if args.constrained else None)
+    # numpy is loaded only by the command that needs it, and only once its files have been read
+    from . import fitting
+
     builder = fitting.DesignMatrix.log_scale if args.scale == "log" else fitting.DesignMatrix.raw_scale
     design = builder(data[args.x1], data[args.x2], data[args.target],
                      intercept=not args.no_intercept)
-    if args.constrained:
-        block = read_numeric_csv(args.constrained, ["c1", "c2", "c3", "b"])
+    if block is not None:
         # the block is written over x = (K', alpha, beta), and K' is 0 without an intercept
         columns = ["c2", "c3"] if args.no_intercept else ["c1", "c2", "c3"]
         C = list(zip(*(block[column] for column in columns)))

@@ -22,23 +22,6 @@ from .production import RdDeterminants, invert_harrod, invert_solow
 
 
 @dataclass(frozen=True)
-class BudgetProblem:
-    """Production maximization under the budget w1*A*R + w2*B*I = m."""
-
-    m: float
-    w1: float
-    w2: float
-    R: float
-    I: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("m", "w1", "w2", "R", "I", "alpha", "beta"):
-            check_domain(name, getattr(self, name), "positive", ParameterError)
-
-
-@dataclass(frozen=True)
 class ClosedFormSolution:
     """Optimal augmentation factors plus the objective value at the optimum."""
 
@@ -72,26 +55,30 @@ def _solution(cls, A: float, B: float, rd: Optional[RdDeterminants], **values):
 
 
 @overflow_as_error
-def revenue_max(problem: BudgetProblem, rd: Optional[RdDeterminants] = None) -> ClosedFormSolution:
-    """Budget-constrained output maximum.
+def revenue_max(m: float, w1: float, w2: float, R: float, I: float,
+                alpha: float, beta: float,
+                rd: Optional[RdDeterminants] = None) -> ClosedFormSolution:
+    """Output maximum under the budget w1*A*R + w2*B*I = m.
 
     A = alpha*m / (w1*R*(alpha+beta)) and B = beta*m / (w2*I*(alpha+beta)); the
     budget is exhausted exactly and the objective is (A*R)^alpha * (B*I)^beta.
     """
-    p = problem
-    n = p.alpha + p.beta
-    price_A, price_B = p.w1 * p.R * n, p.w2 * p.I * n
+    for name, value in (("m", m), ("w1", w1), ("w2", w2), ("R", R),
+                        ("I", I), ("alpha", alpha), ("beta", beta)):
+        check_domain(name, value, "positive", ParameterError)
+    n = alpha + beta
+    price_A, price_B = w1 * R * n, w2 * I * n
     if not (price_A > 0 and price_B > 0):
         raise DomainError(f"price products underflow to 0: w1*R*n = {price_A}, w2*I*n = {price_B}")
-    A = p.alpha * p.m / price_A
-    B = p.beta * p.m / price_B
-    u, v = A * p.R, B * p.I
+    A = alpha * m / price_A
+    B = beta * m / price_B
+    u, v = A * R, B * I
     # inf / inf: alpha*m and a price both overflowed (an infinite u or v is named later)
     if math.isnan(u) or math.isnan(v):
         raise NumericalOverflowError(f"effective inputs overflow: A*R = {u}, B*I = {v}")
     if not (u > 0 and v > 0):
         raise DomainError(f"effective inputs underflow to 0: A*R = {u}, B*I = {v}")
-    objective = math.exp(p.alpha * math.log(u) + p.beta * math.log(v))
+    objective = math.exp(alpha * math.log(u) + beta * math.log(v))
     return _solution(ClosedFormSolution, A, B, rd, objective=objective)
 
 

@@ -57,15 +57,20 @@ def overflow_as_error(fn):
     return checked
 
 
-# domain -> (membership test, what a value must do); no test holds for NaN
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# domain -> (membership test, what a value must do); no test holds for NaN, and no
+# integer domain holds for a bool
 DOMAINS = {
     "finite": (lambda x: x == x, "be finite"),
     "non-negative": (lambda x: x >= 0, "be non-negative"),
     "positive": (lambda x: x > 0, "be strictly positive"),
     "unit": (lambda x: 0 < x < 1, "lie strictly inside (0, 1)"),
     "percent": (lambda x: 0 <= x <= 100, "lie in [0, 100]"),
-    "count": (lambda x: isinstance(x, int) and x >= 1, "be an integer of at least 1"),
-    "integer": (lambda x: isinstance(x, int), "be an integer"),
+    "count": (lambda x: _is_integer(x) and x >= 1, "be an integer of at least 1"),
+    "integer": (_is_integer, "be an integer"),
 }
 
 

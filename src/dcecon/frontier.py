@@ -18,28 +18,16 @@ from .errors import (DomainError, ParameterError, SingularSystemError, check_dom
                      overflow_as_error)
 
 
-@dataclass(frozen=True)
-class FrontierSpec:
-    """Log-frontier intercept, elasticities, shock v and inefficiency u >= 0."""
-
-    K: float
-    alpha: float
-    beta: float
-    v: float = 0.0
-    u: float = 0.0
-
-    def __post_init__(self):
-        for name in ("K", "alpha", "beta", "v"):
-            check_domain(name, getattr(self, name), "finite", DomainError)
-        check_domain("u", self.u, "non-negative", DomainError)
-
-
 @overflow_as_error
-def frontier_output(spec: FrontierSpec, S: float, I: float) -> float:
-    """y = exp(K + alpha*ln S + beta*ln I + v - u)."""
+def frontier_output(K: float, alpha: float, beta: float, S: float, I: float,
+                    v: float = 0.0, u: float = 0.0) -> float:
+    """y = exp(K + alpha*ln S + beta*ln I + v - u) with shock v and inefficiency u >= 0."""
+    for name, value in (("K", K), ("alpha", alpha), ("beta", beta), ("v", v)):
+        check_domain(name, value, "finite", DomainError)
+    check_domain("u", u, "non-negative", DomainError)
     check_domain("S", S, "positive", DomainError)
     check_domain("I", I, "positive", DomainError)
-    return math.exp(spec.K + spec.alpha * math.log(S) + spec.beta * math.log(I) + spec.v - spec.u)
+    return math.exp(K + alpha * math.log(S) + beta * math.log(I) + v - u)
 
 
 def technical_efficiency(u: float) -> float:
@@ -92,6 +80,5 @@ def synthesize(K: float, alpha: float, beta: float, S: float, I: float,
     check_domain("count", count, "count", ParameterError)
     for _ in range(count):
         v, u = draw_shocks(rng, sigma_v, sigma_u)
-        spec = FrontierSpec(K=K, alpha=alpha, beta=beta, v=v, u=u)
-        yield SyntheticObservation(v=v, u=u, output=frontier_output(spec, S, I),
+        yield SyntheticObservation(v=v, u=u, output=frontier_output(K, alpha, beta, S, I, v, u),
                                    efficiency=technical_efficiency(u))

@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import List, Literal, Optional, Tuple, get_args
 
 from .errors import ParameterError, check_domain, overflow_as_error
-from .production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
+from .production import CostRecord, evaluate_output, linear_cost
 
 GradientMode = Literal["marginal", "analytic"]
 
@@ -176,7 +176,7 @@ def _run(record: CostRecord, config: OptimizerConfig, direction: float,
     else:
         iterations = max_iters
 
-    objective = evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), L, K)
+    objective = evaluate_output(1.0, alpha, beta, L, K)
     return OptimResult(alpha=alpha, beta=beta, objective=objective,
                        iterations=iterations, trajectory=trajectory,
                        terminated_by=terminated_by)

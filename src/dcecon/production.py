@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import (DomainError, NumericalOverflowError, ParameterError, check_domain,
                      overflow_as_error)
@@ -29,20 +29,6 @@ class ScaleRegime(str, Enum):
 class ScaleClassification(NamedTuple):
     regime: ScaleRegime
     n: float
-
-
-@dataclass(frozen=True)
-class CobbDouglasParams:
-    """Total factor productivity P and the two output elasticities."""
-
-    P: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        check_domain("P", self.P, "positive", ParameterError)
-        check_domain("alpha", self.alpha, "non-negative", ParameterError)
-        check_domain("beta", self.beta, "non-negative", ParameterError)
 
 
 @dataclass(frozen=True)
@@ -68,36 +54,6 @@ class RdDeterminants:
 
 
 @dataclass(frozen=True)
-class TechProgress:
-    """Harrod factor A (labor augmenting) and Solow factor B (capital augmenting).
-
-    rd, L_star and K_star are present when the factors were built via
-    :meth:`from_determinants` and absent when A and B are given directly.
-    """
-
-    A: float
-    B: float
-    rd: Optional[RdDeterminants] = None
-    L_star: Optional[float] = None
-    K_star: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("A", "B", "L_star", "K_star"):
-            value = getattr(self, name)
-            if value is not None:
-                check_domain(name, value, "positive", ParameterError)
-
-    @classmethod
-    def from_determinants(cls, r: float, L_star: float, K_star: float,
-                          Gamma: float, Delta: float,
-                          alpha1: float, beta1: float) -> "TechProgress":
-        """Build A = r * L*^beta1 * Gamma^(1-beta1) and B = r * K*^alpha1 * Delta^(1-alpha1)."""
-        A, B = harrod_progress(r, L_star, Gamma, beta1), solow_progress(r, K_star, Delta, alpha1)
-        rd = RdDeterminants(r=r, Gamma=Gamma, Delta=Delta, alpha1=alpha1, beta1=beta1)
-        return cls(A=A, B=B, rd=rd, L_star=L_star, K_star=K_star)
-
-
-@dataclass(frozen=True)
 class CostRecord:
     """One year's observed input costs (currency units consistent within a series)."""
 
@@ -111,18 +67,24 @@ class CostRecord:
 
 
 @overflow_as_error
-def evaluate_output(params: CobbDouglasParams, L: float, K: float) -> float:
+def evaluate_output(P: float, alpha: float, beta: float, L: float, K: float) -> float:
     """Production output P * L^alpha * K^beta, evaluated as exp(ln P + a ln L + b ln K)."""
+    check_domain("P", P, "positive", ParameterError)
+    check_domain("alpha", alpha, "non-negative", ParameterError)
+    check_domain("beta", beta, "non-negative", ParameterError)
     check_domain("L", L, "positive", DomainError)
     check_domain("K", K, "positive", DomainError)
-    return math.exp(math.log(params.P) + params.alpha * math.log(L) + params.beta * math.log(K))
+    return math.exp(math.log(P) + alpha * math.log(L) + beta * math.log(K))
 
 
-def evaluate_augmented(tech: TechProgress, alpha: float, beta: float, R: float, I: float) -> float:
-    """Quasi form (A*R)^alpha * (B*I)^beta over recurring and infrastructure costs."""
-    for name, value in (("R", R), ("I", I), ("A*R", tech.A * R), ("B*I", tech.B * I)):
+def evaluate_augmented(A: float, B: float, alpha: float, beta: float, R: float, I: float) -> float:
+    """Quasi form (A*R)^alpha * (B*I)^beta over recurring and infrastructure costs, with
+    Harrod factor A (labor augmenting) and Solow factor B (capital augmenting)."""
+    check_domain("A", A, "positive", ParameterError)
+    check_domain("B", B, "positive", ParameterError)
+    for name, value in (("R", R), ("I", I), ("A*R", A * R), ("B*I", B * I)):
         check_domain(name, value, "positive", DomainError)
-    return evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), tech.A * R, tech.B * I)
+    return evaluate_output(1.0, alpha, beta, A * R, B * I)
 
 
 def harrod_progress(r: float, L_star: float, Gamma: float, beta1: float) -> float:

@@ -14,22 +14,23 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dcecon import reference
-from dcecon.closed_form import BudgetProblem, cost_min, profit_max, revenue_max
+from dcecon.closed_form import cost_min, profit_max, revenue_max
 from dcecon.concentration import Concentration, MarketShares, classify_hhi, hhi
 from dcecon.fitting import DesignMatrix, QuadraticProgram, certify_solution, ols_fit, qp_fit, qp_solve
-from dcecon.frontier import FrontierSpec, elasticities_from_frontier, frontier_output
+from dcecon.frontier import elasticities_from_frontier, frontier_output
 from dcecon.optimizers import (
     OptimizerConfig,
     Termination,
     sga_revenue_max,
     sgd_cost_min,
 )
-from dcecon.production import CobbDouglasParams, CostRecord, evaluate_output, linear_cost
+from dcecon.production import CostRecord, evaluate_output, linear_cost
 from dcecon.reports import reference_profit_report
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -47,8 +48,7 @@ def announce(criterion, name, ok, detail=""):
 
 
 def evaluate_row(row):
-    return evaluate_output(
-        CobbDouglasParams(1.0, row.alpha, row.beta), row.server_cost, row.power_cooling_cost)
+    return evaluate_output(1.0, row.alpha, row.beta, row.server_cost, row.power_cooling_cost)
 
 
 def reference_profit_rows():
@@ -230,7 +230,7 @@ class TestCriterion5ClosedFormVsOracles:
     N_POINTS = 10_000
 
     def _random_problem(self, rng):
-        return BudgetProblem(
+        return SimpleNamespace(
             m=rng.uniform(0.5, 50), w1=rng.uniform(0.1, 5), w2=rng.uniform(0.1, 5),
             R=rng.uniform(0.1, 20), I=rng.uniform(0.1, 20),
             alpha=rng.uniform(0.1, 3), beta=rng.uniform(0.1, 3),
@@ -241,7 +241,7 @@ class TestCriterion5ClosedFormVsOracles:
         np_rng = np.random.default_rng(501)
         for _ in range(self.N_PROBLEMS):
             p = self._random_problem(rng)
-            sol = revenue_max(p)
+            sol = revenue_max(**vars(p))
             t = np_rng.uniform(1e-9, 1.0 - 1e-9, size=self.N_POINTS)
             u = t * p.m / p.w1
             v = (1.0 - t) * p.m / p.w2
@@ -307,7 +307,7 @@ class TestCriterion6FrontierRoundTrip:
             S, I = rng.uniform(0.5, 80), rng.uniform(0.5, 80)
             if abs(math.log(S / I)) < 0.05:
                 I = S * rng.choice([0.25, 4.0])
-            y = frontier_output(FrontierSpec(K=K, alpha=alpha, beta=beta, v=v, u=u), S, I)
+            y = frontier_output(K, alpha, beta, S, I, v=v, u=u)
             got_alpha, got_beta = elasticities_from_frontier(y, K, S, I, v=v, u=u, n=n)
             assert abs(got_alpha - alpha) <= 1e-10
             assert abs(got_beta - beta) <= 1e-10

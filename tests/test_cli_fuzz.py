@@ -156,15 +156,20 @@ def reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_invocation_keeps_the_exit_code_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
         argv, fmt = data.draw(invocations(Path(tmp)), label="argv")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+        code, out, err = run_main(argv)
     assert code in (0, 1, 2, 3), (code, err)
     if code == 0:
         assert err == ""
@@ -176,3 +181,17 @@ def test_every_invocation_keeps_the_exit_code_contract(data):
     else:
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+# the success path of profit --reference, which the draws above reach in few runs
+@given(rows=st.lists(st.tuples(REFERENCE_YEAR, PLAUSIBLE, PLAUSIBLE), min_size=1, max_size=4,
+                     unique_by=lambda row: row[0]))
+@settings(max_examples=100, deadline=None)
+def test_clean_reference_profit_exits_0_with_strict_json(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "costs.csv"
+        path.write_text("\n".join([HEADERS["costs"], *map(",".join, rows)]) + "\n")
+        code, out, err = run_main(["profit", "--input", str(path), "--reference"])
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=reject_constant)
+    assert [row["year"] for row in report["rows"]] == sorted(int(row[0]) for row in rows)

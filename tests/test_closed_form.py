@@ -1,17 +1,13 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcecon.closed_form import (
-    BudgetProblem,
-    cost_min,
-    profit_max,
-    revenue_max,
-)
+from dcecon.closed_form import cost_min, profit_max, revenue_max
 from dcecon.errors import (DegenerateProblemError, DomainError, EconModelError,
                            NumericalOverflowError, ParameterError)
 from dcecon.production import RdDeterminants, harrod_progress, linear_cost, solow_progress
@@ -24,7 +20,8 @@ def rel_err(value, expected):
 
 
 def random_budget_problem(rng):
-    return BudgetProblem(
+    """revenue_max's inputs m, w1, w2, R, I, alpha and beta, by name."""
+    return SimpleNamespace(
         m=rng.uniform(0.5, 50),
         w1=rng.uniform(0.1, 5),
         w2=rng.uniform(0.1, 5),
@@ -44,13 +41,13 @@ def budget_line_objective(problem, t):
 
 class TestRevenueMax:
     def test_symmetric_unit_case(self):
-        sol = revenue_max(BudgetProblem(m=2, w1=1, w2=1, R=1, I=1, alpha=1, beta=1))
+        sol = revenue_max(m=2, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)
         assert sol.A == pytest.approx(1.0)
         assert sol.B == pytest.approx(1.0)
         assert sol.objective == pytest.approx(1.0)
 
     def test_hand_arithmetic(self):
-        sol = revenue_max(BudgetProblem(m=6, w1=1, w2=2, R=2, I=1, alpha=2, beta=1))
+        sol = revenue_max(m=6, w1=1, w2=2, R=2, I=1, alpha=2, beta=1)
         assert sol.A == pytest.approx(2.0)
         assert sol.B == pytest.approx(1.0)
         assert sol.objective == pytest.approx(16.0)
@@ -59,7 +56,7 @@ class TestRevenueMax:
         rng = random.Random(3)
         for _ in range(200):
             p = random_budget_problem(rng)
-            sol = revenue_max(p)
+            sol = revenue_max(**vars(p))
             spend = p.w1 * sol.A * p.R + p.w2 * sol.B * p.I
             assert rel_err(spend, p.m) <= 1e-12
 
@@ -68,26 +65,25 @@ class TestRevenueMax:
         np_rng = np.random.default_rng(5)
         for _ in range(30):
             p = random_budget_problem(rng)
-            sol = revenue_max(p)
+            sol = revenue_max(**vars(p))
             t = np_rng.uniform(1e-6, 1.0 - 1e-6, size=ORACLE_POINTS)
             oracle_best = budget_line_objective(p, t).max()
             assert oracle_best <= sol.objective * (1.0 + 1e-6)
 
     def test_objective_consistent_with_augmented_evaluation(self):
-        from dcecon.production import TechProgress, evaluate_augmented
+        from dcecon.production import evaluate_augmented
 
         rng = random.Random(37)
         for _ in range(100):
             p = random_budget_problem(rng)
-            sol = revenue_max(p)
-            tech = TechProgress(A=sol.A, B=sol.B)
-            re_evaluated = evaluate_augmented(tech, p.alpha, p.beta, p.R, p.I)
+            sol = revenue_max(**vars(p))
+            re_evaluated = evaluate_augmented(sol.A, sol.B, p.alpha, p.beta, p.R, p.I)
             assert rel_err(re_evaluated, sol.objective) <= 1e-10
 
     def test_rd_back_out_composes_to_identity(self):
         rd = RdDeterminants(r=1.05, Gamma=3.0, Delta=6.0, alpha1=0.4, beta1=0.3)
-        p = BudgetProblem(m=10, w1=1.5, w2=0.8, R=4, I=7, alpha=0.6, beta=0.9)
-        sol = revenue_max(p, rd)
+        p = SimpleNamespace(m=10, w1=1.5, w2=0.8, R=4, I=7, alpha=0.6, beta=0.9)
+        sol = revenue_max(**vars(p), rd=rd)
         assert sol.L_star is not None and sol.K_star is not None
         assert rel_err(harrod_progress(rd.r, sol.L_star, rd.Gamma, rd.beta1), sol.A) <= 1e-12
         assert rel_err(solow_progress(rd.r, sol.K_star, rd.Delta, rd.alpha1), sol.B) <= 1e-12
@@ -95,28 +91,27 @@ class TestRevenueMax:
     def test_underflowing_effective_input_is_domain_error(self):
         # A = 0.5 * 1e-300 / 1e300 underflows to 0, so ln(A * R) has no value
         with pytest.raises(DomainError, match="^effective inputs underflow to 0: A\\*R = 0.0, "):
-            revenue_max(BudgetProblem(m=1e-300, w1=1e300, w2=1, R=1, I=1, alpha=0.5, beta=0.5))
+            revenue_max(m=1e-300, w1=1e300, w2=1, R=1, I=1, alpha=0.5, beta=0.5)
 
     def test_overflowing_effective_input_is_named(self):
         # alpha*m and w1*R*n both overflow to inf, so A = inf/inf is NaN, not an underflow
         with pytest.raises(NumericalOverflowError,
                            match="^effective inputs overflow: A\\*R = nan, B\\*I = 1.0$"):
-            revenue_max(BudgetProblem(m=1e300, w1=1e300, w2=1, R=1e300, I=1,
-                                      alpha=1e300, beta=1))
+            revenue_max(m=1e300, w1=1e300, w2=1, R=1e300, I=1, alpha=1e300, beta=1)
 
     @pytest.mark.parametrize("name", ["m", "w1", "w2", "R", "I", "alpha", "beta"])
     def test_infinite_problem_input_rejected(self, name):
         values = dict(m=1, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)
         with pytest.raises(ParameterError, match=f"^{name} must be finite, got inf$"):
-            BudgetProblem(**{**values, name: math.inf})
+            revenue_max(**{**values, name: math.inf})
 
     def test_problem_validation(self):
         with pytest.raises(ParameterError):
-            BudgetProblem(m=0, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)
+            revenue_max(m=0, w1=1, w2=1, R=1, I=1, alpha=1, beta=1)
         with pytest.raises(ParameterError):
-            BudgetProblem(m=1, w1=1, w2=1, R=1, I=1, alpha=-1, beta=1)
+            revenue_max(m=1, w1=1, w2=1, R=1, I=1, alpha=-1, beta=1)
         with pytest.raises(ParameterError):
-            BudgetProblem(m=1, w1=math.nan, w2=1, R=1, I=1, alpha=1, beta=1)
+            revenue_max(m=1, w1=math.nan, w2=1, R=1, I=1, alpha=1, beta=1)
 
 
 class TestCostMin:
@@ -170,7 +165,7 @@ class TestCostMin:
         rng = random.Random(19)
         for _ in range(100):
             p = random_budget_problem(rng)
-            y_star = revenue_max(p).objective
+            y_star = revenue_max(**vars(p)).objective
             back = cost_min(y_star, p.w1, p.w2, p.R, p.I, p.alpha, p.beta)
             assert rel_err(back.objective, p.m) <= 1e-10
 
@@ -278,7 +273,7 @@ class TestProfitMax:
             cost_min(1e300, 1, 1, 1, 1, 0.01, 0.01)
         # (A*R)^alpha with A*R = 5e307 and alpha = 5
         with pytest.raises(NumericalOverflowError, match="^math range error$"):
-            revenue_max(BudgetProblem(m=1e300, w1=1e-8, w2=1e-8, R=1, I=1, alpha=5, beta=5))
+            revenue_max(m=1e300, w1=1e-8, w2=1e-8, R=1, I=1, alpha=5, beta=5)
 
     def test_rd_back_out(self):
         rd = RdDeterminants(r=1.1, Gamma=2.0, Delta=4.0, alpha1=0.5, beta1=0.6)
@@ -294,7 +289,7 @@ rd_or_none = st.none() | st.builds(RdDeterminants, r=wide, Gamma=wide, Delta=wid
                                    alpha1=unit, beta1=unit)
 
 WIDE_CALLS = {
-    "revenue_max": lambda v, rd: revenue_max(BudgetProblem(*v), rd),
+    "revenue_max": lambda v, rd: revenue_max(*v, rd),
     "cost_min": lambda v, rd: cost_min(*v, rd=rd),
     "profit_max": lambda v, rd: profit_max(*v, rd=rd),
     "linear_cost": lambda v, rd: linear_cost(*v[:4]),

@@ -70,31 +70,21 @@ class TestProduction:
     @example(1.0, math.inf, 0.5, 0.5, 3.0)
     @SETTINGS
     def test_evaluate_output(self, P, alpha, beta, L, K):
-        holds(["P", "alpha", "beta", "L", "K"],
-              lambda: production.evaluate_output(production.CobbDouglasParams(P, alpha, beta),
-                                                 L, K))
+        holds(["P", "alpha", "beta", "L", "K"], production.evaluate_output, P, alpha, beta, L, K)
 
     @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
     @example(1e300, 1.0, 0.5, 0.5, 1e300, 1.0)
     @SETTINGS
     def test_evaluate_augmented(self, A, B, alpha, beta, R, I):
-        holds(["A", "B", "alpha", "beta", "R", "I"],
-              lambda: production.evaluate_augmented(production.TechProgress(A, B),
-                                                    alpha, beta, R, I))
-
-    @given(FLOATS, FLOATS, MAYBE, MAYBE)
-    @example(1.0, 1.0, math.inf, None)
-    @SETTINGS
-    def test_tech_progress(self, A, B, L_star, K_star):
-        holds(["A", "B", "L_star", "K_star"], production.TechProgress, A, B,
-              L_star=L_star, K_star=K_star)
+        holds(["A", "B", "alpha", "beta", "R", "I"], production.evaluate_augmented,
+              A, B, alpha, beta, R, I)
 
     @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
     @SETTINGS
     def test_from_determinants(self, r, L_star, K_star, Gamma, Delta, alpha1, beta1):
         holds(["r", "L_star", "K_star", "Gamma", "Delta", "alpha1", "beta1"],
-              production.TechProgress.from_determinants,
-              r, L_star, K_star, Gamma, Delta, alpha1, beta1)
+              lambda: (production.harrod_progress(r, L_star, Gamma, beta1),
+                       production.solow_progress(r, K_star, Delta, alpha1)))
 
     @pytest.mark.parametrize("progress, names", [
         (production.harrod_progress, ["r", "L_star", "Gamma", "beta1"]),
@@ -125,7 +115,6 @@ class TestProduction:
         holds(["alpha", "beta", "tol"], production.returns_to_scale, alpha, beta, tol)
 
 
-BUDGET = ["m", "w1", "w2", "R", "I", "alpha", "beta"]
 RD = ["r", "Gamma", "Delta", "alpha1", "beta1"]
 RD_VALUES = st.one_of(st.none(), st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
                       st.just((1.05, 3.0, 6.0, 0.4, 0.3)))
@@ -141,9 +130,9 @@ class TestClosedForm:
 
     @given(st.tuples(*[FLOATS] * 7), RD_VALUES)
     @SETTINGS
-    def test_revenue_max(self, budget, rd):
-        holds(BUDGET + RD + self.FACTORS,
-              lambda: closed_form.revenue_max(closed_form.BudgetProblem(*budget), rd_from(rd)))
+    def test_revenue_max(self, args, rd):
+        holds(["m", "w1", "w2", "R", "I", "alpha", "beta"] + RD + self.FACTORS,
+              lambda: closed_form.revenue_max(*args, rd=rd_from(rd)))
 
     @given(st.tuples(*[FLOATS] * 7), RD_VALUES)
     @SETTINGS
@@ -158,21 +147,13 @@ class TestClosedForm:
               lambda: closed_form.profit_max(*args, rd=rd_from(rd)))
 
 
-SPEC = ["K", "alpha", "beta", "v", "u"]
-
-
 class TestFrontier:
-    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
-    @SETTINGS
-    def test_spec(self, K, alpha, beta, v, u):
-        holds(SPEC, frontier.FrontierSpec, K, alpha, beta, v, u)
-
     @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
-    @example(math.inf, 0.5, 0.5, 0.0, 0.0, 1.0, 1.0)
+    @example(math.inf, 0.5, 0.5, 1.0, 1.0, 0.0, 0.0)
     @SETTINGS
-    def test_frontier_output(self, K, alpha, beta, v, u, S, I):
-        holds(SPEC + ["S", "I"],
-              lambda: frontier.frontier_output(frontier.FrontierSpec(K, alpha, beta, v, u), S, I))
+    def test_frontier_output(self, K, alpha, beta, S, I, v, u):
+        holds(["K", "alpha", "beta", "S", "I", "v", "u"], frontier.frontier_output,
+              K, alpha, beta, S, I, v, u)
 
     @given(FLOATS)
     @SETTINGS
@@ -342,20 +323,27 @@ class TestFitting:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: production.evaluate_output(production.CobbDouglasParams(math.inf, 0.5, 0.5), 2, 3),
+    (lambda: production.evaluate_output(math.inf, 0.5, 0.5, 2, 3),
      ParameterError, "P must be finite, got inf"),
-    (lambda: frontier.frontier_output(frontier.FrontierSpec(math.inf, 0.5, 0.5), 1, 1),
+    (lambda: frontier.frontier_output(math.inf, 0.5, 0.5, 1, 1),
      DomainError, "K must be finite, got inf"),
     (lambda: frontier.elasticities_from_frontier(2, math.nan, 2, 3),
      DomainError, "K must be finite, got nan"),
     (lambda: frontier.draw_shocks(random.Random(1), math.inf, 0),
      DomainError, "sigma_v must be finite, got inf"),
-    (lambda: production.TechProgress(1, 1, L_star=math.inf),
-     ParameterError, "L_star must be finite, got inf"),
+    (lambda: production.harrod_progress(1, math.inf, 1, 0.5),
+     DomainError, "L_star must be finite, got inf"),
     (lambda: optimizers.OptimizerConfig(max_iters=1.5),
      ParameterError, "max_iters must be an integer of at least 1, got 1.5"),
+    (lambda: optimizers.OptimizerConfig(max_iters=True),
+     ParameterError, "max_iters must be an integer of at least 1, got True"),
     (lambda: optimizers.OptimizerConfig(seed=None),
      ParameterError, "seed must be an integer, got None"),
+    (lambda: optimizers.OptimizerConfig(seed=False),
+     ParameterError, "seed must be an integer, got False"),
+    (lambda: list(frontier.synthesize(0.0, 0.5, 0.5, 2.0, 3.0, 0.1, 0.1, True,
+                                      random.Random(3))),
+     ParameterError, "count must be an integer of at least 1, got True"),
     (lambda: production.returns_to_scale(0.5, 0.5, tol=math.nan),
      ParameterError, "tol must be non-negative, got nan"),
     (lambda: fitting.DesignMatrix.raw_scale([1, 2, math.nan, 4], [1, 3, 2, 5], [1, 2, 3, 4]),
@@ -364,15 +352,13 @@ class TestFitting:
      ParameterError, "design outputs has non-finite entries"),
     (lambda: fitting.predict(fitting.FitResult(0.8, 0.9, 0.6, 0.9, 0.1), math.nan, 1.0),
      DomainError, "S must be strictly positive, got nan"),
-    (lambda: production.evaluate_augmented(production.TechProgress(1e300, 1.0), 0.5, 0.5,
-                                           1e300, 1.0),
+    (lambda: production.evaluate_augmented(1e300, 1.0, 0.5, 0.5, 1e300, 1.0),
      DomainError, r"A\*R must be finite, got inf"),
-    (lambda: production.evaluate_augmented(production.TechProgress(1.0, 1e-300), 0.5, 0.5,
-                                           1.0, 1e-300),
+    (lambda: production.evaluate_augmented(1.0, 1e-300, 0.5, 0.5, 1.0, 1e-300),
      DomainError, r"B\*I must be strictly positive, got 0.0"),
 ], ids=["params-P", "spec-K", "recovery-K", "shocks-sigma-v", "progress-L-star", "max-iters",
-        "seed", "scale-tol", "design-matrix", "design-outputs", "predict-S", "augmented-A-R",
-        "augmented-B-I"])
+        "max-iters-bool", "seed", "seed-bool", "synthesize-count-bool", "scale-tol",
+        "design-matrix", "design-outputs", "predict-S", "augmented-A-R", "augmented-B-I"])
 def test_rejection_names_the_argument(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()

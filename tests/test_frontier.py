@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from dcecon.errors import DomainError, NumericalOverflowError, SingularSystemError
 from dcecon.frontier import (
-    FrontierSpec,
     draw_shocks,
     elasticities_from_frontier,
     frontier_output,
     synthesize,
     technical_efficiency,
 )
-from dcecon.production import CobbDouglasParams, evaluate_output
+from dcecon.production import evaluate_output
 
 # exp(1 + 0.3 ln 58 + 0.7 ln 30 + 0.05 - 0.2), mpmath at 50 digits
 FRONTIER_ORACLE = 85.53888520966685
@@ -25,32 +24,28 @@ def rel_err(value, expected):
 
 class TestFrontierOutput:
     def test_single_input_identity(self):
-        spec = FrontierSpec(K=0, alpha=1, beta=0)
-        assert frontier_output(spec, 5, 7) == pytest.approx(5.0)
+        assert frontier_output(0, 1, 0, 5, 7) == pytest.approx(5.0)
 
     def test_shocks_cancel(self):
-        spec = FrontierSpec(K=0, alpha=0.5, beta=0.5, v=0.1, u=0.1)
-        assert frontier_output(spec, 4, 9) == pytest.approx(6.0)
+        assert frontier_output(0, 0.5, 0.5, 4, 9, v=0.1, u=0.1) == pytest.approx(6.0)
 
     def test_against_high_precision_oracle(self):
-        spec = FrontierSpec(K=1, alpha=0.3, beta=0.7, v=0.05, u=0.2)
-        assert rel_err(frontier_output(spec, 58, 30), FRONTIER_ORACLE) <= 1e-12
+        value = frontier_output(1, 0.3, 0.7, 58, 30, v=0.05, u=0.2)
+        assert rel_err(value, FRONTIER_ORACLE) <= 1e-12
 
     def test_nonpositive_inputs_rejected(self):
-        spec = FrontierSpec(K=0, alpha=0.5, beta=0.5)
         with pytest.raises(DomainError):
-            frontier_output(spec, 0, 1)
+            frontier_output(0, 0.5, 0.5, 0, 1)
         with pytest.raises(DomainError):
-            frontier_output(spec, 1, -2)
+            frontier_output(0, 0.5, 0.5, 1, -2)
 
     def test_overflow_is_numerical_overflow_error(self):
-        spec = FrontierSpec(K=800, alpha=0.5, beta=0.5)
         with pytest.raises(NumericalOverflowError, match="^math range error$"):
-            frontier_output(spec, 2, 3)
+            frontier_output(800, 0.5, 0.5, 2, 3)
 
     def test_negative_inefficiency_rejected(self):
         with pytest.raises(DomainError):
-            FrontierSpec(K=0, alpha=0.5, beta=0.5, u=-0.1)
+            frontier_output(0, 0.5, 0.5, 1, 1, u=-0.1)
 
     @given(
         u1=st.floats(min_value=0, max_value=2),
@@ -58,9 +53,9 @@ class TestFrontierOutput:
     )
     @settings(deadline=None)
     def test_output_decreases_with_inefficiency(self, u1, du):
-        lo = FrontierSpec(K=0.5, alpha=0.4, beta=0.5, v=0.1, u=u1)
-        hi = FrontierSpec(K=0.5, alpha=0.4, beta=0.5, v=0.1, u=u1 + du)
-        assert frontier_output(hi, 12, 7) < frontier_output(lo, 12, 7)
+        lo = frontier_output(0.5, 0.4, 0.5, 12, 7, v=0.1, u=u1)
+        hi = frontier_output(0.5, 0.4, 0.5, 12, 7, v=0.1, u=u1 + du)
+        assert hi < lo
 
     @given(
         v1=st.floats(min_value=-2, max_value=2),
@@ -68,9 +63,9 @@ class TestFrontierOutput:
     )
     @settings(deadline=None)
     def test_output_increases_with_shock(self, v1, dv):
-        lo = FrontierSpec(K=0.5, alpha=0.4, beta=0.5, v=v1, u=0.2)
-        hi = FrontierSpec(K=0.5, alpha=0.4, beta=0.5, v=v1 + dv, u=0.2)
-        assert frontier_output(hi, 12, 7) > frontier_output(lo, 12, 7)
+        lo = frontier_output(0.5, 0.4, 0.5, 12, 7, v=v1, u=0.2)
+        hi = frontier_output(0.5, 0.4, 0.5, 12, 7, v=v1 + dv, u=0.2)
+        assert hi > lo
 
     def test_shock_free_frontier_is_plain_production(self):
         rng = random.Random(41)
@@ -78,9 +73,8 @@ class TestFrontierOutput:
             K = rng.uniform(-2, 2)
             alpha, beta = rng.uniform(0, 2), rng.uniform(0, 2)
             S, I = rng.uniform(0.1, 80), rng.uniform(0.1, 80)
-            spec = FrontierSpec(K=K, alpha=alpha, beta=beta)
-            plain = evaluate_output(CobbDouglasParams(math.exp(K), alpha, beta), S, I)
-            assert rel_err(frontier_output(spec, S, I), plain) <= 1e-12
+            plain = evaluate_output(math.exp(K), alpha, beta, S, I)
+            assert rel_err(frontier_output(K, alpha, beta, S, I), plain) <= 1e-12
 
 
 class TestTechnicalEfficiency:
@@ -101,8 +95,8 @@ class TestTechnicalEfficiency:
             alpha, beta = rng.uniform(0, 1.5), rng.uniform(0, 1.5)
             v, u = rng.uniform(-0.5, 0.5), rng.uniform(0, 1.0)
             S, I = rng.uniform(0.5, 60), rng.uniform(0.5, 60)
-            with_u = frontier_output(FrontierSpec(K, alpha, beta, v, u), S, I)
-            without_u = frontier_output(FrontierSpec(K, alpha, beta, v, 0.0), S, I)
+            with_u = frontier_output(K, alpha, beta, S, I, v, u)
+            without_u = frontier_output(K, alpha, beta, S, I, v, 0.0)
             assert rel_err(with_u / without_u, technical_efficiency(u)) <= 1e-12
 
 
@@ -128,8 +122,7 @@ class TestElasticityRecovery:
             I = rng.uniform(0.5, 80)
             if abs(math.log(S) - math.log(I)) < 0.05:
                 I *= 3.0
-            spec = FrontierSpec(K=K, alpha=alpha, beta=beta, v=v, u=u)
-            y = frontier_output(spec, S, I)
+            y = frontier_output(K, alpha, beta, S, I, v=v, u=u)
             got_alpha, got_beta = elasticities_from_frontier(y, K, S, I, v=v, u=u, n=n)
             assert abs(got_alpha - alpha) <= 1e-10
             assert abs(got_beta - beta) <= 1e-10
@@ -178,9 +171,9 @@ class TestSyntheticGeneration:
 
 class TestNanRejected:
     @pytest.mark.parametrize("call", [
-        lambda: FrontierSpec(K=0, alpha=0.5, beta=0.5, u=math.nan),
-        lambda: frontier_output(FrontierSpec(K=0, alpha=0.5, beta=0.5), math.nan, 1.0),
-        lambda: frontier_output(FrontierSpec(K=0, alpha=0.5, beta=0.5), 1.0, math.nan),
+        lambda: frontier_output(0, 0.5, 0.5, 1.0, 1.0, u=math.nan),
+        lambda: frontier_output(0, 0.5, 0.5, math.nan, 1.0),
+        lambda: frontier_output(0, 0.5, 0.5, 1.0, math.nan),
         lambda: technical_efficiency(math.nan),
         lambda: elasticities_from_frontier(math.nan, 0, 2, 3),
         lambda: elasticities_from_frontier(1.0, 0, math.nan, 3),

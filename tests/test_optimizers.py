@@ -13,7 +13,7 @@ from dcecon.optimizers import (
     sgd_cost_min,
     sgd_linear_cost_min,
 )
-from dcecon.production import CobbDouglasParams, CostRecord, evaluate_output
+from dcecon.production import CostRecord, evaluate_output
 from dcecon.reports import profit_table
 
 # frozen terminal values from a reference run of the documented configs below
@@ -143,8 +143,7 @@ class TestDescent:
 
     def test_terminal_objective_matches_direct_evaluation(self):
         result = sgd_cost_min(RECORD_1997, OptimizerConfig(seed=5, max_iters=200))
-        direct = evaluate_output(
-            CobbDouglasParams(1.0, result.alpha, result.beta), 65.0, 5.0)
+        direct = evaluate_output(1.0, result.alpha, result.beta, 65.0, 5.0)
         assert result.objective == direct
 
     def test_violating_candidate_discarded(self):
@@ -355,7 +354,7 @@ def _oracle_run(record: CostRecord, config: OptimizerConfig, direction: float,
         if config.record_trajectory:
             trajectory.append((alpha, beta, math.exp(alpha * log_L + beta * log_K)))
 
-    objective = evaluate_output(CobbDouglasParams(P=1.0, alpha=alpha, beta=beta), L, K)
+    objective = evaluate_output(1.0, alpha, beta, L, K)
     return OptimResult(alpha=alpha, beta=beta, objective=objective,
                        iterations=iterations, trajectory=trajectory,
                        terminated_by=terminated_by)

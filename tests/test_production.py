@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from dcecon.errors import DomainError, NumericalOverflowError, ParameterError
 from dcecon.production import (
-    CobbDouglasParams,
     CostRecord,
     RdDeterminants,
     ScaleRegime,
-    TechProgress,
     evaluate_augmented,
     evaluate_output,
     harrod_progress,
@@ -40,24 +38,24 @@ class TestEvaluateOutput:
         ],
     )
     def test_reference_rows(self, alpha, beta, L, K, expected, tol):
-        value = evaluate_output(CobbDouglasParams(1.0, alpha, beta), L, K)
+        value = evaluate_output(1.0, alpha, beta, L, K)
         assert abs(value - expected) <= tol
 
     def test_unit_exponents(self):
-        assert evaluate_output(CobbDouglasParams(2.0, 1.0, 1.0), 3, 4) == pytest.approx(24.0)
+        assert evaluate_output(2.0, 1.0, 1.0, 3, 4) == pytest.approx(24.0)
 
     def test_zero_elasticities(self):
-        assert evaluate_output(CobbDouglasParams(1.0, 0.0, 0.0), 17, 99) == pytest.approx(1.0)
+        assert evaluate_output(1.0, 0.0, 0.0, 17, 99) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("L, K", [(0, 1), (-3, 1), (1, 0), (1, -0.5), (math.nan, 1)])
     def test_nonpositive_inputs_rejected(self, L, K):
         with pytest.raises(DomainError):
-            evaluate_output(CobbDouglasParams(1.0, 0.5, 0.5), L, K)
+            evaluate_output(1.0, 0.5, 0.5, L, K)
 
     @given(P=positive, alpha=st.floats(0, 3), beta=st.floats(0, 3), L=positive, K=positive)
     @settings(deadline=None)
     def test_matches_log_space_formula(self, P, alpha, beta, L, K):
-        value = evaluate_output(CobbDouglasParams(P, alpha, beta), L, K)
+        value = evaluate_output(P, alpha, beta, L, K)
         direct = math.exp(math.log(P) + alpha * math.log(L) + beta * math.log(K))
         assert rel_err(value, direct) <= 1e-12
 
@@ -71,9 +69,8 @@ class TestEvaluateOutput:
     )
     @settings(deadline=None)
     def test_homogeneous_of_degree_n(self, P, alpha, beta, L, K, t):
-        params = CobbDouglasParams(P, alpha, beta)
-        scaled = evaluate_output(params, t * L, t * K)
-        expected = t ** (alpha + beta) * evaluate_output(params, L, K)
+        scaled = evaluate_output(P, alpha, beta, t * L, t * K)
+        expected = t ** (alpha + beta) * evaluate_output(P, alpha, beta, L, K)
         assert rel_err(scaled, expected) <= 1e-10
 
     @given(
@@ -84,22 +81,22 @@ class TestEvaluateOutput:
     )
     @settings(deadline=None)
     def test_strictly_increasing_in_first_input(self, alpha, L, factor, K):
-        params = CobbDouglasParams(1.0, alpha, 0.3)
-        assert evaluate_output(params, L * factor, K) > evaluate_output(params, L, K)
+        larger = evaluate_output(1.0, alpha, 0.3, L * factor, K)
+        assert larger > evaluate_output(1.0, alpha, 0.3, L, K)
 
 
 class TestParamsValidation:
     def test_nonpositive_tfp_rejected(self):
         with pytest.raises(ParameterError):
-            CobbDouglasParams(0.0, 0.5, 0.5)
+            evaluate_output(0.0, 0.5, 0.5, 1, 1)
         with pytest.raises(ParameterError):
-            CobbDouglasParams(math.nan, 0.5, 0.5)
+            evaluate_output(math.nan, 0.5, 0.5, 1, 1)
 
     def test_negative_elasticity_rejected(self):
         with pytest.raises(ParameterError):
-            CobbDouglasParams(1.0, -0.1, 0.5)
+            evaluate_output(1.0, -0.1, 0.5, 1, 1)
         with pytest.raises(ParameterError):
-            CobbDouglasParams(1.0, 0.5, math.nan)
+            evaluate_output(1.0, 0.5, math.nan, 1, 1)
 
     def test_cost_record_requires_positive_costs(self):
         with pytest.raises(DomainError):
@@ -113,12 +110,10 @@ class TestParamsValidation:
 
 class TestAugmented:
     def test_unit_augmentation(self):
-        tech = TechProgress(A=1.0, B=1.0)
-        assert evaluate_augmented(tech, 2, 3, R=2, I=1) == pytest.approx(4.0)
+        assert evaluate_augmented(1.0, 1.0, 2, 3, R=2, I=1) == pytest.approx(4.0)
 
     def test_hand_arithmetic(self):
-        tech = TechProgress(A=3.0, B=1.0)
-        assert evaluate_augmented(tech, 1, 1, R=2, I=5) == pytest.approx(30.0)
+        assert evaluate_augmented(3.0, 1.0, 1, 1, R=2, I=5) == pytest.approx(30.0)
 
     def test_reduces_to_plain_output(self):
         rng = random.Random(7)
@@ -126,13 +121,13 @@ class TestAugmented:
             A, B = rng.uniform(0.1, 5), rng.uniform(0.1, 5)
             alpha, beta = rng.uniform(0, 2), rng.uniform(0, 2)
             R, I = rng.uniform(0.1, 50), rng.uniform(0.1, 50)
-            augmented = evaluate_augmented(TechProgress(A=A, B=B), alpha, beta, R, I)
-            plain = evaluate_output(CobbDouglasParams(1.0, alpha, beta), A * R, B * I)
+            augmented = evaluate_augmented(A, B, alpha, beta, R, I)
+            plain = evaluate_output(1.0, alpha, beta, A * R, B * I)
             assert rel_err(augmented, plain) <= 1e-12
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(DomainError):
-            evaluate_augmented(TechProgress(A=1.0, B=1.0), 1, 1, R=0, I=1)
+            evaluate_augmented(1.0, 1.0, 1, 1, R=0, I=1)
 
 
 class TestTechProgressFactors:
@@ -183,23 +178,14 @@ class TestInversions:
             B = solow_progress(r, L_star, Gamma, beta1)
             assert rel_err(invert_solow(B, r, Gamma, beta1), L_star) <= 1e-12
 
-    def test_from_determinants_round_trip(self):
-        tech = TechProgress.from_determinants(
-            r=1.05, L_star=10, K_star=20, Gamma=3, Delta=6, alpha1=0.4, beta1=0.3
-        )
-        assert tech.A == pytest.approx(harrod_progress(1.05, 10, 3, 0.3))
-        assert tech.B == pytest.approx(solow_progress(1.05, 20, 6, 0.4))
-        assert rel_err(invert_harrod(tech.A, 1.05, 3, 0.3), 10) <= 1e-12
-        assert rel_err(invert_solow(tech.B, 1.05, 6, 0.4), 20) <= 1e-12
-
     def test_tech_progress_validation(self):
         rd = {"r": 1.1, "Gamma": 2.0, "Delta": 4.0, "alpha1": 0.5, "beta1": 0.6}
         with pytest.raises(ParameterError):
-            TechProgress(A=0.0, B=1.0)
+            evaluate_augmented(0.0, 1.0, 0.5, 0.5, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            TechProgress(A=1.0, B=1.0, rd=RdDeterminants(**{**rd, "alpha1": 1.5}))
+            RdDeterminants(**{**rd, "alpha1": 1.5})
         with pytest.raises(ParameterError):
-            TechProgress(A=1.0, B=1.0, rd=RdDeterminants(**{**rd, "r": -1.0}))
+            RdDeterminants(**{**rd, "r": -1.0})
 
 
 class TestLinearCost:
@@ -230,16 +216,17 @@ class TestNanAndOverflow:
 
     @pytest.mark.parametrize("field", ["A", "B", "r", "L_star", "K_star", "Gamma", "Delta"])
     def test_nan_tech_progress_field_rejected(self, field):
-        rd = {"r": 1.1, "Gamma": 2.0, "Delta": 4.0, "alpha1": 0.5, "beta1": 0.6}
-        with pytest.raises(ParameterError, match="got .*nan"):
-            if field in rd:
-                TechProgress(A=1.0, B=1.0, rd=RdDeterminants(**{**rd, field: math.nan}))
-            else:
-                TechProgress(**{"A": 1.0, "B": 1.0, field: math.nan})
+        # A and B are read by evaluate_augmented, the rest by the two progress factors
+        v = {"A": 1.0, "B": 1.0, "r": 1.1, "L_star": 10.0, "K_star": 20.0, "Gamma": 2.0,
+             "Delta": 4.0, field: math.nan}
+        with pytest.raises((ParameterError, DomainError), match=f"^{field} must .*, got nan$"):
+            evaluate_augmented(v["A"], v["B"], 0.5, 0.5, 1.0, 1.0)
+            harrod_progress(v["r"], v["L_star"], v["Gamma"], 0.6)
+            solow_progress(v["r"], v["K_star"], v["Delta"], 0.5)
 
     @pytest.mark.parametrize("call", [
-        lambda: evaluate_output(CobbDouglasParams(1.0, 800.0, 1.0), 10.0, 1.0),
-        lambda: evaluate_augmented(TechProgress(A=1.0, B=1.0), 800.0, 1.0, 10.0, 1.0),
+        lambda: evaluate_output(1.0, 800.0, 1.0, 10.0, 1.0),
+        lambda: evaluate_augmented(1.0, 1.0, 800.0, 1.0, 10.0, 1.0),
         lambda: invert_harrod(1e10, 1.0, 1.0, 0.01),
         lambda: invert_solow(1e10, 1.0, 1.0, 0.01),
     ], ids=["evaluate_output", "evaluate_augmented", "invert_harrod", "invert_solow"])
@@ -259,7 +246,7 @@ class TestNanAndOverflow:
         lambda: invert_solow(1.0, math.inf, 1.0, 0.5),
         lambda: harrod_progress(1.0, math.inf, 1.0, 0.5),
         lambda: solow_progress(1.0, 1.0, math.inf, 0.5),
-        lambda: evaluate_output(CobbDouglasParams(1.0, 0.5, 0.5), math.inf, 1.0),
+        lambda: evaluate_output(1.0, 0.5, 0.5, math.inf, 1.0),
         lambda: linear_cost(1.0, 1.0, 1.0, math.inf),
     ], ids=["invert_harrod", "invert_solow", "harrod_progress", "solow_progress",
             "evaluate_output", "linear_cost"])
@@ -277,7 +264,7 @@ class TestNanAndOverflow:
     def test_infinite_tech_progress_factor_rejected(self, A, B):
         name = "A" if A == math.inf else "B"
         with pytest.raises(ParameterError, match=f"^{name} must be finite, got inf$"):
-            TechProgress(A=A, B=B)
+            evaluate_augmented(A, B, 0.5, 0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)])
     def test_non_finite_elasticities_have_no_scale_regime(self, alpha, beta):

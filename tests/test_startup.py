@@ -85,6 +85,15 @@ def test_fit_loads_numpy_but_not_scipy(tmp_path):
                                  str(infeasible), exit_code=3)) == ["numpy"]
 
 
+def test_fit_reads_its_files_before_loading_numpy(tmp_path):
+    assert loaded_after(cli_call("fit", "--input", str(tmp_path / "missing.csv"),
+                                 exit_code=2)) == []
+    data = tmp_path / "fit.csv"
+    data.write_text("new_server_cost,power_cooling_cost,output\n2,3,5.1\n4,3,7.9\n3,5,8.2\n")
+    assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
+                                 str(tmp_path / "missing.csv"), exit_code=2)) == []
+
+
 def test_every_name_and_submodule_resolves_from_the_package():
     out = run_python(
         "-c",
