@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (DegenerateProblemError, DomainError, NumericalOverflowError, ParameterError,
-                     check_domain, check_finite, overflow_as_error)
+                     check_domain, first_non_finite, overflow_as_error)
 from .production import RdDeterminants, invert_harrod, invert_solow
 
 
@@ -50,7 +50,8 @@ def _solution(cls, A: float, B: float, rd: Optional[RdDeterminants], **values):
         values.update(L_star=invert_harrod(A, rd.r, rd.Gamma, rd.beta1),
                       K_star=invert_solow(B, rd.r, rd.Delta, rd.alpha1))
     solution = cls(A=A, B=B, **values)
-    check_finite(solution)
+    if found := first_non_finite(solution):
+        raise NumericalOverflowError("non-finite result %s = %s" % found)
     return solution
 
 

@@ -41,6 +41,26 @@ class NumericalOverflowError(EconModelError, OverflowError):
     """A result lies outside the double range (math.exp overflowed)."""
 
 
+def first_non_finite(value, path: str = ""):
+    """(path, value) of the first NaN or infinity in a float, a dataclass record (its fields in
+    declaration order) or a dict, list or tuple of those, else None; other values are skipped."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else str(key), item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    for item_path, item in items:
+        found = first_non_finite(item, item_path)
+        if found is not None:
+            return found
+    return None
+
+
 def overflow_as_error(fn):
     """fn, raising NumericalOverflowError for an OverflowError (same message) or a non-finite
     float it returns, alone or in a tuple (exp returns inf or NaN for a non-finite argument)."""
@@ -50,9 +70,8 @@ def overflow_as_error(fn):
             result = fn(*args, **kwargs)
         except OverflowError as exc:
             raise NumericalOverflowError(str(exc)) from exc
-        for value in result if isinstance(result, tuple) else (result,):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise NumericalOverflowError(f"non-finite result {fn.__name__} = {value}")
+        if isinstance(result, (float, tuple)) and (found := first_non_finite(result)):
+            raise NumericalOverflowError(f"non-finite result {fn.__name__} = {found[1]}")
         return result
     return checked
 
@@ -82,11 +101,3 @@ def check_domain(name: str, value, domain: str, error: type) -> None:
     # a comparison, as math.isfinite overflows on an int beyond the float range
     if abs(value) == math.inf:
         raise error(f"{name} must be finite, got {value}")
-
-
-def check_finite(record) -> None:
-    """Raise NumericalOverflowError naming the first NaN or infinite field of a dataclass."""
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if value is not None and not math.isfinite(value):
-            raise NumericalOverflowError(f"non-finite result {field.name} = {value}")

@@ -34,7 +34,7 @@ from .errors import (
     SingularSystemError,
     UnboundedProblemError,
     check_domain,
-    check_finite,
+    first_non_finite,
     overflow_as_error,
 )
 
@@ -111,7 +111,8 @@ class FitResult:
     residual_norm: float
 
     def __post_init__(self):
-        check_finite(self)
+        if found := first_non_finite(self):
+            raise NumericalOverflowError("non-finite result %s = %s" % found)
 
     @property
     def coefficients(self) -> np.ndarray:

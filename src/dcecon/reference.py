@@ -12,6 +12,15 @@ Known quirks of the reference tables, asserted as such by the tests:
 * The 1997 and 2002 profit rows (64.9679, 252.5919) disagree with the
   difference of the revenue and cost tables (63.7628, 252.7387); the 2009 and
   2012 rows are exact.
+
+Which rows real runs reproduce:
+
+* Revenue rows: a marginal ascent (lr 0.01, cap 1.8) from each start in
+  REVENUE_INITS ends at its row's alpha and beta to 4 decimals and its
+  objective to 0.01, stopping with cap_reached.
+* Cost rows: no analytic descent (lr 0.01) reaches one. A marginal descent
+  passes through one only from a start with beta < 0.004 (among starts with
+  alpha <= 1), and is stopped there only by max_iters.
 """
 
 from __future__ import annotations
@@ -57,6 +66,15 @@ MAX_REVENUE_TABLE: Dict[int, ReferenceRow] = {
     2002: ReferenceRow(2002, 45.0, 15.0, 0.6151, 1.1835, 256.32),
     2009: ReferenceRow(2009, 58.0, 30.0, 0.6612, 1.1362, 698.68),
     2012: ReferenceRow(2012, 60.0, 40.0, 0.693, 1.1052, 1006.59),
+}
+
+# starts (alpha, beta) from which the marginal ascent (lr 0.01, cap 1.8) runs to
+# each MAX_REVENUE_TABLE row; printed by scripts/derive_revenue_inits.py
+REVENUE_INITS: Dict[int, Tuple[float, float]] = {
+    1997: (0.2630559347685598, 0.3367945857476731),
+    2002: (0.2464249740335404, 0.35298130617298684),
+    2009: (0.2440615257884398, 0.35498709717307053),
+    2012: (0.2449069082488733, 0.35500272590064264),
 }
 
 # linear cost weights (w1, w2) and the resulting minimum cost

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (DataValidationError, DomainError, EconModelError, ParameterError,
-                     check_domain)
+                     check_domain, first_non_finite)
 from .optimizers import OptimizerConfig, OptimResult, sga_revenue_max, sgd_cost_min
 from .production import CostRecord, linear_cost
 
@@ -173,9 +173,8 @@ class RunReport:
     def render(self, fmt: str = "json") -> str:
         """The report as JSON (every field, by name) or CSV (the rows only); a NaN
         or infinite value anywhere is an error."""
-        field_name = _non_finite_field(vars(self))
-        if field_name is not None:
-            raise EconModelError(f"non-finite value in report field {field_name}")
+        if found := first_non_finite(self):
+            raise EconModelError(f"non-finite value in report field {found[0]}")
         if fmt == "json":
             # vars(self) holds the fields in declaration order; asdict would deep-copy them
             return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
@@ -194,23 +193,6 @@ def record_row(record) -> Dict:
     """A result dataclass as a report row: its fields in declaration order, None ones dropped."""
     # vars(record) holds the fields in declaration order, as in RunReport.render
     return {name: value for name, value in vars(record).items() if value is not None}
-
-
-def _non_finite_field(value, path: str = "") -> Optional[str]:
-    """Path (such as rows[0].objective) of the first NaN or infinity in value, else None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = ((f"{path}.{key}" if path else str(key), item) for key, item in value.items())
-    elif isinstance(value, (list, tuple)):
-        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
-    else:
-        return None
-    for item_path, item in items:
-        found = _non_finite_field(item, item_path)
-        if found is not None:
-            return found
-    return None
 
 
 def _write_trace(path: Path, points: Sequence[Tuple[float, float, float]]) -> None:

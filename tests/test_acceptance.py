@@ -10,6 +10,7 @@ from the reference table's 4-decimal elasticities (the rounding floor is about
 import json
 import math
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -33,12 +34,17 @@ from dcecon.optimizers import (
 from dcecon.production import CostRecord, evaluate_output, linear_cost
 from dcecon.reports import reference_profit_report
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
+# one backward step of the marginal update, shared with the script that derives REVENUE_INITS
+previous_iterate = runpy.run_path(str(ROOT / "scripts" / "derive_revenue_inits.py"))[
+    "previous_iterate"]
 
 COST_TOL = 1e-3
 REVENUE_TOL = 0.5
 LINEAR_TOL = 1e-2
 PROFIT_TOL = 1e-2
+RUN_OBJECTIVE_TOL = 1e-2
 
 
 def announce(criterion, name, ok, detail=""):
@@ -49,6 +55,18 @@ def announce(criterion, name, ok, detail=""):
 
 def evaluate_row(row):
     return evaluate_output(1.0, row.alpha, row.beta, row.server_cost, row.power_cooling_cost)
+
+
+def check_revenue_run(year, start):
+    """Assert that the marginal ascent (lr 0.01, cap 1.8) from start stops with cap_reached
+    at its revenue row: alpha and beta to 4 decimals, the objective within RUN_OBJECTIVE_TOL."""
+    row = reference.MAX_REVENUE_TABLE[year]
+    config = OptimizerConfig(learning_rate=0.01, cap=1.8, init_alpha=start[0], init_beta=start[1])
+    result = sga_revenue_max(reference.COST_RECORDS[year], config)
+    assert result.terminated_by is Termination.CAP_REACHED, result
+    assert (round(result.alpha, 4), round(result.beta, 4)) == (row.alpha, row.beta), result
+    assert abs(result.objective - row.objective) <= RUN_OBJECTIVE_TOL, result
+    return result
 
 
 def reference_profit_rows():
@@ -98,6 +116,43 @@ class TestCriterion1TableReproduction:
         announce(1, f"no analytic descent reaches the cost {year} row", g.min() > 0.05,
                  f"min g = {g.min():.4f}")
         assert g.min() > 0.05
+
+    @pytest.mark.parametrize("year", reference.YEARS)
+    def test_marginal_descent_meets_a_cost_row_only_from_beta_below_0_004(self, year):
+        # Stepped backwards from the row (lr 0.01), the marginal descent passes alpha = 1
+        # after 331, 611, 1,288 and 2,280 steps, and beta on those paths stays at most
+        # 7.1e-5, 0.00338, 0.00142 and 0.00343. The bound checked: alpha > 1 within 2,500
+        # steps, and beta < 0.004 on the whole path. So a marginal descent from a start with
+        # alpha <= 1 meets the row only if it started with beta < 0.004; replayed forwards,
+        # the path ends at the row stopped by max_iters, and one more step from the row
+        # stays positive, so nothing else stops a run there.
+        row, lr = reference.MIN_COST_TABLE[year], 0.01
+        record = reference.COST_RECORDS[year]
+        alpha, beta, steps, largest_beta = row.alpha, row.beta, 0, row.beta
+        while alpha <= 1.0 and steps < 2500:
+            alpha, beta = previous_iterate(record.server_cost, record.power_cooling_cost,
+                                           alpha, beta, -lr)
+            steps += 1
+            largest_beta = max(largest_beta, beta)
+        replay = sgd_cost_min(record, OptimizerConfig(learning_rate=lr, init_alpha=alpha,
+                                                      init_beta=beta, max_iters=steps))
+        step_on = sgd_cost_min(record, OptimizerConfig(learning_rate=lr, init_alpha=row.alpha,
+                                                       init_beta=row.beta, max_iters=1))
+        ok = alpha > 1.0 and largest_beta < 0.004
+        announce(1, f"marginal descent meets the cost {year} row only from beta < 0.004", ok,
+                 f"alpha > 1 after {steps} steps back, largest beta {largest_beta:.3g}")
+        assert ok
+        assert abs(replay.alpha - row.alpha) < 1e-12 and abs(replay.beta - row.beta) < 1e-12
+        assert replay.terminated_by is Termination.MAX_ITERS
+        assert step_on.terminated_by is Termination.MAX_ITERS and step_on.iterations == 1
+
+    @pytest.mark.parametrize("year", reference.YEARS)
+    def test_revenue_run_from_pinned_start_reproduces_row(self, year):
+        result = check_revenue_run(year, reference.REVENUE_INITS[year])
+        gap = abs(result.objective - reference.MAX_REVENUE_TABLE[year].objective)
+        announce(1, f"revenue run {year} from REVENUE_INITS, objective abs tol "
+                    f"{RUN_OBJECTIVE_TOL}", True,
+                 f"{result.iterations} iterations, objective gap {gap:.4f}")
 
     @pytest.mark.parametrize("year", reference.YEARS)
     def test_revenue_table_rows(self, year):

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import check_revenue_run
+
+from dcecon import reference
 
 ROOT = Path(__file__).resolve().parent.parent
 # the lines of `scripts/output_digests.py --quick` under a first line stamping the
@@ -32,6 +35,18 @@ def test_reproduce_tables_prints_all_four_tables():
         assert title in proc.stdout
     # the 1997 and 2002 published profit rows are the documented deviations
     assert proc.stdout.count("known deviation") == 2
+    revenue = proc.stdout.split("revenue maximization")[1].splitlines()
+    assert revenue[1].split() == ["year", "alpha", "beta", "computed", "run", "reference", "diff"]
+
+
+def test_derive_revenue_inits_prints_starts_that_reproduce_the_rows():
+    proc = run_script("derive_revenue_inits.py")
+    assert proc.returncode == 0, proc.stderr
+    starts = {int(year): (float(alpha), float(beta)) for year, alpha, beta
+              in re.findall(r"^    (\d+): \(([^,]+), ([^)]+)\),", proc.stdout, re.MULTILINE)}
+    assert sorted(starts) == list(reference.YEARS)
+    for year, start in starts.items():
+        check_revenue_run(year, start)
 
 
 def test_trace_revenue_surface_writes_trajectory_and_grid(tmp_path):
