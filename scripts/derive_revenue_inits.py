@@ -41,12 +41,12 @@ def previous_iterate(L, K, alpha, beta, step):
     return a, b
 
 
-def revenue_start(row):
+def revenue_start(record, row):
     """(alpha, beta, steps): the first point with alpha + beta < START_SUM on the
-    backward ascent path from row, and the number of steps back to it."""
+    backward ascent path from row over record's costs, and the number of steps back to it."""
     alpha, beta, steps = row.alpha, row.beta, 0
     while alpha + beta >= START_SUM:
-        alpha, beta = previous_iterate(row.server_cost, row.power_cooling_cost,
+        alpha, beta = previous_iterate(record.server_cost, record.power_cooling_cost,
                                        alpha, beta, LEARNING_RATE)
         steps += 1
     return alpha, beta, steps
@@ -55,7 +55,8 @@ def revenue_start(row):
 def main():
     print("REVENUE_INITS = {")
     for year in reference.YEARS:
-        alpha, beta, steps = revenue_start(reference.MAX_REVENUE_TABLE[year])
+        alpha, beta, steps = revenue_start(reference.COST_RECORDS[year],
+                                           reference.MAX_REVENUE_TABLE[year])
         print(f"    {year}: ({alpha!r}, {beta!r}),  # {steps} steps")
     print("}")
 

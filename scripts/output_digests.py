@@ -62,6 +62,10 @@ INPUTS = {
     "latin1_shares.csv": b"firm,share_percent\n\xc9tat,50\n",
     # a year with neither bundled weights nor reference objectives
     "year_1890.csv": "year,new_server_cost,power_cooling_cost\n1890,65,5\n",
+    # a header naming a column twice, and one behind a UTF-8 byte-order mark
+    "repeated_column_costs.csv": "year,new_server_cost,power_cooling_cost,new_server_cost\n"
+                                 "1997,65,5,1\n",
+    "bom_costs.csv": b"\xef\xbb\xbfyear,new_server_cost,power_cooling_cost\n1997,65,5\n",
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -211,6 +215,20 @@ def invocations(quick):
         (("revenue-max-closed", *CLOSED["revenue-max-closed"], "--budget", "0"), False),
         ((*synthesis, "--alpha", "inf"), False),
         ((*synthesis, "--intercept", "nan"), False),
+    ]
+    # a cost header naming a column twice (exit 2) and one behind a byte-order mark;
+    # fit columns named twice: the target as a regressor, and one regressor twice
+    # (exit 3); a synthesis without --beta (exit 1)
+    calls += [
+        (("cost-min", "--input", "inputs/repeated_column_costs.csv", "--max-iters", "3000"),
+         False),
+        (("cost-min", "--input", "inputs/bom_costs.csv", "--seed", "7", "--max-iters", "3000"),
+         False),
+        (("fit", "--input", "inputs/fit.csv", "--x1", "output", "--x2", "power_cooling_cost",
+          "--target", "output"), False),
+        (("fit", "--input", "inputs/fit.csv", "--x1", "new_server_cost",
+          "--x2", "new_server_cost"), False),
+        (("sfa", "--S", "9", "--I", "16", "--alpha", "0.6", "--synthesize", "2"), False),
     ]
     return [argv for argv, slow in calls if not (quick and slow)]
 

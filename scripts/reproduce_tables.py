@@ -15,8 +15,10 @@ from dcecon.production import evaluate_output, linear_cost
 from dcecon.reports import reference_profit_report
 
 
-def evaluate_row(row):
-    return evaluate_output(1.0, row.alpha, row.beta, row.server_cost, row.power_cooling_cost)
+def evaluate_row(year, row):
+    """L^alpha * K^beta at the row's elasticities and the year's reference costs."""
+    record = reference.COST_RECORDS[year]
+    return evaluate_output(1.0, row.alpha, row.beta, record.server_cost, record.power_cooling_cost)
 
 
 def main():
@@ -24,7 +26,7 @@ def main():
     print(f"{'year':>6} {'alpha':>10} {'beta':>12} {'computed':>10} {'reference':>10} {'diff':>10}")
     for year in reference.YEARS:
         row = reference.MIN_COST_TABLE[year]
-        value = evaluate_row(row)
+        value = evaluate_row(year, row)
         print(f"{year:>6} {row.alpha:>10.4f} {row.beta:>12.4e} "
               f"{value:>10.4f} {row.objective:>10.4f} {value - row.objective:>10.2e}")
 
@@ -33,7 +35,7 @@ def main():
           f"{'reference':>10} {'diff':>10}")
     for year in reference.YEARS:
         row = reference.MAX_REVENUE_TABLE[year]
-        value = evaluate_row(row)
+        value = evaluate_row(year, row)
         alpha, beta = reference.REVENUE_INITS[year]
         run = sga_revenue_max(reference.COST_RECORDS[year],
                               OptimizerConfig(init_alpha=alpha, init_beta=beta, cap=1.8))

@@ -26,9 +26,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# the sfa flags only one mode reads, with the defaults that mode gives them (None:
-# the mode needs the flag); the parser defaults them to None, so a flag of the other
-# mode is seen and refused
+# the flags each sfa mode reads, with the default it gives each (None: the mode needs
+# it); the parser adds them defaulting to None, so a flag of the other mode is refused
 SFA_MODE_FLAGS = {
     "recovery": {"output": None, "shock": 0.0, "inefficiency": 0.0, "n": 1.0},
     "synthesis": {"alpha": None, "beta": None, "sigma_v": 0.0, "sigma_u": 0.0, "seed": 0},
@@ -109,17 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--I", type=float, required=True, help="infrastructure cost input")
     p.add_argument("--synthesize", type=int, default=None, metavar="COUNT",
                    help="generate COUNT shocked observations (synthesis mode)")
-    group = p.add_argument_group("recovery mode (without --synthesize)")
-    group.add_argument("--output", type=float, help="observed output y")
-    group.add_argument("--shock", type=float, help="random shock v")
-    group.add_argument("--inefficiency", type=float, help="technical inefficiency u")
-    group.add_argument("--n", type=float, help="returns-to-scale sum alpha+beta")
-    group = p.add_argument_group("synthesis mode")
-    group.add_argument("--alpha", type=float)
-    group.add_argument("--beta", type=float)
-    group.add_argument("--sigma-v", type=float)
-    group.add_argument("--sigma-u", type=float)
-    group.add_argument("--seed", type=int)
+    for mode, flags in SFA_MODE_FLAGS.items():
+        group = p.add_argument_group(f"{mode} mode")
+        for name, default in flags.items():
+            # a needed flag is a float; any other takes its default's type
+            group.add_argument(f"--{name.replace('_', '-')}",
+                               type=float if default is None else type(default),
+                               help="needed" if default is None else f"default {default}")
 
     p = _add_command(sub, "fit", _cmd_fit)
     p.add_argument("--input", required=True)
@@ -149,15 +144,20 @@ def _rd_from_args(args):
     return RdDeterminants(*values)
 
 
+def _refuse_unread(args, names, where: str) -> None:
+    """Refuse the first of names that args gives: `--name is not read <where>`."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise _UsageError(f"--{name.replace('_', '-')} is not read {where}")
+
+
 def _cmd_optimizer(args) -> RunReport:
     # the flags named after config fields; an absent flag keeps the field's default
     names = {field.name for field in dataclasses.fields(OptimizerConfig)}
     flags = {name: value for name, value in vars(args).items() if name in names}
     if getattr(args, "reference", False):
         # the reference table makes no optimizer run, so a flag that configures one is refused
-        for name in [*flags, "trace"]:
-            if getattr(args, name) is not None:
-                raise _UsageError(f"--{name.replace('_', '-')} is not read with --reference")
+        _refuse_unread(args, [*flags, "trace"], "with --reference")
         return reference_profit_report(ingest_costs(args.input))
     records = ingest_costs(args.input)
     weights = getattr(args, "weights", None)
@@ -188,16 +188,15 @@ def _cmd_closed(args) -> RunReport:
 def _cmd_sfa(args) -> RunReport:
     from . import frontier
 
-    mode = "recovery" if args.synthesize is None else "synthesis"
-    for flags_mode, flags in SFA_MODE_FLAGS.items():
-        for name, default in flags.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-            elif flags_mode != mode:
-                raise _UsageError(f"--{name.replace('_', '-')} is not read in {mode} mode")
+    mode, other = (("recovery", "synthesis") if args.synthesize is None
+                   else ("synthesis", "recovery"))
+    _refuse_unread(args, SFA_MODE_FLAGS[other], f"in {mode} mode")
+    for name, default in SFA_MODE_FLAGS[mode].items():
+        if getattr(args, name) is None:
+            if default is None:
+                raise _UsageError(f"{mode} mode needs --{name}")
+            setattr(args, name, default)
     if mode == "synthesis":
-        if args.alpha is None or args.beta is None:
-            raise _UsageError("synthesis mode needs --alpha and --beta")
         config = {"intercept": args.intercept, "S": args.S, "I": args.I, "seed": args.seed,
                   "alpha": args.alpha, "beta": args.beta, "sigma_v": args.sigma_v,
                   "sigma_u": args.sigma_u, "count": args.synthesize}
@@ -206,8 +205,6 @@ def _cmd_sfa(args) -> RunReport:
             args.intercept, args.alpha, args.beta, args.S, args.I, args.sigma_v, args.sigma_u,
             args.synthesize, rng)]
         return RunReport(command="sfa", config=config, rows=rows)
-    if args.output is None:
-        raise _UsageError("recovery mode needs --output (or use --synthesize)")
     config = {"intercept": args.intercept, "n": args.n, "S": args.S, "I": args.I,
               "y": args.output, "v": args.shock, "u": args.inefficiency}
     alpha, beta = frontier.elasticities_from_frontier(

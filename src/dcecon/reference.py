@@ -35,15 +35,10 @@ from .production import CostRecord
 class ReferenceRow:
     """One year of reference results: terminal elasticities and objective value."""
 
-    year: int
-    server_cost: float
-    power_cooling_cost: float
     alpha: float
     beta: float
     objective: float
 
-
-YEARS: Tuple[int, ...] = (1997, 2002, 2009, 2012)
 
 COST_RECORDS: Dict[int, CostRecord] = {
     1997: CostRecord(1997, 65.0, 5.0),
@@ -52,20 +47,22 @@ COST_RECORDS: Dict[int, CostRecord] = {
     2012: CostRecord(2012, 60.0, 40.0),
 }
 
+YEARS: Tuple[int, ...] = tuple(COST_RECORDS)
+
 # cost minimization (descent) terminal elasticities and minimum cost
 MIN_COST_TABLE: Dict[int, ReferenceRow] = {
-    1997: ReferenceRow(1997, 65.0, 5.0, 0.4615, 6.1674e-05, 6.8672),
-    2002: ReferenceRow(2002, 45.0, 15.0, 0.3338, 0.0019, 3.5813),
-    2009: ReferenceRow(2009, 58.0, 30.0, 0.2416, 5.1719e-04, 2.6715),
-    2012: ReferenceRow(2012, 60.0, 40.0, 0.1670, 7.6964e-04, 1.9872),
+    1997: ReferenceRow(0.4615, 6.1674e-05, 6.8672),
+    2002: ReferenceRow(0.3338, 0.0019, 3.5813),
+    2009: ReferenceRow(0.2416, 5.1719e-04, 2.6715),
+    2012: ReferenceRow(0.1670, 7.6964e-04, 1.9872),
 }
 
 # revenue maximization (ascent, cap 1.8) terminal elasticities and maximum revenue
 MAX_REVENUE_TABLE: Dict[int, ReferenceRow] = {
-    1997: ReferenceRow(1997, 65.0, 5.0, 0.5312, 1.2676, 70.63),
-    2002: ReferenceRow(2002, 45.0, 15.0, 0.6151, 1.1835, 256.32),
-    2009: ReferenceRow(2009, 58.0, 30.0, 0.6612, 1.1362, 698.68),
-    2012: ReferenceRow(2012, 60.0, 40.0, 0.693, 1.1052, 1006.59),
+    1997: ReferenceRow(0.5312, 1.2676, 70.63),
+    2002: ReferenceRow(0.6151, 1.1835, 256.32),
+    2009: ReferenceRow(0.6612, 1.1362, 698.68),
+    2012: ReferenceRow(0.693, 1.1052, 1006.59),
 }
 
 # starts (alpha, beta) from which the marginal ascent (lr 0.01, cap 1.8) runs to

@@ -27,7 +27,6 @@ from .production import CostRecord, linear_cost
 if TYPE_CHECKING:
     from .concentration import MarketShares
 
-COST_HEADER = ["year", "new_server_cost", "power_cooling_cost"]
 # the values of a share file's `included` cell, lower-cased; an empty cell means true
 INCLUDED = {"true": True, "1": True, "yes": True, "": True,
             "false": False, "0": False, "no": False}
@@ -44,17 +43,20 @@ TRACE_SLICE_ROWS = 4096
 def read_rows(path, columns: Sequence[str]) -> List[Tuple[int, Dict[str, str]]]:
     """Read a headed UTF-8 CSV into (line number, row) pairs, checking its shape.
 
-    The file must exist and its header must name every one of columns (extra
-    columns are allowed). Every data row must have as many fields as the
-    header; blank rows are skipped. Values stay strings, see parse_number. Any
-    failure to open, decode or parse the file is a DataValidationError naming it.
+    The file must exist (a leading byte-order mark is dropped), and its header
+    must name every one of columns, extra ones allowed, and no column twice,
+    empty cells aside. Every data row must have as many fields as the header;
+    blank rows are skipped. Values stay strings, see parse_number. Any failure
+    to open, decode or parse the file is a DataValidationError naming it.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = [cell.strip() for cell in next(reader, [])]
             if not any(header):
                 raise DataValidationError(f"{path}: empty file")
+            if twice := next((c for i, c in enumerate(header) if c and c in header[:i]), None):
+                raise DataValidationError(f"{path}: column {twice!r} appears twice in the header")
             missing = [c for c in columns if c not in header]
             if missing:
                 raise DataValidationError(f"{path}: expected header with columns "
@@ -118,8 +120,8 @@ def read_by_year(path, columns: Sequence[str], domain: str) -> Dict[int, Tuple[f
 
 def ingest_costs(path) -> List[CostRecord]:
     """Parse and validate a `year,new_server_cost,power_cooling_cost` CSV, sorted by year."""
-    return [CostRecord(year=year, server_cost=server, power_cooling_cost=power)
-            for year, (server, power) in read_by_year(path, COST_HEADER[1:], "positive").items()]
+    costs = read_by_year(path, ["new_server_cost", "power_cooling_cost"], "positive")
+    return [CostRecord(year, *values) for year, values in costs.items()]
 
 
 def ingest_weights(path) -> Dict[int, Tuple[float, float]]:
@@ -151,10 +153,10 @@ def ingest_shares(path) -> MarketShares:
 
 def read_numeric_csv(path, columns: Sequence[str],
                      domain: str = "finite") -> Dict[str, List[float]]:
-    """Read named numeric columns, each value in domain, from a CSV with a header row."""
+    """Read named numeric columns (each once), each value in domain, from a headed CSV."""
     data: Dict[str, List[float]] = {c: [] for c in columns}
     for line, row in read_rows(path, columns):
-        for column in columns:
+        for column in data:
             data[column].append(parse_number(path, line, row, column, domain=domain))
     return data
 

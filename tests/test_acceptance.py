@@ -54,7 +54,11 @@ def announce(criterion, name, ok, detail=""):
 
 
 def evaluate_row(row):
-    return evaluate_output(1.0, row.alpha, row.beta, row.server_cost, row.power_cooling_cost)
+    """L^alpha * K^beta at a reference table row's elasticities and its year's costs."""
+    (year,) = [year for table in (reference.MIN_COST_TABLE, reference.MAX_REVENUE_TABLE)
+               for year, entry in table.items() if entry is row]
+    record = reference.COST_RECORDS[year]
+    return evaluate_output(1.0, row.alpha, row.beta, record.server_cost, record.power_cooling_cost)
 
 
 def check_revenue_run(year, start):
@@ -109,7 +113,8 @@ class TestCriterion1TableReproduction:
         # for every b in [0, 10] (minima 0.1105, 0.0935, 0.0863, 0.0601 on this grid),
         # so no such start exists and no analytic descent reaches a cost row.
         row, lr = reference.MIN_COST_TABLE[year], 0.01
-        log_L, log_K = math.log(row.server_cost), math.log(row.power_cooling_cost)
+        record = reference.COST_RECORDS[year]
+        log_L, log_K = math.log(record.server_cost), math.log(record.power_cooling_cost)
         b = np.linspace(0.0, 10.0, 100_001)
         alpha = row.alpha + (log_L / log_K) * (b - row.beta)
         g = row.beta + lr * log_K * np.exp(alpha * log_L + b * log_K) - b

@@ -397,8 +397,19 @@ class TestSfaCommand:
             assert row["efficiency"] == pytest.approx(math.exp(-row["u"]))
 
     def test_synthesis_needs_elasticities(self, capsys):
-        code, _, _ = run_cli(capsys, "sfa", "--S", "9", "--I", "16", "--synthesize", "5")
-        assert code == 1
+        code, _, err = run_cli(capsys, "sfa", "--S", "9", "--I", "16", "--synthesize", "5")
+        assert (code, err) == (1, "usage error: synthesis mode needs --alpha\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--synthesize", "5", "--alpha", "0.4"), "synthesis mode needs --beta"),
+        (("--synthesize", "5", "--beta", "0.6"), "synthesis mode needs --alpha"),
+        ((), "recovery mode needs --output"),
+        # a flag of the other mode is refused before a missing one is named
+        (("--synthesize", "5", "--n", "1"), "--n is not read in synthesis mode"),
+    ])
+    def test_each_missing_flag_is_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sfa", "--S", "9", "--I", "16", *argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_synthesis_count_below_one_is_rejected(self, capsys, count):
@@ -506,6 +517,22 @@ class TestFitCommand:
         summary = json.loads(out)["summary"]
         assert summary["alpha"] == pytest.approx(3.0, abs=1e-8)
         assert summary["beta"] == pytest.approx(4.0, abs=1e-8)
+
+    def test_column_named_twice_is_read_once(self, tmp_path, capsys):
+        path = self.make_csv(tmp_path)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--x1", "output",
+                                 "--x2", "power_cooling_cost", "--target", "output")
+        assert (code, err) == (0, "")
+        summary = json.loads(out)["summary"]
+        assert summary["alpha"] == pytest.approx(1.0)
+        assert summary["r_squared"] == pytest.approx(1.0)
+
+    def test_one_regressor_named_twice_is_rank_deficient(self, tmp_path, capsys):
+        path = self.make_csv(tmp_path)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--x1", "new_server_cost",
+                                 "--x2", "new_server_cost")
+        assert (code, out) == (3, "")
+        assert err == "numerical error: design matrix is rank deficient (rank 2 of 3)\n"
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_value_on_the_log_scale_is_data_error(self, tmp_path, capsys, value):

@@ -140,6 +140,10 @@ def invocations(draw, workdir: Path):
         argv += mode
     elif command == "fit":
         argv += ["--input", table("fit", {})]
+        # each of the three columns is optional and may name the same column as another
+        for flag in ("--x1", "--x2", "--target"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(HEADERS["fit"].split(",")))]
         argv += draw(st.sampled_from([[], ["--scale", "raw"], ["--no-intercept"]]))
         if draw(st.booleans()):
             signed = st.floats(-2, 2).map(repr) if clean else value

@@ -97,6 +97,46 @@ class TestIngest:
         with pytest.raises(DataValidationError, match="duplicate year"):
             ingest_costs(path)
 
+    @pytest.mark.parametrize("header", [
+        "year,new_server_cost,power_cooling_cost,new_server_cost",
+        "year, new_server_cost,power_cooling_cost,new_server_cost ",
+        "new_server_cost,year,new_server_cost,power_cooling_cost",
+    ])
+    def test_column_named_twice_rejected(self, tmp_path, header):
+        # the last copy used to win: 1997,65,5,1 ran at L = 1
+        path = write(tmp_path, "c.csv", f"{header}\n1997,65,5,1\n")
+        with pytest.raises(DataValidationError) as raised:
+            ingest_costs(path)
+        assert str(raised.value) == f"{path}: column 'new_server_cost' appears twice in the header"
+
+    def test_empty_header_cells_may_repeat(self, tmp_path):
+        path = write(tmp_path, "c.csv",
+                     "year,new_server_cost,,power_cooling_cost,\n1997,65,,5,\n")
+        assert ingest_costs(path) == [CostRecord(1997, 65.0, 5.0)]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbfyear,new_server_cost,power_cooling_cost\n1997,65,5\n")
+        assert ingest_costs(path) == [CostRecord(1997, 65.0, 5.0)]
+
+    def test_latin1_file_is_not_utf8(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"firm,share_percent\n\xc9tat,50\n")
+        with pytest.raises(DataValidationError) as raised:
+            ingest_shares(path)
+        assert str(raised.value) == f"cannot read {path}: not UTF-8 text (invalid continuation byte)"
+
+    def test_bundled_files_hold_the_reference_data(self):
+        # each value is written both in data/ and in dcecon.reference
+        assert ingest_costs(DATA_DIR / "tables.csv") == list(reference.COST_RECORDS.values())
+        assert ingest_weights(DATA_DIR / "linear_weights.csv") == {
+            year: (w1, w2) for year, (w1, w2, _) in reference.LINEAR_COST_TABLE.items()}
+        apac = ingest_shares(DATA_DIR / "apac_shares.csv")
+        assert tuple(entry.share for entry in apac.entries) == reference.APAC_SHARES
+        with pytest.warns(UserWarning):  # the IaaS shares sum to 100.1
+            iaas = ingest_shares(DATA_DIR / "iaas_shares.csv")
+        assert tuple((entry.firm, entry.share) for entry in iaas.entries) == reference.IAAS_SHARES
+
 
 class TestRunReport:
     def sample(self):
@@ -400,6 +440,10 @@ class TestReadNumericCsv:
     def test_blank_rows_skipped(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1,2\n\n3,4\n")
         assert read_numeric_csv(path, ["a", "b"]) == {"a": [1.0, 3.0], "b": [2.0, 4.0]}
+
+    def test_column_asked_for_twice_is_read_once(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\n")
+        assert read_numeric_csv(path, ["b", "a", "b"]) == {"b": [2.0, 4.0], "a": [1.0, 3.0]}
 
 
 class TestReadByYear:
