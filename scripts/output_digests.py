@@ -23,6 +23,7 @@ usable CPUs.
 
 import argparse
 import hashlib
+import math
 import os
 import shlex
 import shutil
@@ -66,6 +67,23 @@ INPUTS = {
     "repeated_column_costs.csv": "year,new_server_cost,power_cooling_cost,new_server_cost\n"
                                  "1997,65,5,1\n",
     "bom_costs.csv": b"\xef\xbb\xbfyear,new_server_cost,power_cooling_cost\n1997,65,5\n",
+    # 200 rows of y = exp(0.6) * S^0.55 * P^0.6 times a wobble of up to 5 %
+    "fit_200.csv": "new_server_cost,power_cooling_cost,output\n" + "".join(
+        f"{S},{P},{round(math.exp(0.6 + 0.55 * math.log(S) + 0.6 * math.log(P) + wobble), 6)}\n"
+        for S, P, wobble in ((5 + i * 37 % 61, 5.5 + i * 53 % 59, 0.05 * math.sin(i))
+                             for i in range(200))),
+    # the shape of the benchmark's blocks: the returns-to-scale rows and 17 random
+    # directions; alpha + beta <= 0.7532 binds for fit_200.csv (OLS gives about 1.15)
+    "constraints_m20.csv": "c1,c2,c3,b\n0,-1,0,0\n0,0,-1,0\n0,1,1,0.7532\n"
+                           "0.9437,0.6876,-0.3594,1.2278\n-0.3255,-0.7999,-0.7522,0.7461\n"
+                           "0.3936,0.4367,-0.3977,0.6188\n0.9555,-0.6466,-0.9659,0.8535\n"
+                           "0.2463,0.41,0.5646,0.5597\n0.9427,0.8013,0.0634,1.1051\n"
+                           "-0.8481,0.915,-0.003,1.6275\n0.1451,0.4822,0.2742,1.7166\n"
+                           "0.1618,-0.8616,0.9689,1.0641\n-0.5936,0.2644,0.0648,1.8092\n"
+                           "0.7444,0.6348,0.4337,1.2355\n-0.8878,-0.0505,0.8202,0.358\n"
+                           "0.7836,0.7495,0.1506,0.766\n-0.3621,0.6257,-0.6816,1.5059\n"
+                           "-0.8448,-0.2858,0.6268,0.4605\n-0.3061,0.2936,-0.9585,0.522\n"
+                           "0.655,-0.9973,-0.7145,0.5605\n",
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -229,6 +247,12 @@ def invocations(quick):
         (("fit", "--input", "inputs/fit.csv", "--x1", "new_server_cost",
           "--x2", "new_server_cost"), False),
         (("sfa", "--S", "9", "--I", "16", "--alpha", "0.6", "--synthesize", "2"), False),
+    ]
+    # a constrained fit over a 20-row block and an OLS fit over 200 rows
+    calls += [
+        (("fit", "--input", "inputs/fit_200.csv", "--constrained", "inputs/constraints_m20.csv"),
+         False),
+        (("fit", "--input", "inputs/fit_200.csv"), False),
     ]
     return [argv for argv, slow in calls if not (quick and slow)]
 

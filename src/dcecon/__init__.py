@@ -5,12 +5,11 @@ progress, closed-form and gradient-based optima for cost, revenue, and profit,
 stochastic-frontier elasticity recovery, least-squares and constrained QP
 fitting, and market-concentration (HHI) measurement.
 
-numpy is the only dependency, and the fitting module is the only one that
-needs it. Every submodule, and every name exported here, is loaded on first
-access, so importing dcecon loads none of them. Every CLI command loads cli,
-reports, optimizers, production and errors; only the modules a command itself
-uses (closed_form, frontier, fitting, concentration, reference) load on demand,
-so every command but fit runs without numpy.
+The package runs on the Python standard library. Every submodule, and every
+name exported here, is loaded on first access, so importing dcecon loads none
+of them. Every CLI command loads cli, reports, optimizers, production and
+errors; only the modules a command itself uses (closed_form, frontier,
+fitting, concentration, reference) load on demand.
 """
 
 import importlib

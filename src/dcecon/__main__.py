@@ -13,7 +13,7 @@ def run():
 
     Cyclic garbage collection is switched off before the CLI is imported: the
     few reference cycles one command leaves are freed when the process ends,
-    and the collector's passes while numpy loads only cost time. Forked trace
+    and the collector's passes during the imports only cost time. Forked trace
     children inherit the setting, so they stop copying parent pages to update
     GC headers.
 

@@ -222,7 +222,6 @@ def _cmd_fit(args) -> RunReport:
                             "positive" if args.scale == "log" else "finite")
     block = (read_numeric_csv(args.constrained, ["c1", "c2", "c3", "b"])
              if args.constrained else None)
-    # numpy is loaded only by the command that needs it, and only once its files have been read
     from . import fitting
 
     builder = fitting.DesignMatrix.log_scale if args.scale == "log" else fitting.DesignMatrix.raw_scale

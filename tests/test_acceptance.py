@@ -414,8 +414,8 @@ class TestCriterion7Fitting:
             design = DesignMatrix.log_scale(S, P, np.exp(log_y))
             ols = ols_fit(design)
             qp_result = qp_fit(design, constraints)
-            assert np.max(np.abs(ols.coefficients - qp_result.coefficients)) <= 1e-8
-            A, y = design.matrix, design.outputs
+            assert np.max(np.abs(np.subtract(ols.coefficients, qp_result.coefficients))) <= 1e-8
+            A, y = np.array(design.matrix), np.array(design.outputs)
             qp = QuadraticProgram(H=A.T @ A, f=-2.0 * A.T @ y,
                                   C=constraints[0], b=constraints[1])
             x = qp_solve(qp)
@@ -431,7 +431,7 @@ class TestCriterion7Fitting:
         y = np.exp(0.2 + 0.9 * np.log(S) + 0.7 * np.log(P) + rng.normal(0, 0.05, size=30))
         design = DesignMatrix.log_scale(S, P, y)
         fit = qp_fit(design, constraints)
-        A, out = design.matrix, design.outputs
+        A, out = np.array(design.matrix), np.array(design.outputs)
         qp = QuadraticProgram(H=A.T @ A, f=-2.0 * A.T @ out,
                               C=constraints[0], b=constraints[1])
         ok = abs(fit.alpha + fit.beta - 1.0) <= 1e-9 and certify_solution(qp, fit.coefficients)

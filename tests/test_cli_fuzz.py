@@ -169,7 +169,8 @@ def run_main(argv):
 
 
 @given(data=st.data())
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 def test_every_invocation_keeps_the_exit_code_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
         argv, fmt = data.draw(invocations(Path(tmp)), label="argv")
@@ -190,7 +191,7 @@ def test_every_invocation_keeps_the_exit_code_contract(data):
 # the success path of profit --reference, which the draws above reach in few runs
 @given(rows=st.lists(st.tuples(REFERENCE_YEAR, PLAUSIBLE, PLAUSIBLE), min_size=1, max_size=4,
                      unique_by=lambda row: row[0]))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_clean_reference_profit_exits_0_with_strict_json(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "costs.csv"

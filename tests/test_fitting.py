@@ -32,6 +32,11 @@ from dcecon.fitting import (
 RAW_MODEL_PREDICTION = 990.516
 
 
+def arrays(design):
+    """The design's matrix and outputs as numpy arrays, for the oracles."""
+    return np.array(design.matrix), np.array(design.outputs)
+
+
 def synthetic_log_design(rng, n_rows, intercept_value, alpha, beta, noise=0.0):
     S = rng.uniform(2.0, 90.0, size=n_rows)
     P = rng.uniform(2.0, 90.0, size=n_rows)
@@ -56,17 +61,19 @@ class TestOlsFit:
         for _ in range(25):
             design = synthetic_log_design(rng, 40, 0.5, 0.8, 1.2, noise=0.3)
             fit = ols_fit(design)
-            oracle = np.linalg.pinv(design.matrix) @ design.outputs
-            assert np.max(np.abs(fit.coefficients - oracle)) <= 1e-8
+            A, y = arrays(design)
+            oracle = np.linalg.pinv(A) @ y
+            assert np.max(np.abs(np.array(fit.coefficients) - oracle)) <= 1e-8
 
     def test_residual_orthogonal_to_column_space(self):
         rng = np.random.default_rng(107)
         for _ in range(25):
             design = synthetic_log_design(rng, 30, -1.0, 1.5, 0.4, noise=0.5)
             fit = ols_fit(design)
-            residual = design.outputs - design.matrix @ fit.coefficients
-            lhs = np.linalg.norm(design.matrix.T @ residual)
-            rhs = np.linalg.norm(design.matrix.T @ design.outputs)
+            A, y = arrays(design)
+            residual = y - A @ np.array(fit.coefficients)
+            lhs = np.linalg.norm(A.T @ residual)
+            rhs = np.linalg.norm(A.T @ y)
             assert lhs <= 1e-8 * rhs
 
     def test_two_points_underdetermined(self):
@@ -185,42 +192,30 @@ class TestQpSolve:
 
 
 def mask_order_qp_solve(qp):
-    """Reference for qp_solve: walk all 2^m bit masks and solve those small enough."""
+    """Reference for qp_solve: walk all 2^m bit masks and solve those small enough.
+
+    Each working set goes through the same per-set KKT solve as qp_solve, and
+    ties go to the first (least) mask.
+    """
     n = qp.H.shape[0]
     m = qp.C.shape[0] if qp.C.size else 0
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
+    solve = fitting._kkt_solver(qp)
     best_x = None
     best_value = np.inf
     for mask in range(1 << m):
         active = [i for i in range(m) if mask >> i & 1]
         if len(active) + n_eq > n:
             continue
-        rows = []
-        if n_eq:
-            rows.append(qp.C_eq)
-        if active:
-            rows.append(qp.C[active])
-        n_active = n_eq + len(active)
-        kkt = np.zeros((n + n_active, n + n_active))
-        kkt[:n, :n] = 2.0 * qp.H
-        rhs = np.concatenate([-qp.f, qp.b_eq if n_eq else np.zeros(0),
-                              qp.b[active] if active else np.zeros(0)])
-        if n_active:
-            G = np.vstack(rows)
-            kkt[:n, n:] = G.T
-            kkt[n:, :n] = G
-        try:
-            solution = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            if np.linalg.norm(kkt @ solution - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-                continue
-        x = solution[:n]
-        mu = solution[n:n + n_eq] if n_eq else None
+        solved = solve(active)
+        if solved is None:
+            continue
+        x, multipliers = solved
         lam = np.zeros(m)
-        lam[active] = solution[n + n_eq:]
+        lam[active] = multipliers[n_eq:]
+        mu = multipliers[:n_eq] if n_eq else None
         if kkt_certificate(qp, x, lam, mu) and qp.objective(x) < best_value:
-            best_x, best_value = x, qp.objective(x)
+            best_x, best_value = tuple(x), qp.objective(x)
     if best_x is not None:
         return best_x
     _classify_failure(qp)
@@ -282,13 +277,14 @@ def test_working_sets_match_mask_order_bit_for_bit():
             outcomes.add(type(exc))
             continue
         got = qp_solve(qp)
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()], seed
-        outcomes.add(np.ndarray)
-    assert outcomes == {np.ndarray, InfeasibleProblemError, UnboundedProblemError}
+        assert [v.hex() for v in got] == [v.hex() for v in expected], seed
+        outcomes.add(tuple)
+    assert outcomes == {tuple, InfeasibleProblemError, UnboundedProblemError}
 
 
-def returns_to_scale_qp(seed, m, duplicates):
-    """A constrained log-linear fit: alpha >= 0, beta >= 0, alpha + beta <= s and random rows.
+def returns_to_scale_problem(seed, m, duplicates):
+    """Design X, outputs y and the block C x <= b of a constrained log-linear fit:
+    alpha >= 0, beta >= 0, alpha + beta <= s and random rows.
 
     The rows are rounded to 4 decimals, as in a constraint CSV. The last
     `duplicates` rows repeat earlier ones, which makes the KKT matrix of every
@@ -304,23 +300,65 @@ def returns_to_scale_qp(seed, m, duplicates):
     b = np.concatenate([[0.0, 0.0, round(rng.uniform(0.6, 1.0), 4)],
                         np.round(rng.uniform(0.2, 2.0, extra), 4)])
     repeat = rng.integers(0, m - duplicates, size=duplicates)
-    C, b = np.vstack([C, C[repeat]]), np.concatenate([b, b[repeat]])
+    return X, y, np.vstack([C, C[repeat]]), np.concatenate([b, b[repeat]])
+
+
+def returns_to_scale_qp(seed, m, duplicates):
+    X, y, C, b = returns_to_scale_problem(seed, m, duplicates)
     return QuadraticProgram(H=X.T @ X, f=-2.0 * X.T @ y, C=C, b=b)
 
 
 @pytest.mark.parametrize("m, duplicates", [(12, 0), (12, 2), (14, 1), (16, 0), (16, 3),
                                            (18, 2), (20, 0)])
 def test_returns_to_scale_fits_match_mask_order_bit_for_bit(monkeypatch, m, duplicates):
-    one_at_a_time = []
-    solve_one = fitting._solve_one
-    monkeypatch.setattr(fitting, "_solve_one",
-                        lambda *args: one_at_a_time.append(1) or solve_one(*args))
+    least_squares_calls = []
+    least_squares = fitting._least_squares
     qp = returns_to_scale_qp(100 * m + duplicates, m, duplicates)
-    got = qp_solve(qp)
-    assert [v.hex() for v in got.tolist()] == \
-        [v.hex() for v in mask_order_qp_solve(qp).tolist()]
-    # a repeated row makes its stacks singular, and those are solved one set at a time
-    assert bool(one_at_a_time) == bool(duplicates)
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting, "_least_squares",
+                      lambda *args: least_squares_calls.append(1) or least_squares(*args))
+        got = qp_solve(qp)
+    assert [v.hex() for v in got] == [v.hex() for v in mask_order_qp_solve(qp)]
+    # a working set holding both copies of a repeated row has a singular Schur
+    # complement, which is solved by least squares (so can {alpha >= 0, beta >= 0,
+    # alpha + beta <= s}, whose rows are dependent, without repeats)
+    assert least_squares_calls or not duplicates
+
+
+def slsqp_constrained_fit(optimize, X, y, C, b):
+    """The scipy oracle: min ||y - X x||^2 subject to C x <= b by SLSQP from the origin."""
+    result = optimize.minimize(
+        lambda x: np.sum((y - X @ x) ** 2), np.zeros(X.shape[1]),
+        jac=lambda x: -2.0 * X.T @ (y - X @ x), method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda x: b - C @ x, "jac": lambda x: -C}],
+        options={"ftol": 1e-12, "maxiter": 1000})
+    assert result.success, result.message
+    return result.x
+
+
+@pytest.mark.parametrize("seed, m, duplicates, working_sets", [(1, 30, 0, 4526),
+                                                                (7, 20, 5, 1351)])
+def test_constrained_fit_matches_the_scipy_oracle(monkeypatch, seed, m, duplicates,
+                                                  working_sets):
+    # m = 30 binds three random rows; the repeated block binds five rows at a
+    # degenerate vertex, two of them copies of others
+    optimize = pytest.importorskip("scipy.optimize")
+    X, y, C, b = returns_to_scale_problem(seed, m, duplicates)
+    solved = []
+    kkt_solver = fitting._kkt_solver
+
+    def counted(qp):
+        solve = kkt_solver(qp)
+        return lambda members: solved.append(members) or solve(members)
+    monkeypatch.setattr(fitting, "_kkt_solver", counted)
+    x = np.array(qp_fit(DesignMatrix(X, y), (C, b)).coefficients)
+    assert len(solved) == working_sets
+    qp = QuadraticProgram(H=X.T @ X, f=-2.0 * X.T @ y, C=C, b=b)
+    assert certify_solution(qp, x)
+    assert np.sum(C @ x - b > -1e-9) == (3 if duplicates == 0 else 5)
+    oracle = slsqp_constrained_fit(optimize, X, y, C, b)
+    assert np.max(np.abs(x - oracle)) <= 1e-9
+    assert qp.objective(x) <= qp.objective(oracle) + 1e-9 * abs(qp.objective(oracle))
 
 
 def test_multiplier_at_the_dual_tolerance_is_certified():
@@ -328,26 +366,35 @@ def test_multiplier_at_the_dual_tolerance_is_certified():
     # x = 0 with multiplier exactly -DUAL_TOL, which the certificate accepts (within
     # FEASIBILITY_TOL of x >= 1e-11); its objective 0 beats x = 1e-11 from {x >= 1e-11}
     qp = QuadraticProgram(H=[[0.5]], f=[1e-8], C=[[1.0], [-1.0]], b=[0.0, -1e-11])
-    assert qp_solve(qp).tolist() == mask_order_qp_solve(qp).tolist() == [0.0]
+    assert qp_solve(qp) == mask_order_qp_solve(qp) == (0.0,)
 
 
 def nnls_certify_solution(qp, x, nnls):
     """Reference for certify_solution: the scipy version, lstsq with equalities, nnls without."""
-    m = qp.C.shape[0]
-    grad = 2.0 * qp.H @ x + qp.f
-    active = [i for i in range(m) if qp.C[i] @ x - qp.b[i] > -1e-8]
+    H, f, C, b = qp_arrays(qp)
+    m = C.shape[0]
+    grad = 2.0 * H @ x + f
+    active = [i for i in range(m) if C[i] @ x - b[i] > -1e-8]
     lam = np.zeros(m)
     mu = None
     if qp.C_eq is not None:
-        stacked = np.hstack([qp.C_eq.T] + ([qp.C[active].T] if active else []))
+        C_eq = np.array(qp.C_eq)
+        stacked = np.hstack([C_eq.T] + ([C[active].T] if active else []))
         sol, *_ = np.linalg.lstsq(stacked, -grad, rcond=None)
-        n_eq = qp.C_eq.shape[0]
+        n_eq = C_eq.shape[0]
         mu = sol[:n_eq]
         if active:
             lam[active] = np.maximum(sol[n_eq:], 0.0)
     elif active:
-        lam[active], _ = nnls(qp.C[active].T, -grad)
+        lam[active], _ = nnls(C[active].T, -grad)
     return kkt_certificate(qp, x, lam, mu)
+
+
+def qp_arrays(qp):
+    """H, f, C and b of qp as numpy arrays, C with n columns even when it has no rows."""
+    n = qp.H.shape[0]
+    return (np.array(qp.H), np.array(qp.f), np.array(qp.C).reshape(qp.C.shape[0], n),
+            np.array(qp.b))
 
 
 def test_classification_and_certificates_match_scipy():
@@ -356,9 +403,10 @@ def test_classification_and_certificates_match_scipy():
     for seed in range(204):
         qp = random_qp(seed)
         n = qp.H.shape[0]
+        _, _, C, b = qp_arrays(qp)
         # a zero objective: status 2 exactly when the constraint set is empty
-        status = optimize.linprog(np.zeros(n), A_ub=qp.C if qp.C.size else None,
-                                  b_ub=qp.b if qp.C.size else None, A_eq=qp.C_eq,
+        status = optimize.linprog(np.zeros(n), A_ub=C if C.size else None,
+                                  b_ub=b if C.size else None, A_eq=qp.C_eq,
                                   b_eq=qp.b_eq, bounds=[(None, None)] * n,
                                   method="highs").status
         try:
@@ -368,12 +416,13 @@ def test_classification_and_certificates_match_scipy():
             outcomes.add(type(exc))
             continue
         assert status == 0, seed
+        x = np.array(x)
         assert certify_solution(qp, x) and nnls_certify_solution(qp, x, optimize.nnls), seed
         perturbed = x + 1e-3
         assert not certify_solution(qp, perturbed), seed
         assert not nnls_certify_solution(qp, perturbed, optimize.nnls), seed
-        outcomes.add(np.ndarray)
-    assert outcomes == {np.ndarray, InfeasibleProblemError, UnboundedProblemError}
+        outcomes.add(tuple)
+    assert outcomes == {tuple, InfeasibleProblemError, UnboundedProblemError}
 
 
 RTS_CONSTRAINTS = (
@@ -390,7 +439,7 @@ class TestQpFit:
             design = synthetic_log_design(rng, 25, 0.4, 0.3, 0.4, noise=0.05)
             constrained = qp_fit(design, RTS_CONSTRAINTS)
             unconstrained = ols_fit(design)
-            assert np.max(np.abs(constrained.coefficients
+            assert np.max(np.abs(np.array(constrained.coefficients)
                                  - unconstrained.coefficients)) <= 1e-8
 
     def test_binding_scale_constraint_lands_on_boundary(self):
@@ -405,9 +454,9 @@ class TestQpFit:
     def test_constrained_solution_dominates_feasible_samples(self):
         rng = np.random.default_rng(131)
         design = synthetic_log_design(rng, 30, 0.2, 0.9, 0.6, noise=0.05)
-        A, y = design.matrix, design.outputs
-        qp = QuadraticProgram(H=A.T @ A, f=-2.0 * A.T @ y,
-                              C=RTS_CONSTRAINTS[0], b=RTS_CONSTRAINTS[1])
+        A, y = arrays(design)
+        H, f = A.T @ A, -2.0 * A.T @ y
+        qp = QuadraticProgram(H=H, f=f, C=RTS_CONSTRAINTS[0], b=RTS_CONSTRAINTS[1])
         x_star = qp_solve(qp)
         assert certify_solution(qp, x_star)
         # dense sweep of the feasible triangle, intercept sampled around the optimum
@@ -415,15 +464,15 @@ class TestQpFit:
         betas = rng.uniform(0.0, 1.0, size=20_000) * (1.0 - alphas)
         intercepts = x_star[0] + rng.uniform(-2.0, 2.0, size=20_000)
         samples = np.column_stack([intercepts, alphas, betas])
-        values = np.einsum("ij,jk,ik->i", samples, qp.H, samples) + samples @ qp.f
+        values = np.einsum("ij,jk,ik->i", samples, H, samples) + samples @ f
         assert values.min() >= qp.objective(x_star) - 1e-6 * (1.0 + abs(qp.objective(x_star)))
 
     def test_unconstrained_qp_objective_identity(self):
         rng = np.random.default_rng(137)
         design = synthetic_log_design(rng, 20, 0.3, 0.4, 0.3, noise=0.1)
-        A, y = design.matrix, design.outputs
+        A, y = arrays(design)
         qp = QuadraticProgram(H=A.T @ A, f=-2.0 * A.T @ y, C=np.zeros((0, 3)), b=[])
-        x = qp_solve(qp)
+        x = np.array(qp_solve(qp))
         assert qp.objective(x) == pytest.approx(
             float(np.sum((y - A @ x) ** 2) - y @ y), rel=1e-9)
 
@@ -437,7 +486,7 @@ class TestRSquared:
     def test_mean_only_model_scores_zero(self):
         rng = np.random.default_rng(149)
         design = synthetic_log_design(rng, 15, 0.3, 0.7, 0.2, noise=0.4)
-        mean_model = FitResult(intercept=float(design.outputs.mean()), alpha=0.0,
+        mean_model = FitResult(intercept=float(np.mean(design.outputs)), alpha=0.0,
                                beta=0.0, r_squared=0.0, residual_norm=0.0)
         assert r_squared(mean_model, design) == pytest.approx(0.0, abs=1e-12)
 
@@ -445,10 +494,11 @@ class TestRSquared:
         rng = np.random.default_rng(151)
         design = synthetic_log_design(rng, 40, 0.2, 0.9, 0.3, noise=0.25)
         fit = ols_fit(design)
-        predictions = design.matrix @ fit.coefficients
-        ss_res = float(np.sum((design.outputs - predictions) ** 2))
-        mean = float(design.outputs.mean())
-        ss_tot = float(np.sum((design.outputs - mean) ** 2))
+        A, y = arrays(design)
+        predictions = A @ fit.coefficients
+        ss_res = float(np.sum((y - predictions) ** 2))
+        mean = float(y.mean())
+        ss_tot = float(np.sum((y - mean) ** 2))
         assert abs(r_squared(fit, design) - (1.0 - ss_res / ss_tot)) <= 1e-12
 
     def test_zero_variance_rejected(self):

@@ -1,5 +1,5 @@
-"""Start-up contract: only fit loads numpy, no call loads scipy, and importing the
-CLI loads only the submodules every command needs.
+"""Start-up contract: no command loads numpy or scipy, and importing the CLI loads
+only the submodules every command needs.
 
 Each case runs in a fresh interpreter, because this test process has long since
 imported numpy and scipy.
@@ -71,18 +71,31 @@ def test_python_m_dcecon_hhi_imports_neither_numpy_nor_scipy():
     assert not imported & {"numpy", "scipy"}
 
 
-def test_fit_loads_numpy_but_not_scipy(tmp_path):
+def test_no_command_loads_numpy_or_scipy(tmp_path):
     data = tmp_path / "fit.csv"
     data.write_text("new_server_cost,power_cooling_cost,output\n"
                     "2,3,5.1\n4,3,7.9\n3,5,8.2\n6,2,9.0\n5,6,13.1\n")
-    assert loaded_after(cli_call("fit", "--input", str(data))) == ["numpy"]
+    assert loaded_after(cli_call("fit", "--input", str(data))) == []
     assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
-                                 str(DATA_DIR / "constraints_rts.csv"))) == ["numpy"]
+                                 str(DATA_DIR / "constraints_rts.csv"))) == []
     # alpha <= -1 and alpha >= 1: the QP is infeasible, a numerical error (exit 3)
     infeasible = tmp_path / "infeasible.csv"
     infeasible.write_text("c1,c2,c3,b\n0,1,0,-1\n0,-1,0,-1\n")
     assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
-                                 str(infeasible), exit_code=3)) == ["numpy"]
+                                 str(infeasible), exit_code=3)) == []
+
+
+def test_constrained_fit_runs_where_numpy_cannot_be_imported(tmp_path):
+    data = tmp_path / "fit.csv"
+    data.write_text("new_server_cost,power_cooling_cost,output\n"
+                    "2,3,5.1\n4,3,7.9\n3,5,8.2\n6,2,9.0\n5,6,13.1\n")
+    argv = ["dcecon", "fit", "--input", str(data), "--constrained",
+            str(DATA_DIR / "constraints_rts.csv")]
+    # None in sys.modules makes every `import numpy` raise ImportError; run() exits 0
+    out = run_python("-c", "import sys\nsys.modules['numpy'] = None\n"
+                     f"sys.argv = {argv!r}\n"
+                     "from dcecon.__main__ import run\nrun()\n").stdout
+    assert json.loads(out)["config"]["method"] == "constrained_qp"
 
 
 def test_fit_reads_its_files_before_loading_numpy(tmp_path):
