@@ -84,6 +84,11 @@ INPUTS = {
                            "0.7836,0.7495,0.1506,0.766\n-0.3621,0.6257,-0.6816,1.5059\n"
                            "-0.8448,-0.2858,0.6268,0.4605\n-0.3061,0.2936,-0.9585,0.522\n"
                            "0.655,-0.9973,-0.7145,0.5605\n",
+    # 50 rows of raw costs 1,000-9,000 and y = 3 + 0.8 a + 0.7 b plus a wobble: the raw
+    # QP's H has entries near 1e9, so its KKT residuals round far above 1e-8
+    "fit_raw_costs.csv": "new_server_cost,power_cooling_cost,output\n" + "".join(
+        f"{a},{b},{round(3 + 0.8 * a + 0.7 * b + 40 * math.sin(i), 6)}\n"
+        for a, b, i in ((1000 + i * 4513 % 8001, 1000 + i * 2579 % 8001, i) for i in range(50))),
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -254,6 +259,9 @@ def invocations(quick):
          False),
         (("fit", "--input", "inputs/fit_200.csv"), False),
     ]
+    # a raw-scale constrained fit whose alpha + beta <= 1 binds
+    calls += [(("fit", "--input", "inputs/fit_raw_costs.csv", "--scale", "raw",
+                "--constrained", "data/constraints_rts.csv"), False)]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 

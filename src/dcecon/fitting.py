@@ -16,15 +16,16 @@ enumeration tells an infeasible QP from an unbounded one (by minimising ||x||^2
 under the same constraints) and certifies a claimed solution post hoc against
 the KKT conditions.
 
-The module runs on the standard library. Matrices are tuples of row tuples
-(:class:`Matrix`), and every function accepts lists, tuples or numpy arrays.
+The module runs on the standard library. A vector argument is a sequence of
+numbers and a matrix argument a sequence of such rows: lists, tuples and numpy
+arrays all qualify. Matrices are stored as tuples of row tuples (:class:`Matrix`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -56,15 +57,10 @@ JACOBI_SWEEPS = 60
 
 
 class Matrix(tuple):
-    """A dense matrix as a tuple of row tuples of floats, with numpy's shape and size.
+    """A dense matrix as a tuple of row tuples of floats, with numpy's shape and size."""
 
-    n_cols defaults to the length of the first row; a matrix without rows needs it.
-    """
-
-    def __new__(cls, rows, n_cols: Optional[int] = None):
+    def __new__(cls, rows, n_cols: int):
         matrix = super().__new__(cls, rows)
-        if n_cols is None:
-            n_cols = len(matrix[0]) if matrix else 0
         matrix.shape = (len(matrix), n_cols)
         return matrix
 
@@ -73,52 +69,38 @@ class Matrix(tuple):
         return self.shape[0] * self.shape[1]
 
 
-def _is_sequence(value) -> bool:
-    return hasattr(value, "__iter__") and not isinstance(value, str)
-
-
-def _numbers(name: str, value) -> List[float]:
-    """The numbers in value, flattened in row order; a lone number is one entry."""
-    if not _is_sequence(value):
-        value = [value]
-    entries = []
-    for item in value:
-        if _is_sequence(item):
-            entries.extend(_numbers(name, item))
-            continue
-        try:
-            entries.append(float(item))
-        except (TypeError, ValueError, OverflowError):
-            raise ParameterError(f"{name} has non-numeric entries") from None
-    return entries
-
-
-def _check_finite(name: str, entries) -> None:
-    if not all(map(math.isfinite, entries)):
-        raise ParameterError(f"{name} has non-finite entries")
-
-
 def _vector(name: str, value) -> Tuple[float, ...]:
-    """value flattened to a tuple of floats; raise ParameterError naming it if an entry is
-    NaN or infinite."""
-    entries = tuple(_numbers(name, value))
-    _check_finite(name, entries)
-    return entries
+    """value, a sequence of numbers other than a str, as a tuple of floats; raise
+    ParameterError naming it otherwise. Entries may be NaN or infinite."""
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ParameterError(f"{name} must be a sequence of numbers, got {type(value).__name__}")
+    try:
+        return tuple(map(float, value))
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} has non-numeric entries") from None
 
 
 def _matrix(name: str, value) -> Matrix:
-    """value as a Matrix, a flat sequence being one row (as np.atleast_2d makes it); raise
-    ParameterError naming it if an entry is NaN or infinite."""
+    """value, a sequence of rows that _vector accepts, as a Matrix; raise ParameterError
+    naming it otherwise. The width is value.shape[1] when value has a 2-D shape (so a
+    numpy array of shape (0, n) keeps n), else the first row's length."""
     shape = getattr(value, "shape", None)
-    rows = list(value) if _is_sequence(value) else [value]
-    if not (shape is not None and len(shape) == 2) and not (rows and _is_sequence(rows[0])):
-        rows = [rows]
-    rows = [tuple(_numbers(name, row)) for row in rows]
-    _check_finite(name, (v for row in rows for v in row))
-    n_cols = shape[1] if shape is not None and len(shape) == 2 else len(rows[0])
+    if isinstance(value, str) or not hasattr(value, "__iter__") or shape == ():
+        raise ParameterError(f"{name} must be a sequence of rows, got {type(value).__name__}")
+    rows = [_vector(name, row) for row in value]
+    n_cols = shape[1] if shape is not None and len(shape) == 2 else len(rows[0]) if rows else 0
     if any(len(row) != n_cols for row in rows):
         raise ParameterError(f"{name} rows differ in length")
     return Matrix(rows, n_cols)
+
+
+def _finite(name: str, coerce, value):
+    """coerce(name, value), a vector or a Matrix; raise ParameterError naming it if an
+    entry is NaN or infinite."""
+    value = coerce(name, value)
+    if not all(map(math.isfinite, chain.from_iterable(value) if coerce is _matrix else value)):
+        raise ParameterError(f"{name} has non-finite entries")
+    return value
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -140,8 +122,11 @@ class DesignMatrix:
     outputs: Tuple[float, ...]
 
     def __post_init__(self):
-        matrix = _matrix("design matrix", self.matrix)
-        outputs = _vector("design outputs", self.outputs)
+        matrix = _finite("design matrix", _matrix, self.matrix)
+        if matrix.shape[1] not in (2, 3):
+            raise ParameterError(f"design matrix must have 2 columns (no intercept) or 3 "
+                                 f"(intercept), got {matrix.shape[1]}")
+        outputs = _finite("design outputs", _vector, self.outputs)
         if matrix.shape[0] != len(outputs):
             raise ParameterError(
                 f"row mismatch: {matrix.shape[0]} design rows vs {len(outputs)} outputs"
@@ -154,7 +139,7 @@ class DesignMatrix:
                   intercept: bool = True) -> "DesignMatrix":
         logs = []
         for name, column in (("x1", x1), ("x2", x2), ("y", y)):
-            values = _numbers(name, column)
+            values = _vector(name, column)
             for value in values:
                 check_domain(name, value, "positive", DomainError)
             logs.append([math.log(value) for value in values])
@@ -163,11 +148,11 @@ class DesignMatrix:
     @classmethod
     def raw_scale(cls, x1: Sequence[float], x2: Sequence[float], y: Sequence[float],
                   intercept: bool = True) -> "DesignMatrix":
-        return cls(_design_rows(_numbers("x1", x1), _numbers("x2", x2), intercept),
-                   _numbers("y", y))
+        return cls(_design_rows(_vector("x1", x1), _vector("x2", x2), intercept),
+                   _vector("y", y))
 
 
-def _design_rows(x1: List[float], x2: List[float], intercept: bool) -> Matrix:
+def _design_rows(x1: Sequence[float], x2: Sequence[float], intercept: bool) -> Matrix:
     if len(x1) != len(x2):
         raise ParameterError(f"x1 has {len(x1)} entries but x2 has {len(x2)}")
     if intercept:
@@ -206,10 +191,10 @@ class QuadraticProgram:
     b_eq: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        H = _matrix("QP H", self.H)
-        f = _vector("QP f", self.f)
-        C = _matrix("QP C", self.C)
-        b = _vector("QP b", self.b)
+        H = _finite("QP H", _matrix, self.H)
+        f = _finite("QP f", _vector, self.f)
+        C = _finite("QP C", _matrix, self.C)
+        b = _finite("QP b", _vector, self.b)
         n = H.shape[0]
         if H.shape[1] != n:
             raise ParameterError(f"H must be square, got shape {H.shape}")
@@ -230,15 +215,15 @@ class QuadraticProgram:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "b", b)
         if self.C_eq is not None:
-            C_eq = _matrix("QP C_eq", self.C_eq)
-            b_eq = _vector("QP b_eq", self.b_eq)
+            C_eq = _finite("QP C_eq", _matrix, self.C_eq)
+            b_eq = _finite("QP b_eq", _vector, self.b_eq)
             if C_eq.shape[1] != n or C_eq.shape[0] != len(b_eq):
                 raise ParameterError("equality constraint shapes are inconsistent")
             object.__setattr__(self, "C_eq", C_eq)
             object.__setattr__(self, "b_eq", b_eq)
 
     def objective(self, x: Sequence[float]) -> float:
-        x = tuple(map(float, x))
+        x = _vector("x", x)
         return _dot(x, [_dot(row, x) for row in self.H]) + _dot(self.f, x)
 
 
@@ -359,28 +344,40 @@ def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[floa
                     mu: Optional[Sequence[float]] = None) -> bool:
     """Stationarity, primal/dual feasibility, and complementary slackness.
 
-    Tolerances: stationarity and complementary slackness 1e-8, dual sign 1e-8,
-    primal feasibility 1e-10. A non-finite x, lam or mu is rejected.
+    Tolerances: dual sign 1e-8, primal feasibility 1e-10, and 1e-8 times the size
+    of their terms, never less than 1e-8, for the stationarity residual 2Hx + f +
+    C^T lam + C_eq^T mu (the sum of the terms' norms) and for each lam_i (C_i x - b_i)
+    (|lam_i| (|C_i x| + |b_i|)), so the rounding of large data passes. A non-finite
+    x, lam or mu, residual or product is rejected.
     """
-    x, lam = tuple(map(float, x)), tuple(map(float, lam))
-    mu = None if mu is None else tuple(map(float, mu))
+    x, lam = _vector("x", x), _vector("lam", lam)
+    mu = None if mu is None else _vector("mu", mu)
     if not all(map(math.isfinite, (*x, *lam, *(mu or ())))):
         return False
-    grad = [2.0 * _dot(row, x) + fi for row, fi in zip(qp.H, qp.f)]
-    terms = [(qp.C, lam)] + ([(qp.C_eq, mu)] if qp.C_eq is not None and mu is not None else [])
-    for rows, weights in terms:  # + C^T lam + C_eq^T mu
-        grad = [g + sum(w * row[j] for row, w in zip(rows, weights)) for j, g in enumerate(grad)]
-    if math.hypot(*grad) > DUAL_TOL:
+    terms = [[2.0 * _dot(row, x) for row in qp.H], qp.f]
+    for rows, weights in ((qp.C, lam), (qp.C_eq, mu)):  # C^T lam, C_eq^T mu
+        if rows is not None and weights is not None:
+            terms.append([sum(w * row[j] for row, w in zip(rows, weights))
+                          for j in range(len(qp.f))])
+    if not _negligible(math.hypot(*map(sum, zip(*terms))),
+                       sum(math.hypot(*term) for term in terms)):
         return False
     if any(v < -DUAL_TOL for v in lam):
         return False
-    slack = [_dot(row, x) - bi for row, bi in zip(qp.C, qp.b)]
-    if any(s > FEASIBILITY_TOL for s in slack):
+    rows_x = [_dot(row, x) for row in qp.C]
+    if any(p - bi > FEASIBILITY_TOL for p, bi in zip(rows_x, qp.b)):
         return False
     if qp.C_eq is not None and any(abs(_dot(row, x) - bi) > FEASIBILITY_TOL
                                    for row, bi in zip(qp.C_eq, qp.b_eq)):
         return False
-    return not any(abs(v * s) > DUAL_TOL for v, s in zip(lam, slack))
+    return all(_negligible(v * (p - bi), abs(v) * (abs(p) + abs(bi)))
+               for v, p, bi in zip(lam, rows_x, qp.b) if v)
+
+
+def _negligible(value: float, size: float) -> bool:
+    """value is finite and |value| <= DUAL_TOL * max(1, size): zero up to the rounding of
+    terms of that size."""
+    return math.isfinite(value) and abs(value) <= DUAL_TOL * max(1.0, size)
 
 
 def _eliminate(rows: List[List[float]], rhs: List[float]) -> Optional[List[float]]:
@@ -557,7 +554,7 @@ def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     squares and checks the full certificate. A claimed optimum that fails this
     check for every working set is a defect.
     """
-    x = tuple(map(float, x))
+    x = _vector("x", x)
     n, m = qp.H.shape[0], qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     gradient = [-(2.0 * _dot(row, x) + fi) for row, fi in zip(qp.H, qp.f)]

@@ -518,6 +518,29 @@ class TestFitCommand:
         assert summary["alpha"] == pytest.approx(3.0, abs=1e-8)
         assert summary["beta"] == pytest.approx(4.0, abs=1e-8)
 
+    def test_raw_scale_constrained_fit_on_costs_in_the_thousands(self, tmp_path, capsys):
+        # H = A^T A has entries near 1e9, so the KKT residuals round far above 1e-8
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(1000, 9000, size=(2, 50))
+        y = 3.0 + 0.8 * a + 0.7 * b + rng.normal(0.0, 40.0, size=50)
+        path = tmp_path / "raw_costs.csv"
+        path.write_text("new_server_cost,power_cooling_cost,output\n"
+                        + "".join(f"{u},{v},{w}\n" for u, v, w in zip(a, b, y)))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--scale", "raw",
+                                 "--constrained", str(DATA_DIR / "constraints_rts.csv"))
+        assert (code, err) == (0, "")
+        summary = json.loads(out)["summary"]
+        # the oracle: OLS breaks alpha + beta <= 1, so the optimum lies on alpha + beta = 1,
+        # where y - b = K' + alpha (a - b) is an ordinary least-squares problem
+        A = np.column_stack([np.ones(50), a, b])
+        assert np.linalg.lstsq(A, y, rcond=None)[0][1:].sum() > 1.0
+        (intercept, alpha), *_ = np.linalg.lstsq(np.column_stack([np.ones(50), a - b]), y - b,
+                                                 rcond=None)
+        assert 0.0 <= alpha <= 1.0
+        assert summary["intercept"] == pytest.approx(intercept, rel=1e-9)
+        assert summary["alpha"] == pytest.approx(alpha, rel=1e-9)
+        assert summary["beta"] == pytest.approx(1.0 - alpha, rel=1e-9)
+
     def test_column_named_twice_is_read_once(self, tmp_path, capsys):
         path = self.make_csv(tmp_path)
         code, out, err = run_cli(capsys, "fit", "--input", str(path), "--x1", "output",

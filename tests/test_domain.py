@@ -270,11 +270,64 @@ MATRIX = st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=3, max_size
 FIT = st.tuples(*[FLOATS] * 5)
 
 
+# a design of 1-4 columns: DesignMatrix takes 2 (no intercept) or 3 (intercept)
+DESIGNS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(FLOATS, min_size=width, max_size=width),
+                           min_size=4, max_size=4))
+# a scalar, a 0-d array, a flat row, a nested row and a str: none is a matrix
+NOT_MATRICES = [1.0, np.array(1.0), [1.0, 0.0], [[[1.0, 0.0]], [[0.0, 1.0]]], "10"]
+# a scalar, a 0-d array, nested rows and a str: none is a sequence of numbers
+NOT_VECTORS = [1.0, np.array(1.0), [[1.0], [0.0]], "10"]
+
+
 class TestFitting:
-    @given(st.lists(st.lists(FLOATS, min_size=3, max_size=3), min_size=4, max_size=4), ROWS)
+    @given(DESIGNS, ROWS)
     @SETTINGS
     def test_design_matrix(self, matrix, outputs):
-        holds(["matrix", "outputs"], fitting.DesignMatrix, matrix, outputs)
+        if len(matrix[0]) in (2, 3):
+            holds(["matrix", "outputs"], fitting.DesignMatrix, matrix, outputs)
+        else:
+            with pytest.raises(ParameterError, match="^design matrix "):
+                fitting.DesignMatrix(matrix, outputs)
+
+    @pytest.mark.parametrize("name, value", [
+        *[("design matrix", value) for value in NOT_MATRICES],
+        *[("design outputs", value) for value in NOT_VECTORS],
+    ])
+    def test_design_matrix_rejects_a_misshaped_argument(self, name, value):
+        args = {"design matrix": [[1.0, 2.0, 3.0]] * 2, "design outputs": [1.0, 2.0]}
+        args[name] = value
+        with pytest.raises(ParameterError, match=f"^{name} "):
+            fitting.DesignMatrix(*args.values())
+
+    @pytest.mark.parametrize("scale", ["log_scale", "raw_scale"])
+    @pytest.mark.parametrize("name, value", [(name, value) for name in ("x1", "x2", "y")
+                                             for value in NOT_VECTORS])
+    def test_design_scales_reject_a_misshaped_column(self, scale, name, value):
+        columns = {"x1": [1.0, 2.0, 3.0, 4.0], "x2": [2.0, 1.0, 5.0, 3.0],
+                   "y": [3.0, 2.0, 6.0, 5.0], name: value}
+        with pytest.raises(ParameterError, match=f"^{name} "):
+            getattr(fitting.DesignMatrix, scale)(**columns)
+
+    @pytest.mark.parametrize("name, value", [
+        *[(name, value) for name in ("H", "C", "C_eq") for value in NOT_MATRICES],
+        *[(name, value) for name in ("f", "b", "b_eq") for value in NOT_VECTORS],
+    ])
+    def test_quadratic_program_rejects_a_misshaped_argument(self, name, value):
+        args = {"H": [[1.0, 0.0], [0.0, 1.0]], "f": [0.0, 0.0], "C": [[1.0, 0.0]], "b": [1.0],
+                "C_eq": [[0.0, 1.0]], "b_eq": [0.0], name: value}
+        with pytest.raises(ParameterError, match=f"^QP {name} "):
+            fitting.QuadraticProgram(**args)
+
+    @pytest.mark.parametrize("value", NOT_VECTORS)
+    def test_certificates_reject_a_misshaped_point(self, value):
+        qp = fitting.QuadraticProgram(H=[[1.0, 0.0], [0.0, 1.0]], f=[0.0, 0.0], C=[[1.0, 0.0]],
+                                      b=[1.0])
+        for call in (lambda: fitting.certify_solution(qp, value), lambda: qp.objective(value),
+                     lambda: fitting.kkt_certificate(qp, value, [0.0]),
+                     lambda: fitting.kkt_certificate(qp, [0.0, 0.0], value)):
+            with pytest.raises(ParameterError, match="^(x|lam) "):
+                call()
 
     @pytest.mark.parametrize("scale", ["log_scale", "raw_scale"])
     @given(ROWS, ROWS, ROWS, st.booleans())
@@ -350,6 +403,12 @@ class TestFitting:
      ParameterError, "design matrix has non-finite entries"),
     (lambda: fitting.DesignMatrix([[1, 2, 3]], [math.inf]),
      ParameterError, "design outputs has non-finite entries"),
+    (lambda: fitting.DesignMatrix([[1.0], [2.0], [3.0]], [1.0, 2.0, 4.0]),
+     ParameterError, r"design matrix must have 2 columns \(no intercept\) or 3 \(intercept\), "
+                     "got 1"),
+    (lambda: fitting.DesignMatrix([[1, 2, 3, 4]] * 5, [1, 2, 4, 3, 5]),
+     ParameterError, r"design matrix must have 2 columns \(no intercept\) or 3 \(intercept\), "
+                     "got 4"),
     (lambda: fitting.predict(fitting.FitResult(0.8, 0.9, 0.6, 0.9, 0.1), math.nan, 1.0),
      DomainError, "S must be strictly positive, got nan"),
     (lambda: production.evaluate_augmented(1e300, 1.0, 0.5, 0.5, 1e300, 1.0),
@@ -358,7 +417,8 @@ class TestFitting:
      DomainError, r"B\*I must be strictly positive, got 0.0"),
 ], ids=["params-P", "spec-K", "recovery-K", "shocks-sigma-v", "progress-L-star", "max-iters",
         "max-iters-bool", "seed", "seed-bool", "synthesize-count-bool", "scale-tol",
-        "design-matrix", "design-outputs", "predict-S", "augmented-A-R", "augmented-B-I"])
+        "design-matrix", "design-outputs", "design-width-1", "design-width-4", "predict-S",
+        "augmented-A-R", "augmented-B-I"])
 def test_rejection_names_the_argument(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()

@@ -98,13 +98,17 @@ def test_constrained_fit_runs_where_numpy_cannot_be_imported(tmp_path):
     assert json.loads(out)["config"]["method"] == "constrained_qp"
 
 
-def test_fit_reads_its_files_before_loading_numpy(tmp_path):
-    assert loaded_after(cli_call("fit", "--input", str(tmp_path / "missing.csv"),
-                                 exit_code=2)) == []
+def test_fit_reads_its_files_before_importing_fitting(tmp_path):
+    def fitting_loaded(call):
+        out = run_python("-c", f"{call}import sys\nprint('dcecon.fitting' in sys.modules)\n")
+        return out.stdout.splitlines()[-1]
+
+    assert fitting_loaded(cli_call("fit", "--input", str(tmp_path / "missing.csv"),
+                                   exit_code=2)) == "False"
     data = tmp_path / "fit.csv"
     data.write_text("new_server_cost,power_cooling_cost,output\n2,3,5.1\n4,3,7.9\n3,5,8.2\n")
-    assert loaded_after(cli_call("fit", "--input", str(data), "--constrained",
-                                 str(tmp_path / "missing.csv"), exit_code=2)) == []
+    assert fitting_loaded(cli_call("fit", "--input", str(data), "--constrained",
+                                   str(tmp_path / "missing.csv"), exit_code=2)) == "False"
 
 
 def test_every_name_and_submodule_resolves_from_the_package():
