@@ -89,6 +89,12 @@ INPUTS = {
     "fit_raw_costs.csv": "new_server_cost,power_cooling_cost,output\n" + "".join(
         f"{a},{b},{round(3 + 0.8 * a + 0.7 * b + 40 * math.sin(i), 6)}\n"
         for a, b, i in ((1000 + i * 4513 % 8001, 1000 + i * 2579 % 8001, i) for i in range(50))),
+    # 60 rows with P = S (1 +- 1e-7) and y = exp(0.6) * S^0.55 * P^0.6: the log-scale
+    # design's condition number is 7.7e7, so the OLS solve's rounding shows in its output
+    "fit_collinear.csv": "new_server_cost,power_cooling_cost,output\n" + "".join(
+        f"{S},{P},{math.exp(0.6 + 0.55 * math.log(S) + 0.6 * math.log(P))}\n"
+        for S, P in ((5.0 + 1.5 * i, (5.0 + 1.5 * i) * (1.0 + (-1) ** i * 1e-7))
+                     for i in range(60))),
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -262,6 +268,8 @@ def invocations(quick):
     # a raw-scale constrained fit whose alpha + beta <= 1 binds
     calls += [(("fit", "--input", "inputs/fit_raw_costs.csv", "--scale", "raw",
                 "--constrained", "data/constraints_rts.csv"), False)]
+    # an OLS fit over a near-collinear design
+    calls += [(("fit", "--input", "inputs/fit_collinear.csv"), False)]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 

@@ -29,7 +29,7 @@ _EXPORTS = {
     "frontier": ("draw_shocks", "elasticities_from_frontier", "frontier_output", "synthesize",
                  "technical_efficiency"),
     "optimizers": ("OptimResult", "OptimizerConfig", "Termination", "sga_revenue_max",
-                   "sgd_cost_min", "sgd_linear_cost_min"),
+                   "sgd_cost_min"),
     "production": ("CostRecord", "RdDeterminants", "ScaleClassification", "ScaleRegime",
                    "evaluate_augmented", "evaluate_output", "harrod_progress", "invert_harrod",
                    "invert_solow", "linear_cost", "returns_to_scale", "solow_progress"),

@@ -2,16 +2,18 @@
 
 The regression is y_i ~ K' + alpha*x1_i + beta*x2_i, either on the log scale
 (log inputs and log outputs, the linearized Cobb-Douglas) or on the raw scale.
-Unconstrained fits are least-squares solves through a Householder QR; fits with
-linear inequality constraints become a small dense quadratic program
+Unconstrained fits are least-squares solves by a one-sided Jacobi SVD of the design;
+fits with linear inequality constraints become a small dense quadratic program
 
     min x^T H x + f^T x   s.t.  C x <= b  (and optional C_eq x = b_eq)
 
 with H = A^T A and f = -2 A^T y, solved exactly by enumerating working sets:
 every set of at most n - n_eq inequality constraints, sum_{k <= n - n_eq} C(m, k)
-of them (1,351 at m = 20 and n = 3). When 2H is positive definite, the KKT
-system of each working set reduces to its Schur complement, a system with one
-unknown per active constraint, over quantities computed once per QP. The same
+of them (1,351 at m = 20 and n = 3). When elimination on 2H keeps its pivots
+above a floor (see SCHUR_RCOND), the KKT system of each working set reduces to
+its Schur complement, a system with one unknown per active constraint, over
+quantities computed once per QP. Square systems are solved by pivoted Gaussian
+elimination, and singular ones, like every rank decision, by the Jacobi SVD. The same
 enumeration tells an infeasible QP from an unbounded one (by minimising ||x||^2
 under the same constraints) and certifies a claimed solution post hoc against
 the KKT conditions.
@@ -48,8 +50,8 @@ RANK_RCOND = 1e-12
 FEASIBILITY_TOL = 1e-10
 DUAL_TOL = 1e-8
 
-# the QP goes through the Schur complement of 2H when every pivot of its LDL^T
-# factorisation exceeds SCHUR_RCOND times its largest diagonal entry
+# the QP goes through the Schur complement of 2H when every pivot of its elimination
+# exceeds SCHUR_RCOND times its largest diagonal entry in magnitude
 SCHUR_RCOND = 1e-8
 
 EPS = 2.0 ** -52
@@ -227,28 +229,6 @@ class QuadraticProgram:
         return _dot(x, [_dot(row, x) for row in self.H]) + _dot(self.f, x)
 
 
-def _householder_qr(columns: List[List[float]], y: Sequence[float]
-                    ) -> Tuple[List[List[float]], List[float]]:
-    """(columns of R, the first n entries of Q^T y) for the m x n matrix QR with these columns."""
-    n = len(columns)
-    columns = [list(column) for column in columns]
-    y = list(y)
-    for j in range(n):
-        head = columns[j][j:]
-        norm = math.hypot(*head)
-        if norm == 0.0:
-            continue
-        head[0] += math.copysign(norm, head[0])
-        length = math.hypot(*head)
-        reflector = [v / length for v in head]
-        # I - 2 u u^T with the unit vector u maps column j onto -sign(a_jj) ||a_j|| e_j
-        for target in columns[j:] + [y]:
-            scale = 2.0 * _dot(reflector, target[j:])
-            for i, u in enumerate(reflector, j):
-                target[i] -= scale * u
-    return [column[:j + 1] + [0.0] * (n - j - 1) for j, column in enumerate(columns)], y[:n]
-
-
 def _least_squares(columns: List[Sequence[float]], rhs: Sequence[float],
                    rcond: Optional[float] = None) -> Tuple[List[float], int]:
     """The minimum-norm least-squares solution of A x = rhs and the rank of A, given A's columns.
@@ -303,7 +283,7 @@ def _least_squares(columns: List[Sequence[float]], rhs: Sequence[float],
 def ols_fit(design: DesignMatrix) -> FitResult:
     """Least-squares coefficients for an (over)determined design.
 
-    A Householder QR reduces A to R and y to Q^T y, and R's singular values (A's)
+    A one-sided Jacobi SVD of the design solves the system, and A's singular values
     decide the rank: those at or below RANK_RCOND times the largest count as
     zero. An overflow surfaces as a non-finite FitResult field, which raises.
     """
@@ -313,8 +293,7 @@ def ols_fit(design: DesignMatrix) -> FitResult:
         raise SingularSystemError(
             f"underdetermined system: {n_rows} rows for {n_cols} coefficients"
         )
-    R, reduced = _householder_qr(_columns(A, n_cols), y)
-    x, rank = _least_squares(R, reduced, RANK_RCOND)
+    x, rank = _least_squares(_columns(A, n_cols), y, RANK_RCOND)
     if rank < n_cols:
         raise SingularSystemError(f"design matrix is rank deficient (rank {rank} of {n_cols})")
     return _fit_result_from_coefficients(x, design)
@@ -380,15 +359,16 @@ def _negligible(value: float, size: float) -> bool:
     return math.isfinite(value) and abs(value) <= DUAL_TOL * max(1.0, size)
 
 
-def _eliminate(rows: List[List[float]], rhs: List[float]) -> Optional[List[float]]:
+def _eliminate(rows: Sequence[Sequence[float]], rhs: Sequence[float],
+               floor: float = 0.0) -> Optional[List[float]]:
     """The solution of a square system by Gaussian elimination with partial pivoting, or
-    None if a pivot is exactly zero."""
+    None if a pivot's magnitude is at or below floor."""
     size = len(rhs)
     a = [list(row) + [v] for row, v in zip(rows, rhs)]
     for col in range(size):
         magnitudes = [abs(row[col]) for row in a]
         pivot = max(range(col, size), key=magnitudes.__getitem__)
-        if a[pivot][col] == 0.0:
+        if abs(a[pivot][col]) <= floor:
             return None
         a[col], a[pivot] = a[pivot], a[col]
         head = a[col]
@@ -414,47 +394,17 @@ def _solve_square(rows: List[List[float]], rhs: List[float]) -> Optional[List[fl
     return x
 
 
-def _ldl(A: List[List[float]]) -> Optional[Tuple[List[List[float]], List[float]]]:
-    """(L, d) with unit lower-triangular L and L diag(d) L^T = A, or None unless every pivot
-    d_j is positive and above SCHUR_RCOND times the largest diagonal entry of A."""
-    n = len(A)
-    floor = max(SCHUR_RCOND * max((A[i][i] for i in range(n)), default=0.0), 0.0)
-    L = [[float(i == j) for j in range(n)] for i in range(n)]
-    d = []
-    for j in range(n):
-        scaled = [L[j][k] * d[k] for k in range(j)]
-        pivot = A[j][j] - _dot(L[j][:j], scaled)
-        if not pivot > floor:
-            return None
-        d.append(pivot)
-        for i in range(j + 1, n):
-            L[i][j] = (A[i][j] - _dot(L[i][:j], scaled)) / pivot
-    return L, d
-
-
-def _ldl_solve(L: List[List[float]], d: List[float], rhs: Sequence[float]) -> List[float]:
-    n = len(L)
-    z = []
-    for i in range(n):
-        z.append(rhs[i] - _dot(L[i][:i], z))
-    z = [v / p for v, p in zip(z, d)]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        x[i] = z[i] - sum(L[k][i] * x[k] for k in range(i + 1, n))
-    return x
-
-
 def _kkt_solver(qp: QuadraticProgram):
     """solve(members) for qp: the KKT point (x, multipliers) of the working set that holds the
     equalities and the inequality rows `members`, or None.
 
     The system is [[2H, G^T], [G, 0]] (x, multipliers) = (-f, b_G), where G stacks C_eq over
-    the rows `members` of C; the multipliers of the equalities come first. When 2H has an
-    LDL^T factorisation (see SCHUR_RCOND), x = x0 - W^T multipliers with x0 = -(2H)^-1 f and
-    the rows of W = G (2H)^-1, and the multipliers solve the Schur complement system
-    (G (2H)^-1 G^T) multipliers = G x0 - b_G, each of these computed once per QP for every
-    row. Otherwise the whole KKT system is solved. A singular system is solved by least
-    squares, and an inconsistent one gives None.
+    the rows `members` of C; the multipliers of the equalities come first. When elimination
+    on 2H keeps every pivot above its floor (see SCHUR_RCOND), x = x0 - W^T multipliers
+    with x0 = -(2H)^-1 f and the rows of W = G (2H)^-1, and the multipliers solve the Schur
+    complement system (G (2H)^-1 G^T) multipliers = G x0 - b_G, each of these computed once
+    per QP for every row. Otherwise the whole KKT system is solved. A singular system is
+    solved by least squares, and an inconsistent one gives None.
     """
     n = qp.H.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
@@ -462,10 +412,11 @@ def _kkt_solver(qp: QuadraticProgram):
     targets = (list(qp.b_eq) if n_eq else []) + list(qp.b)
     equalities = list(range(n_eq))
     H2 = [[2.0 * h for h in row] for row in qp.H]
-    factor = _ldl(H2)
-    if factor is not None:
-        x0 = [-v for v in _ldl_solve(*factor, qp.f)]
-        W = [_ldl_solve(*factor, row) for row in rows]
+    floor = SCHUR_RCOND * max((abs(H2[i][i]) for i in range(n)), default=0.0)
+    x0 = _eliminate(H2, qp.f, floor)
+    if x0 is not None:
+        x0 = [-v for v in x0]
+        W = [_eliminate(H2, row, floor) for row in rows]
         schur = [[_dot(row, w) for w in W] for row in rows]
         residual = [_dot(row, x0) - t for row, t in zip(rows, targets)]
 

@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import List, Literal, Optional, Tuple, get_args
 
 from .errors import ParameterError, check_domain, overflow_as_error
-from .production import CostRecord, evaluate_output, linear_cost
+from .production import CostRecord, evaluate_output
 
 GradientMode = Literal["marginal", "analytic"]
 
@@ -211,22 +211,3 @@ def sgd_cost_min(record: CostRecord, config: OptimizerConfig) -> OptimResult:
 def sga_revenue_max(record: CostRecord, config: OptimizerConfig) -> OptimResult:
     """Ascend on the elasticities while alpha, beta > 0 and alpha + beta < cap."""
     return _run(record, config, direction=+1.0, cap=config.cap)
-
-
-Interval = Tuple[float, float]
-
-
-def sgd_linear_cost_min(record: CostRecord, w1_bounds: Interval,
-                        w2_bounds: Interval) -> Tuple[float, float, float]:
-    """Minimize w1*L + w2*K over a weight box.
-
-    The gradient (L, K) is positive, so the minimum is the box's lower corner;
-    a degenerate box (lo == hi) pins the weights.
-    """
-    for name, (lo, hi) in (("w1_bounds", w1_bounds), ("w2_bounds", w2_bounds)):
-        check_domain(name, lo, "non-negative", ParameterError)
-        check_domain(name, hi, "non-negative", ParameterError)
-        if lo > hi:
-            raise ParameterError(f"{name} is an empty interval: ({lo}, {hi})")
-    w1, w2 = w1_bounds[0], w2_bounds[0]
-    return w1, w2, linear_cost(w1, w2, record.server_cost, record.power_cooling_cost)

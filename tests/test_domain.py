@@ -242,13 +242,6 @@ class TestOptimizers:
               lambda: reports.run_year(runner, production.CostRecord(2000, L, K),
                                        config_from(values, mode, record), "run"))
 
-    @given(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, FLOATS)
-    @SETTINGS
-    def test_linear_cost_min(self, L, K, lo1, hi1, lo2, hi2):
-        holds(["server_cost", "power_cooling_cost", "w1_bounds", "w2_bounds"],
-              lambda: optimizers.sgd_linear_cost_min(production.CostRecord(2000, L, K),
-                                                     (lo1, hi1), (lo2, hi2)))
-
     @given(FLOATS, FLOATS, FLOATS)
     @example(1e308, -1e308, 0.0)
     @SETTINGS

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,23 @@ def synthetic_log_design(rng, n_rows, intercept_value, alpha, beta, noise=0.0):
     if noise:
         log_y = log_y + rng.normal(0.0, noise, size=n_rows)
     return DesignMatrix.log_scale(S, P, np.exp(log_y))
+
+
+def exact_normal_equation_solution(design):
+    """The solution of A^T A x = A^T y in exact rational arithmetic over the design's floats."""
+    A = [[Fraction(v) for v in row] for row in design.matrix]
+    y = [Fraction(v) for v in design.outputs]
+    n = len(A[0])
+    system = [[sum(row[i] * row[j] for row in A) for j in range(n)]
+              + [sum(row[i] * v for row, v in zip(A, y))] for i in range(n)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if system[i][col])
+        system[col], system[pivot] = system[pivot], system[col]
+        for i in range(n):
+            if i != col:
+                factor = system[i][col] / system[col][col]
+                system[i] = [a - factor * b for a, b in zip(system[i], system[col])]
+    return [system[i][n] / system[i][i] for i in range(n)]
 
 
 class TestOlsFit:
@@ -101,6 +120,23 @@ class TestOlsFit:
         assert fit.intercept == 0.0
         assert abs(fit.alpha - 0.7) <= 1e-10
         assert abs(fit.beta - 0.2) <= 1e-10
+
+    def test_near_collinear_design_within_the_conditioning_bound(self):
+        # 60 rows with P = S (1 +- 1e-7), the design of fit_collinear.csv in
+        # scripts/output_digests.py: log P - log S = +-1e-7, so A's condition number is 7.7e7
+        S = [5.0 + 1.5 * i for i in range(60)]
+        P = [s * (1.0 + (-1) ** i * 1e-7) for i, s in enumerate(S)]
+        y = [math.exp(0.6 + 0.55 * math.log(s) + 0.6 * math.log(p)) for s, p in zip(S, P)]
+        design = DesignMatrix.log_scale(S, P, y)
+        exact = exact_normal_equation_solution(design)
+        fit = ols_fit(design)
+        # a backward-stable least-squares solve errs by about cond(A) * eps * ||x|| when the
+        # residual is negligible, as it is here (y is exact up to rounding); the solver
+        # must stay within that first-order bound (1.7e-8), which numpy's lstsq meets too
+        A, _ = arrays(design)
+        bound = np.linalg.cond(A) * 2.0 ** -52 * math.hypot(*map(float, exact))
+        for got, want in zip(fit.coefficients, exact):
+            assert abs(Fraction(got) - want) <= bound
 
 
 class TestQpSolve:
@@ -367,6 +403,73 @@ def test_multiplier_at_the_dual_tolerance_is_certified():
     # FEASIBILITY_TOL of x >= 1e-11); its objective 0 beats x = 1e-11 from {x >= 1e-11}
     qp = QuadraticProgram(H=[[0.5]], f=[1e-8], C=[[1.0], [-1.0]], b=[0.0, -1e-11])
     assert qp_solve(qp) == mask_order_qp_solve(qp) == (0.0,)
+
+
+def schur_attempts(monkeypatch):
+    """A list that receives the result of every elimination on 2H with a pivot floor, the
+    Schur branch's solves, from here on; None means 2H fell through to the whole KKT system."""
+    attempts = []
+    eliminate = fitting._eliminate
+
+    def recorded(rows, rhs, floor=0.0):
+        x = eliminate(rows, rhs, floor)
+        if floor:
+            attempts.append(x)
+        return x
+    monkeypatch.setattr(fitting, "_eliminate", recorded)
+    return attempts
+
+
+def test_schur_and_whole_kkt_branches_agree(monkeypatch):
+    # every strictly convex kind of random_qp (the unbounded kind has a singular H) over
+    # three rounds of up to 9 rows, and the returns-to-scale fits, without and with
+    # repeated rows
+    problems = [random_qp(seed) for seed in range(6, 24) if QP_KINDS[seed % 6] != "unbounded"]
+    problems += [returns_to_scale_qp(100 * m + duplicates, m, duplicates)
+                 for m, duplicates in [(12, 0), (16, 3), (20, 0)]]
+    attempts = schur_attempts(monkeypatch)
+    outcomes = set()
+    for qp in problems:
+        solved = []
+        for rcond in (fitting.SCHUR_RCOND, math.inf):
+            monkeypatch.setattr(fitting, "SCHUR_RCOND", rcond)
+            attempts.clear()
+            try:
+                solved.append(qp_solve(qp))
+            except InfeasibleProblemError:
+                solved.append(None)
+            # the first attempt is on f, and a floor of inf turns every pivot away
+            assert (attempts[0] is None) == (rcond == math.inf)
+        schur, whole = solved
+        if schur is None:
+            assert whole is None
+            outcomes.add(InfeasibleProblemError)
+            continue
+        assert certify_solution(qp, schur) and certify_solution(qp, whole)
+        schur, whole = np.array(schur), np.array(whole)
+        assert np.max(np.abs(schur - whole)) <= 1e-9 * np.max(np.abs(schur))
+        outcomes.add(tuple)
+    assert outcomes == {tuple, InfeasibleProblemError}
+
+
+def test_pivot_below_the_floor_takes_the_whole_kkt_system(monkeypatch):
+    # 2H = diag(2, 2e-12): elimination meets the pivot 2e-12, below the floor
+    # SCHUR_RCOND * 2 = 2e-8, so no Schur complement is formed
+    optimize = pytest.importorskip("scipy.optimize")
+    H, f = np.diag([1.0, 1e-12]), np.array([-2.0, -1.0])
+    C, b = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]]), np.array([3.0, 3.2, 0.0])
+    qp = QuadraticProgram(H=H, f=f, C=C, b=b)
+    attempts = schur_attempts(monkeypatch)
+    x = np.array(qp_solve(qp))
+    assert attempts == [None]
+    assert certify_solution(qp, x)
+    oracle = optimize.minimize(
+        lambda x: x @ H @ x + f @ x, np.zeros(2), jac=lambda x: 2.0 * H @ x + f,
+        method="SLSQP", constraints=[{"type": "ineq", "fun": lambda x: b - C @ x,
+                                      "jac": lambda x: -C}],
+        options={"ftol": 1e-12, "maxiter": 1000})
+    assert oracle.success, oracle.message
+    assert np.max(np.abs(x - oracle.x)) <= 1e-9
 
 
 def nnls_certify_solution(qp, x, nnls):

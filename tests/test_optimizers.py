@@ -11,7 +11,6 @@ from dcecon.optimizers import (
     Termination,
     sga_revenue_max,
     sgd_cost_min,
-    sgd_linear_cost_min,
 )
 from dcecon.production import CostRecord, evaluate_output
 from dcecon.reports import profit_table
@@ -235,44 +234,6 @@ class TestAscent:
         config = OptimizerConfig(init_alpha=0.6, init_beta=0.6)
         with pytest.raises(NumericalOverflowError, match="^math range error$"):
             sga_revenue_max(CostRecord(2000, 1e300, 1e300), config)
-
-
-class TestLinearCostMin:
-    def test_fixed_weights_reproduce_reference_rows(self):
-        w1, w2, cost = sgd_linear_cost_min(
-            CostRecord(1997, 65, 5), (0.0150, 0.0150), (0.6550, 0.6550))
-        assert (w1, w2) == (0.0150, 0.6550)
-        assert abs(cost - 4.25) <= 1e-2
-        _, _, cost_2012 = sgd_linear_cost_min(
-            CostRecord(2012, 60, 40), (5.5e-17, 5.5e-17), (0.3, 0.3))
-        assert abs(cost_2012 - 12.0) <= 1e-2
-
-    @pytest.mark.parametrize("w1_bounds, w2_bounds", [
-        ((math.nan, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, math.nan))])
-    def test_nan_bound_rejected(self, w1_bounds, w2_bounds):
-        with pytest.raises(ParameterError, match="nan"):
-            sgd_linear_cost_min(CostRecord(2000, 65, 5), w1_bounds, w2_bounds)
-
-    def test_unit_box_converges_to_lower_corner(self):
-        w1, w2, cost = sgd_linear_cost_min(
-            CostRecord(2000, 65, 5), (0.0, 1.0), (0.0, 1.0))
-        assert (w1, w2) == (0.0, 0.0)
-        assert cost == 0.0
-
-    def test_nonzero_lower_corner(self):
-        w1, w2, cost = sgd_linear_cost_min(
-            CostRecord(2000, 10, 20), (0.1, 0.9), (0.2, 0.8))
-        assert w1 == pytest.approx(0.1)
-        assert w2 == pytest.approx(0.2)
-        assert cost == pytest.approx(0.1 * 10 + 0.2 * 20)
-
-    def test_empty_box_rejected(self):
-        with pytest.raises(ParameterError):
-            sgd_linear_cost_min(RECORD_1997, (0.5, 0.4), (0.0, 1.0))
-
-    def test_negative_bounds_rejected(self):
-        with pytest.raises(ParameterError):
-            sgd_linear_cost_min(RECORD_1997, (-0.1, 0.4), (0.0, 1.0))
 
 
 class TestProfitTable:
