@@ -139,6 +139,76 @@ class TestOlsFit:
             assert abs(Fraction(got) - want) <= bound
 
 
+class TestLinearAlgebraKernels:
+    """The two kernels every solve in `fitting` goes through: `_least_squares` (one-sided
+    Jacobi SVD) and `_eliminate` (Gaussian elimination with partial pivoting)."""
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(10, 3), (40, 2), (5, 5)])
+    def test_least_squares_matches_numpy_lstsq(self, n_rows, n_cols):
+        rng = np.random.default_rng(7 * n_rows + n_cols)
+        A, rhs = rng.normal(size=(n_rows, n_cols)), rng.normal(size=n_rows)
+        x, rank = fitting._least_squares([list(c) for c in A.T], list(rhs))
+        want, _, want_rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+        assert rank == want_rank == n_cols
+        np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-13)
+
+    def test_least_squares_rank_deficient_gives_the_minimum_norm_solution(self):
+        # the third column is the sum of the first two, so A has rank 2 and a line of
+        # least-squares solutions; the pseudoinverse picks the one of least norm
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(12, 3))
+        A[:, 2] = A[:, 0] + A[:, 1]
+        rhs = rng.normal(size=12)
+        x, rank = fitting._least_squares([list(c) for c in A.T], list(rhs))
+        assert rank == 2
+        np.testing.assert_allclose(x, np.linalg.pinv(A) @ rhs, rtol=1e-10, atol=1e-12)
+
+    def test_least_squares_is_exact_under_power_of_two_scaling(self):
+        # A is scaled by a power of two before the sweeps, so A * 2^k (far from overflow
+        # and underflow) gives the same rotations and x * 2^-k, bit for bit
+        rng = np.random.default_rng(13)
+        A, rhs = rng.normal(size=(9, 3)), list(rng.normal(size=9))
+        x, rank = fitting._least_squares([list(c) for c in A.T], rhs)
+        for k in (-600, 600):
+            scaled = [[math.ldexp(v, k) for v in c] for c in A.T]
+            got, got_rank = fitting._least_squares(scaled, rhs)
+            assert got_rank == rank == 3
+            assert [v.hex() for v in got] == [math.ldexp(v, -k).hex() for v in x]
+
+    def test_least_squares_of_a_zero_or_non_finite_matrix(self):
+        assert fitting._least_squares([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0]) == ([0.0, 0.0], 0)
+        x, rank = fitting._least_squares([[1.0, math.inf], [0.0, 1.0]], [1.0, 2.0])
+        assert rank == 0 and all(math.isnan(v) for v in x)
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_eliminate_matches_numpy_solve(self, size):
+        rng = np.random.default_rng(size)
+        rows = rng.normal(size=(size, size)) + size * np.eye(size)
+        rhs = rng.normal(size=size)
+        x = fitting._eliminate(rows.tolist(), rhs.tolist())
+        np.testing.assert_allclose(x, np.linalg.solve(rows, rhs), rtol=1e-12, atol=1e-13)
+
+    def test_eliminate_pivots_on_the_largest_entry(self):
+        # without row exchanges the pivot 1e-20 wipes out the second row and x[0] comes
+        # out as 0; with partial pivoting both unknowns are 1 to rounding
+        x = fitting._eliminate([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        assert x == pytest.approx([1.0, 1.0], rel=1e-15)
+
+    def test_eliminate_refuses_a_pivot_at_or_below_the_floor(self):
+        assert fitting._eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None
+        rows, rhs = [[1.0, 0.0], [0.0, 1e-12]], [1.0, 1e-12]
+        assert fitting._eliminate(rows, rhs, floor=1e-8) is None
+        assert fitting._eliminate(rows, rhs, floor=1e-12) is None
+        assert fitting._eliminate(rows, rhs) == [1.0, 1.0]
+
+    def test_singular_square_systems_fall_back_to_least_squares(self):
+        rows = [[1.0, 2.0], [2.0, 4.0]]
+        # consistent: the minimum-norm solution of x + 2 y = 1
+        assert fitting._solve_square(rows, [1.0, 2.0]) == pytest.approx([0.2, 0.4], rel=1e-14)
+        # inconsistent: no solution
+        assert fitting._solve_square(rows, [1.0, 3.0]) is None
+
+
 class TestQpSolve:
     def test_active_scalar_constraint(self):
         # min (x-2)^2 subject to x <= 1
