@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,7 +44,7 @@ from .errors import (
     overflow_as_error,
 )
 
-# singular values at or below RANK_RCOND times the largest count as zero in the OLS solve
+# singular values at or below RANK_RCOND times the largest count as zero in a least-squares solve
 RANK_RCOND = 1e-12
 
 FEASIBILITY_TOL = 1e-10
@@ -229,17 +229,13 @@ class QuadraticProgram:
         return _dot(x, [_dot(row, x) for row in self.H]) + _dot(self.f, x)
 
 
-def _least_squares(columns: List[Sequence[float]], rhs: Sequence[float],
-                   rcond: Optional[float] = None) -> Tuple[List[float], int]:
+def _least_squares(columns: List[Sequence[float]], rhs: Sequence[float]) -> Tuple[List[float], int]:
     """The minimum-norm least-squares solution of A x = rhs and the rank of A, given A's columns.
 
     One-sided Jacobi SVD of A scaled by a power of two. Singular values at or below
-    rcond times the largest count as zero; rcond defaults to eps * max(rows, columns),
-    as numpy.linalg.lstsq's rcond=None. A non-finite A gives NaN and rank 0.
+    RANK_RCOND times the largest count as zero. A non-finite A gives NaN and rank 0.
     """
     n_cols = len(columns)
-    if rcond is None:
-        rcond = EPS * max(len(rhs), n_cols)
     largest = max((abs(v) for column in columns for v in column), default=0.0)
     if not math.isfinite(largest):
         return [math.nan] * n_cols, 0
@@ -268,7 +264,7 @@ def _least_squares(columns: List[Sequence[float]], rhs: Sequence[float],
         if not rotated:
             break
     sigma = [math.hypot(*u) for u in U]
-    cutoff = rcond * max(sigma)
+    cutoff = RANK_RCOND * max(sigma)
     unscale = math.ldexp(1.0, -exponent)
     x = [0.0] * n_cols
     rank = 0
@@ -293,7 +289,7 @@ def ols_fit(design: DesignMatrix) -> FitResult:
         raise SingularSystemError(
             f"underdetermined system: {n_rows} rows for {n_cols} coefficients"
         )
-    x, rank = _least_squares(_columns(A, n_cols), y, RANK_RCOND)
+    x, rank = _least_squares(_columns(A, n_cols), y)
     if rank < n_cols:
         raise SingularSystemError(f"design matrix is rank deficient (rank {rank} of {n_cols})")
     return _fit_result_from_coefficients(x, design)
@@ -323,10 +319,11 @@ def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[floa
                     mu: Optional[Sequence[float]] = None) -> bool:
     """Stationarity, primal/dual feasibility, and complementary slackness.
 
-    Tolerances: dual sign 1e-8, primal feasibility 1e-10, and 1e-8 times the size
-    of their terms, never less than 1e-8, for the stationarity residual 2Hx + f +
-    C^T lam + C_eq^T mu (the sum of the terms' norms) and for each lam_i (C_i x - b_i)
-    (|lam_i| (|C_i x| + |b_i|)), so the rounding of large data passes. A non-finite
+    The dual sign test is absolute (lam_i >= -DUAL_TOL); every other residual must be
+    _negligible against the size of its terms: the sum of their norms for 2Hx + f + C^T lam
+    + C_eq^T mu (DUAL_TOL), ||C_i|| ||x|| + |b_i| for a row's C_i x - b_i (FEASIBILITY_TOL)
+    and |lam_i| times that for lam_i (C_i x - b_i) (DUAL_TOL). The row size is norm-wise: a
+    computed C_i x rounds on the scale ||C_i|| ||x||, even on a bound row at 0. A non-finite
     x, lam or mu, residual or product is rejected.
     """
     x, lam = _vector("x", x), _vector("lam", lam)
@@ -338,25 +335,28 @@ def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[floa
         if rows is not None and weights is not None:
             terms.append([sum(w * row[j] for row, w in zip(rows, weights))
                           for j in range(len(qp.f))])
-    if not _negligible(math.hypot(*map(sum, zip(*terms))),
-                       sum(math.hypot(*term) for term in terms)):
+    stationarity = math.hypot(*map(sum, zip(*terms))), sum(math.hypot(*term) for term in terms)
+    if not _negligible(*stationarity, DUAL_TOL) or any(v < -DUAL_TOL for v in lam):
         return False
-    if any(v < -DUAL_TOL for v in lam):
-        return False
-    rows_x = [_dot(row, x) for row in qp.C]
-    if any(p - bi > FEASIBILITY_TOL for p, bi in zip(rows_x, qp.b)):
-        return False
-    if qp.C_eq is not None and any(abs(_dot(row, x) - bi) > FEASIBILITY_TOL
-                                   for row, bi in zip(qp.C_eq, qp.b_eq)):
-        return False
-    return all(_negligible(v * (p - bi), abs(v) * (abs(p) + abs(bi)))
-               for v, p, bi in zip(lam, rows_x, qp.b) if v)
+    for rows, targets, weights in ((qp.C, qp.b, chain(lam, repeat(0.0))),
+                                   (qp.C_eq or (), qp.b_eq or (), repeat(None))):
+        for (residual, size), v in zip(_row_residuals(rows, targets, x), weights):
+            excess = residual if v is None else max(residual, 0.0)  # an equality has no slack
+            if not (_negligible(excess, size, FEASIBILITY_TOL)
+                    and (not v or _negligible(v * residual, abs(v) * size, DUAL_TOL))):
+                return False
+    return True
 
 
-def _negligible(value: float, size: float) -> bool:
-    """value is finite and |value| <= DUAL_TOL * max(1, size): zero up to the rounding of
-    terms of that size."""
-    return math.isfinite(value) and abs(value) <= DUAL_TOL * max(1.0, size)
+def _row_residuals(rows, targets, x) -> List[Tuple[float, float]]:
+    """(C_i x - b_i, ||C_i|| ||x|| + |b_i|) per row: a residual and the size of its terms."""
+    norm = math.hypot(*x)
+    return [(_dot(row, x) - t, math.hypot(*row) * norm + abs(t)) for row, t in zip(rows, targets)]
+
+
+def _negligible(value: float, size: float, tol: float) -> bool:
+    """value is finite and |value| <= tol * max(1, size): zero up to rounding on that scale."""
+    return math.isfinite(value) and abs(value) <= tol * max(1.0, size)
 
 
 def _eliminate(rows: Sequence[Sequence[float]], rhs: Sequence[float],
@@ -388,8 +388,8 @@ def _solve_square(rows: List[List[float]], rhs: List[float]) -> Optional[List[fl
     x = _eliminate(rows, rhs)
     if x is None:
         x, _ = _least_squares(_columns(rows, len(rhs)), rhs)
-        residual = [_dot(row, x) - v for row, v in zip(rows, rhs)]
-        if not math.hypot(*residual) <= 1e-8 * (1.0 + math.hypot(*rhs)):
+        norms = [math.hypot(*c) for c in zip(*_row_residuals(rows, rhs, x))]  # ||r||, ||sizes||
+        if not _negligible(*norms, DUAL_TOL):
             return None
     return x
 
@@ -509,7 +509,8 @@ def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     n, m = qp.H.shape[0], qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     gradient = [-(2.0 * _dot(row, x) + fi) for row, fi in zip(qp.H, qp.f)]
-    active = [i for i in range(m) if _dot(qp.C[i], x) - qp.b[i] > -DUAL_TOL]
+    active = [i for i, (residual, size) in enumerate(_row_residuals(qp.C, qp.b, x))
+              if _negligible(max(-residual, 0.0), size, DUAL_TOL)]
     sets = (s for k in range(min(len(active), n - n_eq) + 1) for s in combinations(active, k))
     for members in sets:
         basis = (list(qp.C_eq) if n_eq else []) + [qp.C[i] for i in members]
