@@ -25,12 +25,26 @@ import argparse
 import hashlib
 import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+
+def raw_costs_with_a_bound_at_zero():
+    """50 rows of raw costs 1,000-9,000 and y = 3 + a S + b P plus noise: under
+    data/constraints_rts.csv, alpha >= 0 and alpha + beta <= 1 bind (alpha = 0, beta = 1)."""
+    rng = random.Random(8)
+    a, b = rng.uniform(-1, 3), rng.uniform(-1, 3)
+    rows = []
+    for _ in range(50):
+        S, P = round(rng.uniform(1000, 9000)), round(rng.uniform(1000, 9000))
+        rows.append(f"{S},{P},{round(3 + a * S + b * P + rng.gauss(0, 900), 2)}\n")
+    return "new_server_cost,power_cooling_cost,output\n" + "".join(rows)
+
 
 # small inputs written next to the copied data/ directory
 INPUTS = {
@@ -95,6 +109,7 @@ INPUTS = {
         f"{S},{P},{math.exp(0.6 + 0.55 * math.log(S) + 0.6 * math.log(P))}\n"
         for S, P in ((5.0 + 1.5 * i, (5.0 + 1.5 * i) * (1.0 + (-1) ** i * 1e-7))
                      for i in range(60))),
+    "fit_raw_bound.csv": raw_costs_with_a_bound_at_zero(),
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -270,6 +285,16 @@ def invocations(quick):
                 "--constrained", "data/constraints_rts.csv"), False)]
     # an OLS fit over a near-collinear design
     calls += [(("fit", "--input", "inputs/fit_collinear.csv"), False)]
+    # constrained fits: raw-scale with a bound at 0 active, over one regressor named
+    # twice (exit 3, as without constraints), and over the near-collinear design, where
+    # beta >= 0 binds
+    rts = ("--constrained", "data/constraints_rts.csv")
+    calls += [
+        (("fit", "--input", "inputs/fit_raw_bound.csv", "--scale", "raw", *rts), False),
+        (("fit", "--input", "inputs/fit.csv", "--x1", "new_server_cost",
+          "--x2", "new_server_cost", *rts), False),
+        (("fit", "--input", "inputs/fit_collinear.csv", *rts), False),
+    ]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 

@@ -277,11 +277,18 @@ def _least_squares(columns: List[Sequence[float]], rhs: Sequence[float]) -> Tupl
 
 
 def ols_fit(design: DesignMatrix) -> FitResult:
-    """Least-squares coefficients for an (over)determined design.
+    """Least-squares coefficients for an (over)determined design of full rank.
 
-    A one-sided Jacobi SVD of the design solves the system, and A's singular values
-    decide the rank: those at or below RANK_RCOND times the largest count as
-    zero. An overflow surfaces as a non-finite FitResult field, which raises.
+    An overflow surfaces as a non-finite FitResult field, which raises.
+    """
+    return _fit_result_from_coefficients(_full_rank_least_squares(design), design)
+
+
+def _full_rank_least_squares(design: DesignMatrix) -> List[float]:
+    """The design's least-squares coefficients, by a one-sided Jacobi SVD of the design.
+
+    Raise SingularSystemError when the design has fewer rows than columns or its rank,
+    decided on its singular values (see RANK_RCOND), is below its column count.
     """
     A, y = design.matrix, design.outputs
     n_rows, n_cols = A.shape
@@ -292,7 +299,7 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     x, rank = _least_squares(_columns(A, n_cols), y)
     if rank < n_cols:
         raise SingularSystemError(f"design matrix is rank deficient (rank {rank} of {n_cols})")
-    return _fit_result_from_coefficients(x, design)
+    return x
 
 
 def _r_squared(predictions: Sequence[float], y: Sequence[float]) -> float:
@@ -348,7 +355,8 @@ def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[floa
     return True
 
 
-def _row_residuals(rows, targets, x) -> List[Tuple[float, float]]:
+def _row_residuals(rows: Sequence[Sequence[float]], targets: Sequence[float],
+                   x: Sequence[float]) -> List[Tuple[float, float]]:
     """(C_i x - b_i, ||C_i|| ||x|| + |b_i|) per row: a residual and the size of its terms."""
     norm = math.hypot(*x)
     return [(_dot(row, x) - t, math.hypot(*row) * norm + abs(t)) for row, t in zip(rows, targets)]
@@ -449,12 +457,13 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
     test on the same floats, so it is dropped before the certificate runs. Ties
     between equal objectives go to the working set with the least bit mask (sum of
     2^i); a non-finite one never wins, and when every certified point has one,
-    NumericalOverflowError names it.
+    NumericalOverflowError names it. In the winner, each coordinate that a working-set
+    row with one nonzero coefficient fixes is set to that row's exact value (never -0.0).
     """
     n, m = qp.H.shape[0], qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     solve = _kkt_solver(qp)
-    best = None  # (objective, bit mask, x)
+    best = None  # (objective, bit mask, x, members)
     overflowed = None  # a non-finite objective at a certified point
     for k in range(min(m, n - n_eq) + 1):
         for members in combinations(range(m), k):
@@ -469,14 +478,22 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
                 lam[i] = v
             if not kkt_certificate(qp, x, lam, multipliers[:n_eq] if n_eq else None):
                 continue
-            candidate = (qp.objective(x), sum(1 << i for i in members), x)
+            candidate = (qp.objective(x), sum(1 << i for i in members), x, members)
             if not math.isfinite(candidate[0]):
                 overflowed = candidate[0]
             elif best is None or candidate[:2] < best[:2]:
                 best = candidate
     if best is None and overflowed is not None:
         raise NumericalOverflowError(f"QP objective is {overflowed} at a certified KKT point")
-    return None if best is None else tuple(best[2])
+    if best is None:
+        return None
+    x = list(best[2])
+    for row, target in chain(zip(qp.C_eq or (), qp.b_eq or ()),
+                             ((qp.C[i], qp.b[i]) for i in best[3])):
+        nonzero = [j for j, c in enumerate(row) if c]
+        if len(nonzero) == 1:
+            x[nonzero[0]] = target / row[nonzero[0]] + 0.0  # -0.0 + 0.0 is 0.0
+    return tuple(x)
 
 
 def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
@@ -500,7 +517,8 @@ def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
 def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     """Post-hoc KKT certificate for a claimed solution.
 
-    For each working set of at most n - n_eq constraints active at x, solves the
+    For each working set of at most n - n_eq constraints active at x (whose slack
+    b_i - C_i x is negligible or negative, sized as in kkt_certificate), solves the
     stationarity equation for the equality and working-set multipliers by least
     squares and checks the full certificate. A claimed optimum that fails this
     check for every working set is a defect.
@@ -545,13 +563,15 @@ def qp_fit(design: DesignMatrix, constraints: Tuple[Sequence, Sequence[float]]) 
 
     The QP objective x^T (A^T A) x - 2 y^T A x equals ||y - Ax||^2 - y^T y, so the
     minimizer matches the constrained least-squares fit. An overflowing A^T A
-    fails the QP's finiteness check.
+    fails the QP's finiteness check; then a design that ols_fit refuses is refused, since
+    constraints that hold a fit of it to one point do not make the data identify it.
     """
     A, y = design.matrix, design.outputs
     C, b = constraints
     columns = _columns(A, A.shape[1])
     qp = QuadraticProgram(H=[[_dot(u, v) for v in columns] for u in columns],
                           f=[-2.0 * _dot(u, y) for u in columns], C=C, b=b)
+    _full_rank_least_squares(design)
     return _fit_result_from_coefficients(qp_solve(qp), design)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -541,6 +542,26 @@ class TestFitCommand:
         assert summary["alpha"] == pytest.approx(alpha, rel=1e-9)
         assert summary["beta"] == pytest.approx(1.0 - alpha, rel=1e-9)
 
+    def test_raw_scale_constrained_fit_with_a_bound_at_zero(self, tmp_path, capsys):
+        # alpha >= 0 and alpha + beta <= 1 bind, so alpha = 0, beta = 1 and K' = mean(y - P);
+        # complementary slackness sized by |C_i x| + |b_i| refused this point (exit 3)
+        rng = random.Random(8)
+        a, b = rng.uniform(-1, 3), rng.uniform(-1, 3)
+        rows = []
+        for _ in range(50):
+            S, P = round(rng.uniform(1000, 9000)), round(rng.uniform(1000, 9000))
+            rows.append((S, P, round(3 + a * S + b * P + rng.gauss(0, 900), 2)))
+        path = tmp_path / "raw_costs.csv"
+        path.write_text(FIT_HEADER + "".join(f"{S},{P},{y}\n" for S, P, y in rows))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--scale", "raw",
+                                 "--constrained", str(DATA_DIR / "constraints_rts.csv"))
+        assert (code, err) == (0, "")
+        summary = json.loads(out)["summary"]
+        assert summary["intercept"] == pytest.approx(math.fsum(y - P for _, P, y in rows) / 50,
+                                                     rel=1e-9)
+        assert summary["alpha"] == 0.0
+        assert summary["alpha"] + summary["beta"] == pytest.approx(1.0, abs=1e-12)
+
     def test_column_named_twice_is_read_once(self, tmp_path, capsys):
         path = self.make_csv(tmp_path)
         code, out, err = run_cli(capsys, "fit", "--input", str(path), "--x1", "output",
@@ -554,6 +575,17 @@ class TestFitCommand:
         path = self.make_csv(tmp_path)
         code, out, err = run_cli(capsys, "fit", "--input", str(path), "--x1", "new_server_cost",
                                  "--x2", "new_server_cost")
+        assert (code, out) == (3, "")
+        assert err == "numerical error: design matrix is rank deficient (rank 2 of 3)\n"
+
+    def test_one_regressor_named_twice_is_rank_deficient_under_constraints(self, tmp_path,
+                                                                          capsys):
+        # alpha + beta <= 1 holds the fit to one split of the shared column's effect, which
+        # the data do not identify
+        path = self.make_csv(tmp_path, alpha=0.9, beta=0.6)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--x1", "new_server_cost",
+                                 "--x2", "new_server_cost",
+                                 "--constrained", str(DATA_DIR / "constraints_rts.csv"))
         assert (code, out) == (3, "")
         assert err == "numerical error: design matrix is rank deficient (rank 2 of 3)\n"
 

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -46,6 +47,16 @@ def synthetic_log_design(rng, n_rows, intercept_value, alpha, beta, noise=0.0):
     if noise:
         log_y = log_y + rng.normal(0.0, noise, size=n_rows)
     return DesignMatrix.log_scale(S, P, np.exp(log_y))
+
+
+def near_collinear_design():
+    """60 rows with P = S (1 +- 1e-7) and y = exp(0.6) S^0.55 P^0.6 on the log scale, the
+    design of fit_collinear.csv in scripts/output_digests.py: log P - log S = +-1e-7, so
+    A's condition number is 7.7e7."""
+    S = [5.0 + 1.5 * i for i in range(60)]
+    P = [s * (1.0 + (-1) ** i * 1e-7) for i, s in enumerate(S)]
+    y = [math.exp(0.6 + 0.55 * math.log(s) + 0.6 * math.log(p)) for s, p in zip(S, P)]
+    return DesignMatrix.log_scale(S, P, y)
 
 
 def exact_normal_equation_solution(design):
@@ -122,12 +133,7 @@ class TestOlsFit:
         assert abs(fit.beta - 0.2) <= 1e-10
 
     def test_near_collinear_design_within_the_conditioning_bound(self):
-        # 60 rows with P = S (1 +- 1e-7), the design of fit_collinear.csv in
-        # scripts/output_digests.py: log P - log S = +-1e-7, so A's condition number is 7.7e7
-        S = [5.0 + 1.5 * i for i in range(60)]
-        P = [s * (1.0 + (-1) ** i * 1e-7) for i, s in enumerate(S)]
-        y = [math.exp(0.6 + 0.55 * math.log(s) + 0.6 * math.log(p)) for s, p in zip(S, P)]
-        design = DesignMatrix.log_scale(S, P, y)
+        design = near_collinear_design()
         exact = exact_normal_equation_solution(design)
         fit = ols_fit(design)
         # a backward-stable least-squares solve errs by about cond(A) * eps * ||x|| when the
@@ -598,10 +604,58 @@ def test_classification_and_certificates_match_scipy():
     assert outcomes == {tuple, InfeasibleProblemError, UnboundedProblemError}
 
 
+def ill_conditioned_qp(seed):
+    """A strictly convex QP, feasible at x0, with cond(H) log-uniform in 1e3-1e6:
+    H = Q diag(geomspace(1, 1/cond, n)) Q^T and b = C x0 + |slack|."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.choice([2, 3, 4])), int(rng.integers(1, 10))
+    cond = 10.0 ** rng.uniform(3.0, 6.0)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    H = Q @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ Q.T
+    f, C, x0 = 3.0 * rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=n)
+    b = C @ x0 + np.abs(rng.normal(size=m))
+    return QuadraticProgram(H=(H + H.T) / 2.0, f=f, C=C, b=b)
+
+
+def test_ill_conditioned_strictly_convex_qps_are_solved_and_certified():
+    # the unconstrained minimiser lies up to cond * |f| from the origin, so the solved
+    # point's row residuals carry rounding on the scale ||C_i|| ||x||, above an absolute
+    # 1e-10; every one of these QPs has a unique minimiser, which qp_solve must find
+    for seed in range(100):
+        qp = ill_conditioned_qp(seed)
+        assert certify_solution(qp, qp_solve(qp)), seed
+
+
+def test_a_bound_in_the_winning_working_set_fixes_its_coordinate_exactly():
+    # beta >= 0 binds at the winner, whose Schur solve leaves beta = -4.4e-15; the bound
+    # fixes beta = 0 / -1, written as +0.0
+    qp = returns_to_scale_qp(2, 12, 2)
+    x = qp_solve(qp)
+    assert x[2].hex() == "0x0.0p+0"
+    assert certify_solution(qp, x)
+    # an equality row is in every working set: -3 alpha = -0.9 fixes alpha = -0.9 / -3
+    qp = QuadraticProgram(H=qp.H, f=qp.f, C=qp.C, b=qp.b, C_eq=[[0.0, -3.0, 0.0]], b_eq=[-0.9])
+    x = qp_solve(qp)
+    assert x[1] == -0.9 / -3.0
+    assert certify_solution(qp, x)
+
+
 RTS_CONSTRAINTS = (
     np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 1.0]]),
     np.array([0.0, 0.0, 1.0]),
 )
+
+
+def raw_costs_with_a_bound_at_zero():
+    """S, P and y of 50 rows of raw costs 1,000-9,000, y = 3 + a S + b P + noise, whose fit
+    under RTS_CONSTRAINTS has alpha >= 0 and alpha + beta <= 1 active."""
+    rng = random.Random(8)
+    a, b = rng.uniform(-1, 3), rng.uniform(-1, 3)
+    rows = []
+    for _ in range(50):
+        S, P = round(rng.uniform(1000, 9000)), round(rng.uniform(1000, 9000))
+        rows.append((S, P, round(3 + a * S + b * P + rng.gauss(0, 900), 2)))
+    return tuple(map(list, zip(*rows)))
 
 
 class TestQpFit:
@@ -639,6 +693,41 @@ class TestQpFit:
         samples = np.column_stack([intercepts, alphas, betas])
         values = np.einsum("ij,jk,ik->i", samples, H, samples) + samples @ f
         assert values.min() >= qp.objective(x_star) - 1e-6 * (1.0 + abs(qp.objective(x_star)))
+
+    def test_raw_scale_fit_with_a_bound_at_zero_reaches_its_kkt_point(self):
+        # H = A^T A has entries near 1e9. At the optimum alpha = 0 and beta = 1, so
+        # C_i x = 0 on the bound alpha >= 0, while its computed value rounds on the scale
+        # ||C_i|| ||x|| (about 9e3): slackness sized by |C_i x| + |b_i| refused the point
+        S, P, y = raw_costs_with_a_bound_at_zero()
+        design = DesignMatrix.raw_scale(S, P, y)
+        fit = qp_fit(design, RTS_CONSTRAINTS)
+        intercept = float(sum(Fraction(v) - p for v, p in zip(y, P)) / len(y))  # mean(y - P)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-9)
+        assert fit.alpha.hex() == "0x0.0p+0"
+        assert fit.alpha + fit.beta == pytest.approx(1.0, abs=1e-12)
+        A, y = arrays(design)
+        qp = QuadraticProgram(H=A.T @ A, f=-2.0 * A.T @ y, C=RTS_CONSTRAINTS[0],
+                              b=RTS_CONSTRAINTS[1])
+        assert certify_solution(qp, fit.coefficients)
+
+    def test_design_that_ols_refuses_is_refused(self):
+        # constraints can hold the fit of an unidentified design to one point, as
+        # alpha + beta <= 1 does for x1 = x2; the data still do not identify it
+        rng = np.random.default_rng(151)
+        S, P = rng.uniform(2.0, 90.0, size=(2, 12))
+        y = np.exp(0.8 + 0.9 * np.log(S) + 0.6 * np.log(P))
+        with pytest.raises(SingularSystemError,
+                           match=r"^design matrix is rank deficient \(rank 2 of 3\)$"):
+            qp_fit(DesignMatrix.log_scale(S, S, y), RTS_CONSTRAINTS)
+        with pytest.raises(SingularSystemError,
+                           match="^underdetermined system: 2 rows for 3 coefficients$"):
+            qp_fit(DesignMatrix.log_scale(S[:2], P[:2], y[:2]), RTS_CONSTRAINTS)
+
+    def test_bound_at_zero_is_positive_zero(self):
+        # alpha + beta <= 1 and beta >= 0 both bind, at alpha = 1 and beta = 0, which the
+        # working-set solve computed as -0.0
+        fit = qp_fit(near_collinear_design(), RTS_CONSTRAINTS)
+        assert (fit.alpha.hex(), fit.beta.hex()) == ("0x1.0000000000000p+0", "0x0.0p+0")
 
     def test_unconstrained_qp_objective_identity(self):
         rng = np.random.default_rng(137)
