@@ -46,6 +46,17 @@ def raw_costs_with_a_bound_at_zero():
     return "new_server_cost,power_cooling_cost,output\n" + "".join(rows)
 
 
+def constraint_block(scale_bound):
+    """200 constraint rows over (intercept, alpha, beta), the shape of the benchmark's blocks:
+    alpha >= 0, beta >= 0, alpha + beta <= scale_bound and random directions with bounds
+    0.2-2, to 4 decimals."""
+    rng = random.Random(20)
+    rows = [(0, -1, 0, 0), (0, 0, -1, 0), (0, 1, 1, scale_bound)]
+    rows += [(*(round(rng.uniform(-1, 1), 4) for _ in range(3)), round(rng.uniform(0.2, 2), 4))
+             for _ in range(197)]
+    return "c1,c2,c3,b\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 # small inputs written next to the copied data/ directory
 INPUTS = {
     # y = exp(0.8) * S^0.9 * P^0.6 times a small fixed wobble, so the m = 3
@@ -110,6 +121,9 @@ INPUTS = {
         for S, P in ((5.0 + 1.5 * i, (5.0 + 1.5 * i) * (1.0 + (-1) ** i * 1e-7))
                      for i in range(60))),
     "fit_raw_bound.csv": raw_costs_with_a_bound_at_zero(),
+    # alpha >= 0 and random rows bind for fit_200.csv; alpha + beta <= -0.1 empties the set
+    "constraints_m200.csv": constraint_block(0.7532),
+    "constraints_m200_empty.csv": constraint_block(-0.1),
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -295,6 +309,10 @@ def invocations(quick):
           "--x2", "new_server_cost", *rts), False),
         (("fit", "--input", "inputs/fit_collinear.csv", *rts), False),
     ]
+    # constrained fits over a 200-row block, and over one whose constraint set is empty
+    # (exit 3)
+    calls += [(("fit", "--input", "inputs/fit_200.csv", "--constrained", f"inputs/{name}"), False)
+              for name in ("constraints_m200.csv", "constraints_m200_empty.csv")]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 

@@ -7,16 +7,13 @@ fits with linear inequality constraints become a small dense quadratic program
 
     min x^T H x + f^T x   s.t.  C x <= b  (and optional C_eq x = b_eq)
 
-with H = A^T A and f = -2 A^T y, solved exactly by enumerating working sets:
-every set of at most n - n_eq inequality constraints, sum_{k <= n - n_eq} C(m, k)
-of them (1,351 at m = 20 and n = 3). When elimination on 2H keeps its pivots
-above a floor (see SCHUR_RCOND), the KKT system of each working set reduces to
-its Schur complement, a system with one unknown per active constraint, over
-quantities computed once per QP. Square systems are solved by pivoted Gaussian
-elimination, and singular ones, like every rank decision, by the Jacobi SVD. The same
-enumeration tells an infeasible QP from an unbounded one (by minimising ||x||^2
-under the same constraints) and certifies a claimed solution post hoc against
-the KKT conditions.
+with H = A^T A and f = -2 A^T y, solved exactly over working sets of at most n - n_eq
+inequality rows, each solved as its whole KKT system by pivoted Gaussian elimination (a
+singular one, like every rank decision, by the Jacobi SVD). The working sets come from a
+pool of rows grown by constraint generation, and from all sum_{k <= n - n_eq} C(m, k) of
+them when that pool may miss the winner. The same path tells an infeasible QP from an
+unbounded one (by minimising ||x||^2 under the same constraints) and certifies a
+claimed solution post hoc against the KKT conditions.
 
 The module runs on the standard library. A vector argument is a sequence of
 numbers and a matrix argument a sequence of such rows: lists, tuples and numpy
@@ -49,10 +46,6 @@ RANK_RCOND = 1e-12
 
 FEASIBILITY_TOL = 1e-10
 DUAL_TOL = 1e-8
-
-# the QP goes through the Schur complement of 2H when every pivot of its elimination
-# exceeds SCHUR_RCOND times its largest diagonal entry in magnitude
-SCHUR_RCOND = 1e-8
 
 EPS = 2.0 ** -52
 JACOBI_SWEEPS = 60
@@ -367,16 +360,15 @@ def _negligible(value: float, size: float, tol: float) -> bool:
     return math.isfinite(value) and abs(value) <= tol * max(1.0, size)
 
 
-def _eliminate(rows: Sequence[Sequence[float]], rhs: Sequence[float],
-               floor: float = 0.0) -> Optional[List[float]]:
+def _eliminate(rows: Sequence[Sequence[float]], rhs: Sequence[float]) -> Optional[List[float]]:
     """The solution of a square system by Gaussian elimination with partial pivoting, or
-    None if a pivot's magnitude is at or below floor."""
+    None if a pivot is exactly zero."""
     size = len(rhs)
     a = [list(row) + [v] for row, v in zip(rows, rhs)]
     for col in range(size):
         magnitudes = [abs(row[col]) for row in a]
         pivot = max(range(col, size), key=magnitudes.__getitem__)
-        if abs(a[pivot][col]) <= floor:
+        if a[pivot][col] == 0.0:
             return None
         a[col], a[pivot] = a[pivot], a[col]
         head = a[col]
@@ -406,13 +398,10 @@ def _kkt_solver(qp: QuadraticProgram):
     """solve(members) for qp: the KKT point (x, multipliers) of the working set that holds the
     equalities and the inequality rows `members`, or None.
 
-    The system is [[2H, G^T], [G, 0]] (x, multipliers) = (-f, b_G), where G stacks C_eq over
-    the rows `members` of C; the multipliers of the equalities come first. When elimination
-    on 2H keeps every pivot above its floor (see SCHUR_RCOND), x = x0 - W^T multipliers
-    with x0 = -(2H)^-1 f and the rows of W = G (2H)^-1, and the multipliers solve the Schur
-    complement system (G (2H)^-1 G^T) multipliers = G x0 - b_G, each of these computed once
-    per QP for every row. Otherwise the whole KKT system is solved. A singular system is
-    solved by least squares, and an inconsistent one gives None.
+    The whole KKT system [[2H, G^T], [G, 0]] (x, multipliers) = (-f, b_G), where G stacks
+    C_eq over the rows `members` of C, is solved by pivoted elimination; the multipliers of
+    the equalities come first. A singular system is solved by least squares, and an
+    inconsistent one gives None.
     """
     n = qp.H.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
@@ -420,25 +409,6 @@ def _kkt_solver(qp: QuadraticProgram):
     targets = (list(qp.b_eq) if n_eq else []) + list(qp.b)
     equalities = list(range(n_eq))
     H2 = [[2.0 * h for h in row] for row in qp.H]
-    floor = SCHUR_RCOND * max((abs(H2[i][i]) for i in range(n)), default=0.0)
-    x0 = _eliminate(H2, qp.f, floor)
-    if x0 is not None:
-        x0 = [-v for v in x0]
-        W = [_eliminate(H2, row, floor) for row in rows]
-        schur = [[_dot(row, w) for w in W] for row in rows]
-        residual = [_dot(row, x0) - t for row, t in zip(rows, targets)]
-
-        def solve(members):
-            index = equalities + [n_eq + i for i in members]
-            multipliers = _solve_square([[schur[i][j] for j in index] for i in index],
-                                        [residual[i] for i in index])
-            if multipliers is None:
-                return None
-            x = x0
-            for weight, i in zip(multipliers, index):
-                x = [xj - weight * wj for xj, wj in zip(x, W[i])]
-            return x, multipliers
-        return solve
 
     def solve(members):
         G = [rows[i] for i in equalities] + [rows[n_eq + i] for i in members]
@@ -450,8 +420,10 @@ def _kkt_solver(qp: QuadraticProgram):
     return solve
 
 
-def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
-    """The certified KKT point with the least objective over all working sets, or None.
+def _least_kkt_point(qp: QuadraticProgram, pool: Optional[Sequence[int]] = None
+                     ) -> Optional[Tuple[float, ...]]:
+    """The certified KKT point with the least objective over the working sets of rows
+    `pool` of C (every row by default), each certified against every row, or None.
 
     A solution with a multiplier below -DUAL_TOL fails the certificate's dual-sign
     test on the same floats, so it is dropped before the certificate runs. Ties
@@ -462,11 +434,12 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
     """
     n, m = qp.H.shape[0], qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
+    pool = range(m) if pool is None else pool
     solve = _kkt_solver(qp)
     best = None  # (objective, bit mask, x, members)
     overflowed = None  # a non-finite objective at a certified point
-    for k in range(min(m, n - n_eq) + 1):
-        for members in combinations(range(m), k):
+    for k in range(min(len(pool), n - n_eq) + 1):
+        for members in combinations(pool, k):
             solved = solve(members)
             if solved is None:
                 continue
@@ -496,22 +469,63 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
     return tuple(x)
 
 
-def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
-    """Exact active-set enumeration for a small dense convex QP.
+def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
+    """_least_kkt_point(qp), with its working sets drawn from a pool of rows grown by
+    constraint generation.
 
-    Every set of at most n - n_eq inequality constraints is tried as the working
-    set (equalities are always active), sum_{k <= n - n_eq} C(m, k) candidates;
-    each comes from the corresponding KKT linear system and is accepted only if
-    the full KKT certificate passes. The best certified candidate is the global
-    minimum for PSD H. Ties between equal objectives go to the working set with
-    the least bit mask (sum of 2^i over members), so they always go to the same
-    candidate.
+    From an empty pool, the least KKT point of the QP relaxed to the pool's rows adds
+    the row it violates most (max(r, 0) / max(1, size), the certificate's feasibility
+    rule) until it violates none; the working sets then come from the pool and the rows
+    active at that point. Every working set is tried when the winner's active rows leave
+    that pool, or when a relaxation has no point although its rows are feasible (as for
+    a singular H); InfeasibleProblemError is raised when they are not.
     """
-    x = _least_kkt_point(qp)
+    pool = []
+    while True:
+        relaxed = QuadraticProgram(H=qp.H, f=qp.f, C=[qp.C[i] for i in pool],
+                                   b=[qp.b[i] for i in pool], C_eq=qp.C_eq, b_eq=qp.b_eq)
+        try:
+            x = _least_kkt_point(relaxed)
+        except NumericalOverflowError:  # the rows left out may still bound the objective
+            x = None
+        if x is None:
+            _classify_failure(relaxed, _least_kkt_point)
+            return _least_kkt_point(qp)
+        violations = [max(r, 0.0) / max(1.0, size) for r, size in _row_residuals(qp.C, qp.b, x)]
+        worst = max(range(len(violations)), key=violations.__getitem__, default=None)
+        # a pool row held before the exact-bound fix moved x; meeting it again ends the loop
+        if worst is None or worst in pool or violations[worst] <= FEASIBILITY_TOL:
+            break
+        pool.append(worst)
+    pool = sorted(set(pool).union(_active_rows(qp, x)))
+    x = _least_kkt_point(qp, pool)
+    if x is None or not set(_active_rows(qp, x)) <= set(pool):
+        return _least_kkt_point(qp)
+    return x
+
+
+def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
+    """The minimiser of a small dense convex QP, by exact working-set enumeration.
+
+    Working sets of at most n - n_eq inequality rows (equalities are always active) are
+    solved as whole KKT systems, and a point counts only if the full KKT certificate
+    passes; the best one is the global minimum for PSD H. The sets come from
+    _pooled_kkt_point's pool of rows, or from all sum_{k <= n - n_eq} C(m, k) of them
+    when that pool may miss the winner. Ties between equal objectives go to the working
+    set with the least bit mask (sum of 2^i over members), as over every working set.
+    """
+    x = _pooled_kkt_point(qp)
     if x is None:
         _classify_failure(qp)
         raise UnboundedProblemError("no KKT point over a non-empty feasible set")
     return x
+
+
+def _active_rows(qp: QuadraticProgram, x: Sequence[float]) -> List[int]:
+    """The rows of C active at x: their slack b_i - C_i x is negligible at DUAL_TOL (sized
+    as in kkt_certificate) or negative."""
+    return [i for i, (residual, size) in enumerate(_row_residuals(qp.C, qp.b, x))
+            if _negligible(max(-residual, 0.0), size, DUAL_TOL)]
 
 
 def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
@@ -527,8 +541,7 @@ def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     n, m = qp.H.shape[0], qp.C.shape[0]
     n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     gradient = [-(2.0 * _dot(row, x) + fi) for row, fi in zip(qp.H, qp.f)]
-    active = [i for i, (residual, size) in enumerate(_row_residuals(qp.C, qp.b, x))
-              if _negligible(max(-residual, 0.0), size, DUAL_TOL)]
+    active = _active_rows(qp, x)
     sets = (s for k in range(min(len(active), n - n_eq) + 1) for s in combinations(active, k))
     for members in sets:
         basis = (list(qp.C_eq) if n_eq else []) + [qp.C[i] for i in members]
@@ -541,17 +554,17 @@ def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     return False
 
 
-def _classify_failure(qp: QuadraticProgram) -> None:
+def _classify_failure(qp: QuadraticProgram, least_point=_pooled_kkt_point) -> None:
     """No certified KKT point exists; decide between infeasible and unbounded.
 
-    min ||x||^2 under the same constraints is bounded below, so it has a KKT
-    point exactly when the constraint set is non-empty.
+    min ||x||^2 under the same constraints is bounded below, so least_point finds a KKT
+    point of it exactly when the constraint set is non-empty.
     """
     n = qp.H.shape[0]
     nearest = QuadraticProgram(H=[[float(i == j) for j in range(n)] for i in range(n)],
                                f=[0.0] * n, C=qp.C, b=qp.b, C_eq=qp.C_eq, b_eq=qp.b_eq)
     try:
-        point = _least_kkt_point(nearest)
+        point = least_point(nearest)
     except NumericalOverflowError:  # a certified point whose ||x||^2 overflows is feasible
         return
     if point is None:

@@ -201,11 +201,9 @@ class TestLinearAlgebraKernels:
         assert x == pytest.approx([1.0, 1.0], rel=1e-15)
 
     def test_eliminate_refuses_a_pivot_at_or_below_the_floor(self):
+        # only an exactly zero pivot is refused; a pivot of 1e-12 is not
         assert fitting._eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None
-        rows, rhs = [[1.0, 0.0], [0.0, 1e-12]], [1.0, 1e-12]
-        assert fitting._eliminate(rows, rhs, floor=1e-8) is None
-        assert fitting._eliminate(rows, rhs, floor=1e-12) is None
-        assert fitting._eliminate(rows, rhs) == [1.0, 1.0]
+        assert fitting._eliminate([[1.0, 0.0], [0.0, 1e-12]], [1.0, 1e-12]) == [1.0, 1.0]
 
     def test_singular_square_systems_fall_back_to_least_squares(self):
         rows = [[1.0, 2.0], [2.0, 4.0]]
@@ -301,6 +299,10 @@ class TestQpSolve:
         with pytest.raises(NumericalOverflowError,
                            match="^QP objective is nan at a certified KKT point$"):
             qp_solve(qp)
+        # min x^2 - 4e154 x s.t. x <= 1e153: the objective overflows only at the
+        # unconstrained minimiser 2e154, which the row left out of a relaxation excludes
+        qp = QuadraticProgram(H=[[1.0]], f=[-4e154], C=[[1.0]], b=[1e153])
+        assert qp_solve(qp) == (1e153,)
 
 
 def mask_order_qp_solve(qp):
@@ -378,9 +380,13 @@ def random_qp(seed):
 
 
 def test_working_sets_match_mask_order_bit_for_bit():
+    # the random kinds, and ill-conditioned QPs in both cond ranges with rows at zero slack
+    # and repeated rows, where a pool of rows is likeliest to miss a row of the winner's set
+    problems = [random_qp(seed) for seed in range(204)]
+    problems += [ill_conditioned_qp(seed, exponents, degenerate=True)
+                 for exponents in ((3.0, 6.0), (6.0, 9.0)) for seed in range(10)]
     outcomes = set()
-    for seed in range(204):
-        qp = random_qp(seed)
+    for seed, qp in enumerate(problems):
         try:
             expected = mask_order_qp_solve(qp)
         except (InfeasibleProblemError, UnboundedProblemError) as exc:
@@ -431,10 +437,10 @@ def test_returns_to_scale_fits_match_mask_order_bit_for_bit(monkeypatch, m, dupl
                       lambda *args: least_squares_calls.append(1) or least_squares(*args))
         got = qp_solve(qp)
     assert [v.hex() for v in got] == [v.hex() for v in mask_order_qp_solve(qp)]
-    # a working set holding both copies of a repeated row has a singular Schur
-    # complement, which is solved by least squares (so can {alpha >= 0, beta >= 0,
-    # alpha + beta <= s}, whose rows are dependent, without repeats)
-    assert least_squares_calls or not duplicates
+    # a working set holding both copies of a repeated row has a singular KKT system,
+    # which is solved by least squares; the pool holds both copies when the row binds
+    active = [(*qp.C[i], qp.b[i]) for i in fitting._active_rows(qp, got)]
+    assert least_squares_calls or len(set(active)) == len(active)
 
 
 def slsqp_constrained_fit(optimize, X, y, C, b):
@@ -448,14 +454,8 @@ def slsqp_constrained_fit(optimize, X, y, C, b):
     return result.x
 
 
-@pytest.mark.parametrize("seed, m, duplicates, working_sets", [(1, 30, 0, 4526),
-                                                                (7, 20, 5, 1351)])
-def test_constrained_fit_matches_the_scipy_oracle(monkeypatch, seed, m, duplicates,
-                                                  working_sets):
-    # m = 30 binds three random rows; the repeated block binds five rows at a
-    # degenerate vertex, two of them copies of others
-    optimize = pytest.importorskip("scipy.optimize")
-    X, y, C, b = returns_to_scale_problem(seed, m, duplicates)
+def kkt_solves(monkeypatch):
+    """A list that receives the members of every working set solved from here on."""
     solved = []
     kkt_solver = fitting._kkt_solver
 
@@ -463,6 +463,18 @@ def test_constrained_fit_matches_the_scipy_oracle(monkeypatch, seed, m, duplicat
         solve = kkt_solver(qp)
         return lambda members: solved.append(members) or solve(members)
     monkeypatch.setattr(fitting, "_kkt_solver", counted)
+    return solved
+
+
+@pytest.mark.parametrize("seed, m, duplicates, working_sets", [(1, 30, 0, 23), (7, 20, 5, 41),
+                                                                (1, 200, 0, 45)])
+def test_constrained_fit_matches_the_scipy_oracle(monkeypatch, seed, m, duplicates,
+                                                  working_sets):
+    # m = 30 and m = 200 bind three random rows; the repeated block binds five rows at a
+    # degenerate vertex, two of them copies of others
+    optimize = pytest.importorskip("scipy.optimize")
+    X, y, C, b = returns_to_scale_problem(seed, m, duplicates)
+    solved = kkt_solves(monkeypatch)
     x = np.array(qp_fit(DesignMatrix(X, y), (C, b)).coefficients)
     assert len(solved) == working_sets
     qp = QuadraticProgram(H=X.T @ X, f=-2.0 * X.T @ y, C=C, b=b)
@@ -473,79 +485,23 @@ def test_constrained_fit_matches_the_scipy_oracle(monkeypatch, seed, m, duplicat
     assert qp.objective(x) <= qp.objective(oracle) + 1e-9 * abs(qp.objective(oracle))
 
 
+def test_infeasible_fit_is_refused_within_a_few_solves(monkeypatch):
+    # alpha + beta <= -0.1 contradicts alpha >= 0 and beta >= 0: constraint generation
+    # meets a relaxation without a point, whose rows have no least-norm point either
+    X, y, C, b = returns_to_scale_problem(1, 200, 0)
+    b[2] = -0.1
+    solved = kkt_solves(monkeypatch)
+    with pytest.raises(InfeasibleProblemError, match="^constraint set is empty$"):
+        qp_fit(DesignMatrix(X, y), (C, b))
+    assert len(solved) == 45
+
+
 def test_multiplier_at_the_dual_tolerance_is_certified():
     # min x^2/2 + 1e-8 x s.t. x <= 0 and x >= 1e-11: the working set {x <= 0} gives
     # x = 0 with multiplier exactly -DUAL_TOL, which the certificate accepts (within
     # FEASIBILITY_TOL of x >= 1e-11); its objective 0 beats x = 1e-11 from {x >= 1e-11}
     qp = QuadraticProgram(H=[[0.5]], f=[1e-8], C=[[1.0], [-1.0]], b=[0.0, -1e-11])
     assert qp_solve(qp) == mask_order_qp_solve(qp) == (0.0,)
-
-
-def schur_attempts(monkeypatch):
-    """A list that receives the result of every elimination on 2H with a pivot floor, the
-    Schur branch's solves, from here on; None means 2H fell through to the whole KKT system."""
-    attempts = []
-    eliminate = fitting._eliminate
-
-    def recorded(rows, rhs, floor=0.0):
-        x = eliminate(rows, rhs, floor)
-        if floor:
-            attempts.append(x)
-        return x
-    monkeypatch.setattr(fitting, "_eliminate", recorded)
-    return attempts
-
-
-def test_schur_and_whole_kkt_branches_agree(monkeypatch):
-    # every strictly convex kind of random_qp (the unbounded kind has a singular H) over
-    # three rounds of up to 9 rows, and the returns-to-scale fits, without and with
-    # repeated rows
-    problems = [random_qp(seed) for seed in range(6, 24) if QP_KINDS[seed % 6] != "unbounded"]
-    problems += [returns_to_scale_qp(100 * m + duplicates, m, duplicates)
-                 for m, duplicates in [(12, 0), (16, 3), (20, 0)]]
-    attempts = schur_attempts(monkeypatch)
-    outcomes = set()
-    for qp in problems:
-        solved = []
-        for rcond in (fitting.SCHUR_RCOND, math.inf):
-            monkeypatch.setattr(fitting, "SCHUR_RCOND", rcond)
-            attempts.clear()
-            try:
-                solved.append(qp_solve(qp))
-            except InfeasibleProblemError:
-                solved.append(None)
-            # the first attempt is on f, and a floor of inf turns every pivot away
-            assert (attempts[0] is None) == (rcond == math.inf)
-        schur, whole = solved
-        if schur is None:
-            assert whole is None
-            outcomes.add(InfeasibleProblemError)
-            continue
-        assert certify_solution(qp, schur) and certify_solution(qp, whole)
-        schur, whole = np.array(schur), np.array(whole)
-        assert np.max(np.abs(schur - whole)) <= 1e-9 * np.max(np.abs(schur))
-        outcomes.add(tuple)
-    assert outcomes == {tuple, InfeasibleProblemError}
-
-
-def test_pivot_below_the_floor_takes_the_whole_kkt_system(monkeypatch):
-    # 2H = diag(2, 2e-12): elimination meets the pivot 2e-12, below the floor
-    # SCHUR_RCOND * 2 = 2e-8, so no Schur complement is formed
-    optimize = pytest.importorskip("scipy.optimize")
-    H, f = np.diag([1.0, 1e-12]), np.array([-2.0, -1.0])
-    C, b = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]]), np.array([3.0, 3.2, 0.0])
-    qp = QuadraticProgram(H=H, f=f, C=C, b=b)
-    attempts = schur_attempts(monkeypatch)
-    x = np.array(qp_solve(qp))
-    assert attempts == [None]
-    assert certify_solution(qp, x)
-    oracle = optimize.minimize(
-        lambda x: x @ H @ x + f @ x, np.zeros(2), jac=lambda x: 2.0 * H @ x + f,
-        method="SLSQP", constraints=[{"type": "ineq", "fun": lambda x: b - C @ x,
-                                      "jac": lambda x: -C}],
-        options={"ftol": 1e-12, "maxiter": 1000})
-    assert oracle.success, oracle.message
-    assert np.max(np.abs(x - oracle.x)) <= 1e-9
 
 
 def nnls_certify_solution(qp, x, nnls):
@@ -604,16 +560,23 @@ def test_classification_and_certificates_match_scipy():
     assert outcomes == {tuple, InfeasibleProblemError, UnboundedProblemError}
 
 
-def ill_conditioned_qp(seed):
-    """A strictly convex QP, feasible at x0, with cond(H) log-uniform in 1e3-1e6:
-    H = Q diag(geomspace(1, 1/cond, n)) Q^T and b = C x0 + |slack|."""
+def ill_conditioned_qp(seed, exponents=(3.0, 6.0), degenerate=False):
+    """A strictly convex QP, feasible at x0, with cond(H) = 10^e for e uniform in
+    `exponents`: H = Q diag(geomspace(1, 1/cond, n)) Q^T and b = C x0 + |slack|. A
+    degenerate one sets about 30 % of the slacks to 0 and repeats up to three rows."""
     rng = np.random.default_rng(seed)
     n, m = int(rng.choice([2, 3, 4])), int(rng.integers(1, 10))
-    cond = 10.0 ** rng.uniform(3.0, 6.0)
+    cond = 10.0 ** rng.uniform(*exponents)
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     H = Q @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ Q.T
     f, C, x0 = 3.0 * rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=n)
-    b = C @ x0 + np.abs(rng.normal(size=m))
+    slack = np.abs(rng.normal(size=m))
+    if degenerate:
+        slack[rng.random(m) < 0.3] = 0.0
+    b = C @ x0 + slack
+    if degenerate:
+        repeat = rng.integers(0, m, size=int(rng.integers(1, 4)))
+        C, b = np.vstack([C, C[repeat]]), np.concatenate([b, b[repeat]])
     return QuadraticProgram(H=(H + H.T) / 2.0, f=f, C=C, b=b)
 
 
@@ -621,13 +584,14 @@ def test_ill_conditioned_strictly_convex_qps_are_solved_and_certified():
     # the unconstrained minimiser lies up to cond * |f| from the origin, so the solved
     # point's row residuals carry rounding on the scale ||C_i|| ||x||, above an absolute
     # 1e-10; every one of these QPs has a unique minimiser, which qp_solve must find
-    for seed in range(100):
-        qp = ill_conditioned_qp(seed)
-        assert certify_solution(qp, qp_solve(qp)), seed
+    for exponents in ((3.0, 6.0), (6.0, 9.0)):
+        for seed in range(100):
+            qp = ill_conditioned_qp(seed, exponents)
+            assert certify_solution(qp, qp_solve(qp)), (exponents, seed)
 
 
 def test_a_bound_in_the_winning_working_set_fixes_its_coordinate_exactly():
-    # beta >= 0 binds at the winner, whose Schur solve leaves beta = -4.4e-15; the bound
+    # beta >= 0 binds at the winner, whose KKT solve leaves beta = -1.7e-15; the bound
     # fixes beta = 0 / -1, written as +0.0
     qp = returns_to_scale_qp(2, 12, 2)
     x = qp_solve(qp)
