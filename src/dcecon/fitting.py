@@ -23,7 +23,7 @@ arrays all qualify. Matrices are stored as tuples of row tuples (:class:`Matrix`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -404,20 +404,40 @@ def _kkt_solver(qp: QuadraticProgram):
     inconsistent one gives None.
     """
     n = qp.H.shape[0]
-    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
-    rows = (list(qp.C_eq) if n_eq else []) + list(qp.C)
-    targets = (list(qp.b_eq) if n_eq else []) + list(qp.b)
-    equalities = list(range(n_eq))
     H2 = [[2.0 * h for h in row] for row in qp.H]
+    minus_f = [-v for v in qp.f]
 
     def solve(members):
-        G = [rows[i] for i in equalities] + [rows[n_eq + i] for i in members]
-        kkt = ([list(H2[j]) + [g[j] for g in G] for j in range(n)]
+        G = [*(qp.C_eq or ()), *(qp.C[i] for i in members)]
+        kkt = ([H2[j] + [g[j] for g in G] for j in range(n)]
                + [list(g) + [0.0] * len(G) for g in G])
-        solution = _solve_square(kkt, [-v for v in qp.f] + [targets[i] for i in equalities]
-                                 + [targets[n_eq + i] for i in members])
+        solution = _solve_square(kkt, minus_f + [*(qp.b_eq or ()), *(qp.b[i] for i in members)])
         return None if solution is None else (solution[:n], solution[n:])
     return solve
+
+
+def _certified_working_sets(qp: QuadraticProgram, rows: Sequence[int], solve):
+    """Yield (members, x) for each working set of at most n - n_eq of `rows` whose
+    solve(members) = (x, multipliers), the multipliers of the equalities first, passes
+    kkt_certificate; by size, then in combinations order. solve may return None.
+
+    A multiplier below -DUAL_TOL fails the certificate's dual-sign test on the same
+    floats, so its working set is dropped before the certificate runs.
+    """
+    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
+    for k in range(min(len(rows), qp.H.shape[0] - n_eq) + 1):
+        for members in combinations(rows, k):
+            solved = solve(members)
+            if solved is None:
+                continue
+            x, multipliers = solved
+            if any(v < -DUAL_TOL for v in multipliers[n_eq:]):
+                continue
+            lam = [0.0] * qp.C.shape[0]
+            for i, v in zip(members, multipliers[n_eq:]):
+                lam[i] = v
+            if kkt_certificate(qp, x, lam, multipliers[:n_eq] if n_eq else None):
+                yield members, x
 
 
 def _least_kkt_point(qp: QuadraticProgram, pool: Optional[Sequence[int]] = None
@@ -425,37 +445,20 @@ def _least_kkt_point(qp: QuadraticProgram, pool: Optional[Sequence[int]] = None
     """The certified KKT point with the least objective over the working sets of rows
     `pool` of C (every row by default), each certified against every row, or None.
 
-    A solution with a multiplier below -DUAL_TOL fails the certificate's dual-sign
-    test on the same floats, so it is dropped before the certificate runs. Ties
-    between equal objectives go to the working set with the least bit mask (sum of
+    Ties between equal objectives go to the working set with the least bit mask (sum of
     2^i); a non-finite one never wins, and when every certified point has one,
     NumericalOverflowError names it. In the winner, each coordinate that a working-set
     row with one nonzero coefficient fixes is set to that row's exact value (never -0.0).
     """
-    n, m = qp.H.shape[0], qp.C.shape[0]
-    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
-    pool = range(m) if pool is None else pool
-    solve = _kkt_solver(qp)
+    pool = range(qp.C.shape[0]) if pool is None else pool
     best = None  # (objective, bit mask, x, members)
     overflowed = None  # a non-finite objective at a certified point
-    for k in range(min(len(pool), n - n_eq) + 1):
-        for members in combinations(pool, k):
-            solved = solve(members)
-            if solved is None:
-                continue
-            x, multipliers = solved
-            if any(v < -DUAL_TOL for v in multipliers[n_eq:]):
-                continue
-            lam = [0.0] * m
-            for i, v in zip(members, multipliers[n_eq:]):
-                lam[i] = v
-            if not kkt_certificate(qp, x, lam, multipliers[:n_eq] if n_eq else None):
-                continue
-            candidate = (qp.objective(x), sum(1 << i for i in members), x, members)
-            if not math.isfinite(candidate[0]):
-                overflowed = candidate[0]
-            elif best is None or candidate[:2] < best[:2]:
-                best = candidate
+    for members, x in _certified_working_sets(qp, pool, _kkt_solver(qp)):
+        candidate = (qp.objective(x), sum(1 << i for i in members), x, members)
+        if not math.isfinite(candidate[0]):
+            overflowed = candidate[0]
+        elif best is None or candidate[:2] < best[:2]:
+            best = candidate
     if best is None and overflowed is not None:
         raise NumericalOverflowError(f"QP objective is {overflowed} at a certified KKT point")
     if best is None:
@@ -482,8 +485,7 @@ def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
     """
     pool = []
     while True:
-        relaxed = QuadraticProgram(H=qp.H, f=qp.f, C=[qp.C[i] for i in pool],
-                                   b=[qp.b[i] for i in pool], C_eq=qp.C_eq, b_eq=qp.b_eq)
+        relaxed = replace(qp, C=[qp.C[i] for i in pool], b=[qp.b[i] for i in pool])
         try:
             x = _least_kkt_point(relaxed)
         except NumericalOverflowError:  # the rows left out may still bound the objective
@@ -538,20 +540,12 @@ def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     check for every working set is a defect.
     """
     x = _vector("x", x)
-    n, m = qp.H.shape[0], qp.C.shape[0]
-    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     gradient = [-(2.0 * _dot(row, x) + fi) for row, fi in zip(qp.H, qp.f)]
-    active = _active_rows(qp, x)
-    sets = (s for k in range(min(len(active), n - n_eq) + 1) for s in combinations(active, k))
-    for members in sets:
-        basis = (list(qp.C_eq) if n_eq else []) + [qp.C[i] for i in members]
-        solution, _ = _least_squares(basis, gradient)
-        lam = [0.0] * m
-        for i, v in zip(members, solution[n_eq:]):
-            lam[i] = v
-        if kkt_certificate(qp, x, lam, solution[:n_eq] if n_eq else None):
-            return True
-    return False
+
+    def solve(members):
+        basis = [*(qp.C_eq or ()), *(qp.C[i] for i in members)]
+        return x, _least_squares(basis, gradient)[0]
+    return any(_certified_working_sets(qp, _active_rows(qp, x), solve))
 
 
 def _classify_failure(qp: QuadraticProgram, least_point=_pooled_kkt_point) -> None:
@@ -561,8 +555,7 @@ def _classify_failure(qp: QuadraticProgram, least_point=_pooled_kkt_point) -> No
     point of it exactly when the constraint set is non-empty.
     """
     n = qp.H.shape[0]
-    nearest = QuadraticProgram(H=[[float(i == j) for j in range(n)] for i in range(n)],
-                               f=[0.0] * n, C=qp.C, b=qp.b, C_eq=qp.C_eq, b_eq=qp.b_eq)
+    nearest = replace(qp, H=[[float(i == j) for j in range(n)] for i in range(n)], f=[0.0] * n)
     try:
         point = least_point(nearest)
     except NumericalOverflowError:  # a certified point whose ||x||^2 overflows is feasible
