@@ -443,6 +443,31 @@ def test_returns_to_scale_fits_match_mask_order_bit_for_bit(monkeypatch, m, dupl
     assert least_squares_calls or len(set(active)) == len(active)
 
 
+def test_active_rows_that_leave_the_pool_take_every_working_set(monkeypatch):
+    # no known QP has a winner whose active rows leave the final pool, so the rows active
+    # at the last relaxation's point are under-reported once: row 10, a copy of the binding
+    # row 2, stays out of the pool, whose winner is certified with both copies active
+    qp = returns_to_scale_qp(1202, 12, 2)
+    active_rows, least_kkt_point = fitting._active_rows, fitting._least_kkt_point
+    reported, calls = [], []
+
+    def under_reported_once(problem, x):
+        rows = active_rows(problem, x)
+        reported.append(rows)
+        return rows[:-1] if len(reported) == 1 else rows
+
+    def recorded(problem, pool=None):
+        x = least_kkt_point(problem, pool)
+        calls.append((problem is qp, None if pool is None else list(pool), x))
+        return x
+    monkeypatch.setattr(fitting, "_active_rows", under_reported_once)
+    monkeypatch.setattr(fitting, "_least_kkt_point", recorded)
+    got = qp_solve(qp)
+    assert reported == [[2, 10], [2, 10]]
+    assert calls[-2:] == [(True, [2], got), (True, None, got)]  # the pool, then every set
+    assert [v.hex() for v in got] == [v.hex() for v in mask_order_qp_solve(qp)]
+
+
 def slsqp_constrained_fit(optimize, X, y, C, b):
     """The scipy oracle: min ||y - X x||^2 subject to C x <= b by SLSQP from the origin."""
     result = optimize.minimize(
