@@ -57,6 +57,31 @@ def constraint_block(scale_bound):
     return "c1,c2,c3,b\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
+def raw_costs_and_block(seed):
+    """A raw-scale fit file and its constraint file, drawn from random.Random(seed): a, b
+    uniform in -1-3; 20, 50 or 200 rows of costs uniform in 1e4-1e6 and y = 3 + a S + b P
+    + N(0, 1e3); then 3, 6 or 12 rows shaped like the benchmark's blocks (alpha >= 0,
+    beta >= 0, alpha + beta <= s with s in 0.6-1, and random rows with bounds 0.2-2)."""
+    rng = random.Random(seed)
+    a, b = rng.uniform(-1, 3), rng.uniform(-1, 3)
+    n = rng.choice([20, 50, 200])
+    S = [rng.uniform(1e4, 1e6) for _ in range(n)]
+    P = [rng.uniform(1e4, 1e6) for _ in range(n)]
+    y = [3 + a * s + b * p + rng.gauss(0, 1e3) for s, p in zip(S, P)]
+    m = rng.choice([3, 6, 12])
+    rows = [(0.0, -1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0),
+            (0.0, 1.0, 1.0, round(rng.uniform(0.6, 1.0), 4))]
+    for _ in range(m - 3):
+        c = [round(rng.uniform(-1, 1), 4) for _ in range(3)]
+        rows.append((*c, round(rng.uniform(0.2, 2), 4)))
+    return ("new_server_cost,power_cooling_cost,output\n"
+            + "".join(f"{s},{p},{v}\n" for s, p, v in zip(S, P, y)),
+            "c1,c2,c3,b\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+
+
+# seed 2 draws 20 rows and a block of 6 rows
+FIT_RAW_LARGE, CONSTRAINTS_RAW_LARGE = raw_costs_and_block(2)
+
 # small inputs written next to the copied data/ directory
 INPUTS = {
     # y = exp(0.8) * S^0.9 * P^0.6 times a small fixed wobble, so the m = 3
@@ -124,6 +149,8 @@ INPUTS = {
     # alpha >= 0 and random rows bind for fit_200.csv; alpha + beta <= -0.1 empties the set
     "constraints_m200.csv": constraint_block(0.7532),
     "constraints_m200_empty.csv": constraint_block(-0.1),
+    "fit_raw_large.csv": FIT_RAW_LARGE,
+    "constraints_raw_large.csv": CONSTRAINTS_RAW_LARGE,
 }
 
 COSTS = ("--input", "data/tables.csv")
@@ -313,6 +340,10 @@ def invocations(quick):
     # (exit 3)
     calls += [(("fit", "--input", "inputs/fit_200.csv", "--constrained", f"inputs/{name}"), False)
               for name in ("constraints_m200.csv", "constraints_m200_empty.csv")]
+    # a raw-scale constrained fit on costs of 1e4-1e6: cond(A^T A) is 5e12, and the winning
+    # working set's solve certifies only after its refinement step
+    calls += [(("fit", "--input", "inputs/fit_raw_large.csv", "--scale", "raw",
+                "--constrained", "inputs/constraints_raw_large.csv"), False)]
     return [argv for argv, slow in calls if not (quick and slow)]
 
 

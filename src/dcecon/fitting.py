@@ -8,12 +8,13 @@ fits with linear inequality constraints become a small dense quadratic program
     min x^T H x + f^T x   s.t.  C x <= b  (and optional C_eq x = b_eq)
 
 with H = A^T A and f = -2 A^T y, solved exactly over working sets of at most n - n_eq
-inequality rows, each solved as its whole KKT system by pivoted Gaussian elimination (a
-singular one, like every rank decision, by the Jacobi SVD). The working sets come from a
-pool of rows grown by constraint generation, and from all sum_{k <= n - n_eq} C(m, k) of
-them when that pool may miss the winner. The same path tells an infeasible QP from an
-unbounded one (by minimising ||x||^2 under the same constraints) and certifies a
-claimed solution post hoc against the KKT conditions.
+inequality rows, each solved as its whole KKT system by pivoted Gaussian elimination and
+one step of iterative refinement (a singular one, like every rank decision, by the Jacobi
+SVD). The working sets come from a pool of rows grown by constraint generation, and from
+all sum_{k <= n - n_eq} C(m, k) of them when that pool may miss the winner. The same path
+tells an infeasible QP from an unbounded one (by minimising ||x||^2 under the same
+constraints). One walk over working sets (_certified_working_sets) serves both the solver
+and the post-hoc certificate of a claimed solution against the KKT conditions.
 
 The module runs on the standard library. A vector argument is a sequence of
 numbers and a matrix argument a sequence of such rows: lists, tuples and numpy
@@ -384,8 +385,15 @@ def _eliminate(rows: Sequence[Sequence[float]], rhs: Sequence[float]) -> Optiona
 
 
 def _solve_square(rows: List[List[float]], rhs: List[float]) -> Optional[List[float]]:
-    """rows x = rhs; a singular system by least squares, None if that one is inconsistent."""
+    """rows x = rhs; a singular system by least squares, None if that one is inconsistent.
+
+    A solution by elimination takes one step of iterative refinement: the solution d of
+    rows d = rhs - rows x is added to it.
+    """
     x = _eliminate(rows, rhs)
+    if x is not None:
+        step = _eliminate(rows, [v - _dot(row, x) for row, v in zip(rows, rhs)])
+        x = [a + d for a, d in zip(x, step)]
     if x is None:
         x, _ = _least_squares(_columns(rows, len(rhs)), rhs)
         norms = [math.hypot(*c) for c in zip(*_row_residuals(rows, rhs, x))]  # ||r||, ||sizes||

@@ -647,6 +647,27 @@ def raw_costs_with_a_bound_at_zero():
     return tuple(map(list, zip(*rows)))
 
 
+def raw_costs_and_block(seed):
+    """S, P, y, C and b of a raw-scale fit, drawn from random.Random(seed) as
+    scripts/output_digests.py draws its fit_raw_large.csv: a, b uniform in -1-3; 20, 50 or
+    200 rows of costs uniform in 1e4-1e6 and y = 3 + a S + b P + N(0, 1e3); then 3, 6 or 12
+    constraint rows: alpha >= 0, beta >= 0, alpha + beta <= s and random rows."""
+    rng = random.Random(seed)
+    a, b = rng.uniform(-1, 3), rng.uniform(-1, 3)
+    n = rng.choice([20, 50, 200])
+    S = [rng.uniform(1e4, 1e6) for _ in range(n)]
+    P = [rng.uniform(1e4, 1e6) for _ in range(n)]
+    y = [3 + a * s + b * p + rng.gauss(0, 1e3) for s, p in zip(S, P)]
+    m = rng.choice([3, 6, 12])
+    rows = [(0.0, -1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0),
+            (0.0, 1.0, 1.0, round(rng.uniform(0.6, 1.0), 4))]
+    for _ in range(m - 3):
+        c = [round(rng.uniform(-1, 1), 4) for _ in range(3)]
+        rows.append((*c, round(rng.uniform(0.2, 2), 4)))
+    block = np.array(rows)
+    return S, P, y, block[:, :3], block[:, 3]
+
+
 class TestQpFit:
     def test_equals_ols_when_constraints_inactive(self):
         rng = np.random.default_rng(113)
@@ -698,6 +719,19 @@ class TestQpFit:
         qp = QuadraticProgram(H=A.T @ A, f=-2.0 * A.T @ y, C=RTS_CONSTRAINTS[0],
                               b=RTS_CONSTRAINTS[1])
         assert certify_solution(qp, fit.coefficients)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 10])
+    def test_raw_scale_fit_on_costs_of_1e4_to_1e6_is_certified(self, seed):
+        # cond(H) is about 5e12: elimination alone misses a row of the winning working set
+        # by 1.2 to 3,200 times the certificate's feasibility tolerance, so these QPs (6-row
+        # blocks at seeds 2 and 3, 12-row blocks at seeds 1 and 10) would be reported
+        # unbounded; the refinement step brings the miss within the tolerance
+        S, P, y, C, b = raw_costs_and_block(seed)
+        design = DesignMatrix.raw_scale(S, P, y)
+        x = qp_fit(design, (C, b)).coefficients
+        A, y = arrays(design)
+        assert certify_solution(QuadraticProgram(H=A.T @ A, f=-2.0 * A.T @ y, C=C, b=b), x)
+        assert np.max(C @ x - b) <= 1e-11
 
     def test_design_that_ols_refuses_is_refused(self):
         # constraints can hold the fit of an unidentified design to one point, as
