@@ -10,11 +10,12 @@ fits with linear inequality constraints become a small dense quadratic program
 with H = A^T A and f = -2 A^T y, solved exactly over working sets of at most n - n_eq
 inequality rows, each solved as its whole KKT system by pivoted Gaussian elimination and
 one step of iterative refinement (a singular one, like every rank decision, by the Jacobi
-SVD). The working sets come from a pool of rows grown by constraint generation, and from
-all sum_{k <= n - n_eq} C(m, k) of them when that pool may miss the winner. The same path
-tells an infeasible QP from an unbounded one (by minimising ||x||^2 under the same
-constraints). One walk over working sets (_certified_working_sets) serves both the solver
-and the post-hoc certificate of a claimed solution against the KKT conditions.
+SVD). The working sets come from a pool of rows grown by constraint generation in one
+loop, whose last relaxation's winner is the answer, and from all sum_{k <= n - n_eq}
+C(m, k) of them only when a relaxation has no point. The same path tells an infeasible
+QP from an unbounded one (by minimising ||x||^2 under the same constraints). One walk over
+working sets (_certified_working_sets) serves both the solver and the post-hoc certificate
+of a claimed solution against the KKT conditions.
 
 The module runs on the standard library. A vector argument is a sequence of
 numbers and a matrix argument a sequence of such rows: lists, tuples and numpy
@@ -448,20 +449,17 @@ def _certified_working_sets(qp: QuadraticProgram, rows: Sequence[int], solve):
                 yield members, x
 
 
-def _least_kkt_point(qp: QuadraticProgram, pool: Optional[Sequence[int]] = None
-                     ) -> Optional[Tuple[float, ...]]:
-    """The certified KKT point with the least objective over the working sets of rows
-    `pool` of C (every row by default), each certified against every row, or None.
+def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple[int, ...]]]:
+    """The certified KKT point with the least objective over the working sets of qp, each
+    certified against every row, and the rows of C in its working set; or None.
 
     Ties between equal objectives go to the working set with the least bit mask (sum of
     2^i); a non-finite one never wins, and when every certified point has one,
-    NumericalOverflowError names it. In the winner, each coordinate that a working-set
-    row with one nonzero coefficient fixes is set to that row's exact value (never -0.0).
+    NumericalOverflowError names it.
     """
-    pool = range(qp.C.shape[0]) if pool is None else pool
     best = None  # (objective, bit mask, x, members)
     overflowed = None  # a non-finite objective at a certified point
-    for members, x in _certified_working_sets(qp, pool, _kkt_solver(qp)):
+    for members, x in _certified_working_sets(qp, range(qp.C.shape[0]), _kkt_solver(qp)):
         candidate = (qp.objective(x), sum(1 << i for i in members), x, members)
         if not math.isfinite(candidate[0]):
             overflowed = candidate[0]
@@ -469,49 +467,40 @@ def _least_kkt_point(qp: QuadraticProgram, pool: Optional[Sequence[int]] = None
             best = candidate
     if best is None and overflowed is not None:
         raise NumericalOverflowError(f"QP objective is {overflowed} at a certified KKT point")
-    if best is None:
-        return None
-    x = list(best[2])
-    for row, target in chain(zip(qp.C_eq or (), qp.b_eq or ()),
-                             ((qp.C[i], qp.b[i]) for i in best[3])):
-        nonzero = [j for j, c in enumerate(row) if c]
-        if len(nonzero) == 1:
-            x[nonzero[0]] = target / row[nonzero[0]] + 0.0  # -0.0 + 0.0 is 0.0
-    return tuple(x)
+    return None if best is None else best[2:]
 
 
-def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[float, ...]]:
-    """_least_kkt_point(qp), with its working sets drawn from a pool of rows grown by
-    constraint generation.
+def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple[int, ...]]]:
+    """_least_kkt_point(qp), found by constraint generation over a pool of rows.
 
-    From an empty pool, the least KKT point of the QP relaxed to the pool's rows adds
-    the row it violates most (max(r, 0) / max(1, size), the certificate's feasibility
-    rule) until it violates none; the working sets then come from the pool and the rows
-    active at that point. Every working set is tried when the winner's active rows leave
-    that pool, or when a relaxation has no point although its rows are feasible (as for
-    a singular H); InfeasibleProblemError is raised when they are not.
+    From an empty pool, kept in row order, the least KKT point of the QP relaxed to the
+    pool's rows adds to the pool the row outside it that the point violates most
+    (max(r, 0) / max(1, size), under the certificate's feasibility rule), or, when it
+    violates none, the rows active at it. A point that meets every row and whose active
+    rows are all in the pool is returned, as the certificate saw it: its working set's solve
+    and certificate are the whole QP's on the same floats, and its members are mapped back
+    to rows of C. Every working set is tried when a relaxation has no point although its
+    rows are feasible (as for a singular H); InfeasibleProblemError is raised when they
+    are not.
     """
     pool = []
     while True:
         relaxed = replace(qp, C=[qp.C[i] for i in pool], b=[qp.b[i] for i in pool])
         try:
-            x = _least_kkt_point(relaxed)
+            point = _least_kkt_point(relaxed)
         except NumericalOverflowError:  # the rows left out may still bound the objective
-            x = None
-        if x is None:
+            point = None
+        if point is None:
             _classify_failure(relaxed, _least_kkt_point)
             return _least_kkt_point(qp)
-        violations = [max(r, 0.0) / max(1.0, size) for r, size in _row_residuals(qp.C, qp.b, x)]
-        worst = max(range(len(violations)), key=violations.__getitem__, default=None)
-        # a pool row held before the exact-bound fix moved x; meeting it again ends the loop
-        if worst is None or worst in pool or violations[worst] <= FEASIBILITY_TOL:
-            break
-        pool.append(worst)
-    pool = sorted(set(pool).union(_active_rows(qp, x)))
-    x = _least_kkt_point(qp, pool)
-    if x is None or not set(_active_rows(qp, x)) <= set(pool):
-        return _least_kkt_point(qp)
-    return x
+        x, members = point
+        violated = {i: max(r, 0.0) / max(1.0, size)
+                    for i, (r, size) in enumerate(_row_residuals(qp.C, qp.b, x))
+                    if i not in pool and not _negligible(max(r, 0.0), size, FEASIBILITY_TOL)}
+        grown = [max(violated, key=violated.get)] if violated else _active_rows(qp, x)
+        if set(grown) <= set(pool):
+            return x, tuple(pool[i] for i in members)
+        pool = sorted(set(pool).union(grown))
 
 
 def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
@@ -521,14 +510,22 @@ def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
     solved as whole KKT systems, and a point counts only if the full KKT certificate
     passes; the best one is the global minimum for PSD H. The sets come from
     _pooled_kkt_point's pool of rows, or from all sum_{k <= n - n_eq} C(m, k) of them
-    when that pool may miss the winner. Ties between equal objectives go to the working
-    set with the least bit mask (sum of 2^i over members), as over every working set.
+    when a relaxation to that pool has no point. Ties between equal objectives go to the
+    working set with the least bit mask (sum of 2^i over members), as over every working
+    set. In the winner, each coordinate that a working-set row with one nonzero
+    coefficient fixes is set to that row's exact value (never -0.0).
     """
-    x = _pooled_kkt_point(qp)
-    if x is None:
+    point = _pooled_kkt_point(qp)
+    if point is None:
         _classify_failure(qp)
         raise UnboundedProblemError("no KKT point over a non-empty feasible set")
-    return x
+    x, members = point
+    for row, target in chain(zip(qp.C_eq or (), qp.b_eq or ()),
+                             ((qp.C[i], qp.b[i]) for i in members)):
+        nonzero = [j for j, c in enumerate(row) if c]
+        if len(nonzero) == 1:
+            x[nonzero[0]] = target / row[nonzero[0]] + 0.0  # -0.0 + 0.0 is 0.0
+    return tuple(x)
 
 
 def _active_rows(qp: QuadraticProgram, x: Sequence[float]) -> List[int]:

@@ -378,6 +378,34 @@ class TestParallelTraceWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["cost_min_1997.csv"]
         assert_no_children()
 
+    def test_without_fork_a_trace_is_written_in_one_slice(self, tmp_path, monkeypatch, forks):
+        # as on Windows, which has no os.fork
+        use_cpus(monkeypatch, 3)
+        config = OptimizerConfig(seed=3, max_iters=3 * TRACE_SLICE_ROWS + 4,
+                                 record_trajectory=True)
+        run_table("cost_min", [self.RECORD], config, trace_dir=tmp_path / "forked")
+        assert len(forks) == 2
+        monkeypatch.delattr(os, "fork")
+        run_table("cost_min", [self.RECORD], config, trace_dir=tmp_path / "unforked")
+        assert len(forks) == 2
+        assert ((tmp_path / "unforked" / "cost_min_1997.csv").read_bytes()
+                == (tmp_path / "forked" / "cost_min_1997.csv").read_bytes())
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus, slices", [(None, 1), (1, 1), (2, 2), (3, 3)])
+    def test_without_cpu_affinity_the_cpu_count_sets_the_slices(self, tmp_path, monkeypatch,
+                                                                 forks, cpus, slices):
+        # as on macOS, which has no os.sched_getaffinity; os.cpu_count() may be None
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = OptimizerConfig(seed=3, max_iters=3 * TRACE_SLICE_ROWS + 4,
+                                 record_trajectory=True)
+        run_table("cost_min", [self.RECORD], config, trace_dir=tmp_path)
+        assert len(forks) == slices - 1
+        assert ((tmp_path / "cost_min_1997.csv").read_bytes()
+                == csv_writer_trace(sgd_cost_min(self.RECORD, config).trajectory))
+        assert_no_children()
+
     def test_failing_child_is_one_line_data_error(self, tmp_path, monkeypatch, capsys):
         use_cpus(monkeypatch, 3)
         full_disk(monkeypatch, in_children=True)

@@ -61,6 +61,20 @@ def test_trace_revenue_surface_writes_trajectory_and_grid(tmp_path):
     assert len(surface) == 60 * 60 + 1
 
 
+def test_code_lines_lists_every_module_with_totals():
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "file", "code"]
+    modules = sorted(path.name for path in (ROOT / "src" / "dcecon").glob("*.py"))
+    assert [row[0] for row in rows] == modules
+    counts = [(int(file), int(code)) for _, file, code in rows]
+    assert all(0 < code <= file for file, code in counts)
+    assert total == ["total", str(sum(f for f, _ in counts)), str(sum(c for _, c in counts))]
+    assert int(total[1]) == sum(len((ROOT / "src" / "dcecon" / name).read_text().splitlines())
+                                for name in modules)
+
+
 def digest_stamp():
     """The platform line the digest baseline starts with; other platforms may round differently."""
     return (f"# {platform.system()} {platform.machine()}, "
