@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import random
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -39,6 +40,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1e-05, the repr of a small negative float, as a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors; the contract reserves 2 for data errors
     def error(self, message):
         raise _UsageError(message)

@@ -5,17 +5,17 @@ The regression is y_i ~ K' + alpha*x1_i + beta*x2_i, either on the log scale
 Unconstrained fits are least-squares solves by a one-sided Jacobi SVD of the design;
 fits with linear inequality constraints become a small dense quadratic program
 
-    min x^T H x + f^T x   s.t.  C x <= b  (and optional C_eq x = b_eq)
+    min x^T H x + f^T x   s.t.  C x <= b
 
-with H = A^T A and f = -2 A^T y, solved exactly over working sets of at most n - n_eq
-inequality rows, each solved as its whole KKT system by pivoted Gaussian elimination and
-one step of iterative refinement (a singular one, like every rank decision, by the Jacobi
-SVD). The working sets come from a pool of rows grown by constraint generation in one
-loop, whose last relaxation's winner is the answer, and from all sum_{k <= n - n_eq}
-C(m, k) of them only when a relaxation has no point. The same path tells an infeasible
-QP from an unbounded one (by minimising ||x||^2 under the same constraints). One walk over
-working sets (_certified_working_sets) serves both the solver and the post-hoc certificate
-of a claimed solution against the KKT conditions.
+with H = A^T A and f = -2 A^T y, solved exactly over working sets of at most n rows, each
+solved as its whole KKT system by pivoted Gaussian elimination and one step of iterative
+refinement (a singular one, like every rank decision, by the Jacobi SVD). The working sets
+come from a pool of rows grown by constraint generation in one loop, whose last
+relaxation's winner is the answer, and from all sum_{k <= n} C(m, k) of them only when a
+relaxation has no point. The same path tells an infeasible QP from an unbounded one (by
+minimising ||x||^2 under the same constraints). One walk over working sets
+(_certified_working_sets) serves both the solver and the post-hoc certificate of a claimed
+solution against the KKT conditions.
 
 The module runs on the standard library. A vector argument is a sequence of
 numbers and a matrix argument a sequence of such rows: lists, tuples and numpy
@@ -25,7 +25,7 @@ arrays all qualify. Matrices are stored as tuples of row tuples (:class:`Matrix`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from itertools import chain, combinations, repeat
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -178,16 +178,21 @@ class FitResult:
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """min x^T H x + f^T x subject to C x <= b and optionally C_eq x = b_eq."""
+    """min x^T H x + f^T x subject to C x <= b.
+
+    Equality rows C_eq x = b_eq are a constructor argument only: they join C and b after
+    C's own rows as the row pairs C_eq x <= b_eq, then -C_eq x <= -b_eq. qp.C_eq reads None,
+    so replace(qp, C=..., b=...) adds no pair.
+    """
 
     H: Matrix
     f: Tuple[float, ...]
     C: Matrix
     b: Tuple[float, ...]
-    C_eq: Optional[Matrix] = None
-    b_eq: Optional[Tuple[float, ...]] = None
+    C_eq: InitVar[Optional[Matrix]] = None
+    b_eq: InitVar[Optional[Tuple[float, ...]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, C_eq, b_eq):
         H = _finite("QP H", _matrix, self.H)
         f = _finite("QP f", _vector, self.f)
         C = _finite("QP C", _matrix, self.C)
@@ -207,17 +212,17 @@ class QuadraticProgram:
             raise ParameterError("C column count must match H dimension")
         if C.shape[0] != len(b):
             raise ParameterError("C and b row counts differ")
+        if C_eq is not None:
+            C_eq = _finite("QP C_eq", _matrix, C_eq)
+            b_eq = _finite("QP b_eq", _vector, b_eq)
+            if C_eq.shape[1] != n or C_eq.shape[0] != len(b_eq):
+                raise ParameterError("equality constraint shapes are inconsistent")
+            C = Matrix([*C, *C_eq, *(tuple(-c for c in row) for row in C_eq)], n)
+            b = (*b, *b_eq, *(-v for v in b_eq))
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "b", b)
-        if self.C_eq is not None:
-            C_eq = _finite("QP C_eq", _matrix, self.C_eq)
-            b_eq = _finite("QP b_eq", _vector, self.b_eq)
-            if C_eq.shape[1] != n or C_eq.shape[0] != len(b_eq):
-                raise ParameterError("equality constraint shapes are inconsistent")
-            object.__setattr__(self, "C_eq", C_eq)
-            object.__setattr__(self, "b_eq", b_eq)
 
     def objective(self, x: Sequence[float]) -> float:
         x = _vector("x", x)
@@ -317,36 +322,28 @@ def _fit_result_from_coefficients(x: Sequence[float], design: DesignMatrix) -> F
                      residual_norm=math.hypot(*residual))
 
 
-def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[float],
-                    mu: Optional[Sequence[float]] = None) -> bool:
+def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[float]) -> bool:
     """Stationarity, primal/dual feasibility, and complementary slackness.
 
     The dual sign test is absolute (lam_i >= -DUAL_TOL); every other residual must be
     _negligible against the size of its terms: the sum of their norms for 2Hx + f + C^T lam
-    + C_eq^T mu (DUAL_TOL), ||C_i|| ||x|| + |b_i| for a row's C_i x - b_i (FEASIBILITY_TOL)
-    and |lam_i| times that for lam_i (C_i x - b_i) (DUAL_TOL). The row size is norm-wise: a
-    computed C_i x rounds on the scale ||C_i|| ||x||, even on a bound row at 0. A non-finite
-    x, lam or mu, residual or product is rejected.
+    (DUAL_TOL), ||C_i|| ||x|| + |b_i| for a row's C_i x - b_i (FEASIBILITY_TOL) and |lam_i|
+    times that for lam_i (C_i x - b_i) (DUAL_TOL). The row size is norm-wise: a computed
+    C_i x rounds on the scale ||C_i|| ||x||, even on a bound row at 0. A non-finite x or
+    lam, residual or product is rejected.
     """
     x, lam = _vector("x", x), _vector("lam", lam)
-    mu = None if mu is None else _vector("mu", mu)
-    if not all(map(math.isfinite, (*x, *lam, *(mu or ())))):
+    if not all(map(math.isfinite, (*x, *lam))):
         return False
-    terms = [[2.0 * _dot(row, x) for row in qp.H], qp.f]
-    for rows, weights in ((qp.C, lam), (qp.C_eq, mu)):  # C^T lam, C_eq^T mu
-        if rows is not None and weights is not None:
-            terms.append([sum(w * row[j] for row, w in zip(rows, weights))
-                          for j in range(len(qp.f))])
+    terms = [[2.0 * _dot(row, x) for row in qp.H], qp.f,
+             [sum(w * row[j] for row, w in zip(qp.C, lam)) for j in range(len(qp.f))]]
     stationarity = math.hypot(*map(sum, zip(*terms))), sum(math.hypot(*term) for term in terms)
     if not _negligible(*stationarity, DUAL_TOL) or any(v < -DUAL_TOL for v in lam):
         return False
-    for rows, targets, weights in ((qp.C, qp.b, chain(lam, repeat(0.0))),
-                                   (qp.C_eq or (), qp.b_eq or (), repeat(None))):
-        for (residual, size), v in zip(_row_residuals(rows, targets, x), weights):
-            excess = residual if v is None else max(residual, 0.0)  # an equality has no slack
-            if not (_negligible(excess, size, FEASIBILITY_TOL)
-                    and (not v or _negligible(v * residual, abs(v) * size, DUAL_TOL))):
-                return False
+    for (residual, size), v in zip(_row_residuals(qp.C, qp.b, x), chain(lam, repeat(0.0))):
+        if not (_negligible(max(residual, 0.0), size, FEASIBILITY_TOL)
+                and (not v or _negligible(v * residual, abs(v) * size, DUAL_TOL))):
+            return False
     return True
 
 
@@ -404,48 +401,46 @@ def _solve_square(rows: List[List[float]], rhs: List[float]) -> Optional[List[fl
 
 
 def _kkt_solver(qp: QuadraticProgram):
-    """solve(members) for qp: the KKT point (x, multipliers) of the working set that holds the
-    equalities and the inequality rows `members`, or None.
+    """solve(members) for qp: the KKT point (x, multipliers) of the working set of the rows
+    `members` of C, or None.
 
-    The whole KKT system [[2H, G^T], [G, 0]] (x, multipliers) = (-f, b_G), where G stacks
-    C_eq over the rows `members` of C, is solved by pivoted elimination; the multipliers of
-    the equalities come first. A singular system is solved by least squares, and an
-    inconsistent one gives None.
+    The whole KKT system [[2H, G^T], [G, 0]] (x, multipliers) = (-f, b_G), where G holds the
+    rows `members` of C, is solved by pivoted elimination. A singular system is solved by
+    least squares, and an inconsistent one gives None.
     """
     n = qp.H.shape[0]
     H2 = [[2.0 * h for h in row] for row in qp.H]
     minus_f = [-v for v in qp.f]
 
     def solve(members):
-        G = [*(qp.C_eq or ()), *(qp.C[i] for i in members)]
+        G = [qp.C[i] for i in members]
         kkt = ([H2[j] + [g[j] for g in G] for j in range(n)]
                + [list(g) + [0.0] * len(G) for g in G])
-        solution = _solve_square(kkt, minus_f + [*(qp.b_eq or ()), *(qp.b[i] for i in members)])
+        solution = _solve_square(kkt, minus_f + [qp.b[i] for i in members])
         return None if solution is None else (solution[:n], solution[n:])
     return solve
 
 
 def _certified_working_sets(qp: QuadraticProgram, rows: Sequence[int], solve):
-    """Yield (members, x) for each working set of at most n - n_eq of `rows` whose
-    solve(members) = (x, multipliers), the multipliers of the equalities first, passes
-    kkt_certificate; by size, then in combinations order. solve may return None.
+    """Yield (members, x) for each working set of at most n of `rows` whose
+    solve(members) = (x, multipliers) passes kkt_certificate; by size, then in
+    combinations order. solve may return None.
 
     A multiplier below -DUAL_TOL fails the certificate's dual-sign test on the same
     floats, so its working set is dropped before the certificate runs.
     """
-    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
-    for k in range(min(len(rows), qp.H.shape[0] - n_eq) + 1):
+    for k in range(min(len(rows), qp.H.shape[0]) + 1):
         for members in combinations(rows, k):
             solved = solve(members)
             if solved is None:
                 continue
             x, multipliers = solved
-            if any(v < -DUAL_TOL for v in multipliers[n_eq:]):
+            if any(v < -DUAL_TOL for v in multipliers):
                 continue
             lam = [0.0] * qp.C.shape[0]
-            for i, v in zip(members, multipliers[n_eq:]):
+            for i, v in zip(members, multipliers):
                 lam[i] = v
-            if kkt_certificate(qp, x, lam, multipliers[:n_eq] if n_eq else None):
+            if kkt_certificate(qp, x, lam):
                 yield members, x
 
 
@@ -506,11 +501,10 @@ def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple
 def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
     """The minimiser of a small dense convex QP, by exact working-set enumeration.
 
-    Working sets of at most n - n_eq inequality rows (equalities are always active) are
-    solved as whole KKT systems, and a point counts only if the full KKT certificate
-    passes; the best one is the global minimum for PSD H. The sets come from
-    _pooled_kkt_point's pool of rows, or from all sum_{k <= n - n_eq} C(m, k) of them
-    when a relaxation to that pool has no point. Ties between equal objectives go to the
+    Working sets of at most n rows are solved as whole KKT systems, and a point counts
+    only if the full KKT certificate passes; the best one is the global minimum for PSD H.
+    The sets come from _pooled_kkt_point's pool of rows, or from all sum_{k <= n} C(m, k)
+    of them when a relaxation to that pool has no point. Ties between equal objectives go to the
     working set with the least bit mask (sum of 2^i over members), as over every working
     set. In the winner, each coordinate that a working-set row with one nonzero
     coefficient fixes is set to that row's exact value (never -0.0).
@@ -520,11 +514,10 @@ def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
         _classify_failure(qp)
         raise UnboundedProblemError("no KKT point over a non-empty feasible set")
     x, members = point
-    for row, target in chain(zip(qp.C_eq or (), qp.b_eq or ()),
-                             ((qp.C[i], qp.b[i]) for i in members)):
-        nonzero = [j for j, c in enumerate(row) if c]
+    for i in members:
+        nonzero = [j for j, c in enumerate(qp.C[i]) if c]
         if len(nonzero) == 1:
-            x[nonzero[0]] = target / row[nonzero[0]] + 0.0  # -0.0 + 0.0 is 0.0
+            x[nonzero[0]] = qp.b[i] / qp.C[i][nonzero[0]] + 0.0  # -0.0 + 0.0 is 0.0
     return tuple(x)
 
 
@@ -538,18 +531,17 @@ def _active_rows(qp: QuadraticProgram, x: Sequence[float]) -> List[int]:
 def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     """Post-hoc KKT certificate for a claimed solution.
 
-    For each working set of at most n - n_eq constraints active at x (whose slack
-    b_i - C_i x is negligible or negative, sized as in kkt_certificate), solves the
-    stationarity equation for the equality and working-set multipliers by least
-    squares and checks the full certificate. A claimed optimum that fails this
+    For each working set of at most n rows active at x (whose slack b_i - C_i x is
+    negligible or negative, sized as in kkt_certificate), solves the stationarity
+    equation for the working set's multipliers by least squares and checks the full
+    certificate. A claimed optimum that fails this
     check for every working set is a defect.
     """
     x = _vector("x", x)
     gradient = [-(2.0 * _dot(row, x) + fi) for row, fi in zip(qp.H, qp.f)]
 
     def solve(members):
-        basis = [*(qp.C_eq or ()), *(qp.C[i] for i in members)]
-        return x, _least_squares(basis, gradient)[0]
+        return x, _least_squares([qp.C[i] for i in members], gradient)[0]
     return any(_certified_working_sets(qp, _active_rows(qp, x), solve))
 
 

@@ -435,6 +435,16 @@ class TestSfaCommand:
         assert (code, out) == (1, "")
         assert err == f"usage error: {flag} is not read in {mode} mode\n"
 
+    @pytest.mark.parametrize("flag, value, key", [("--shock", "-1e-05", "v"),
+                                                  ("--intercept", "-2.5E+3", "intercept")])
+    def test_negative_value_in_exponent_form_is_read_as_a_value(self, capsys, flag, value, key):
+        # repr writes a small float in exponent form, which argparse took for a flag
+        argv = ("sfa", "--S", "2", "--I", "3", "--output", "10")
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"][key] == float(value)
+        assert run_cli(capsys, *argv, f"{flag}={value}") == (0, out, "")
+
     def test_each_mode_echoes_only_the_flags_it_reads(self, capsys):
         _, out, _ = run_cli(capsys, "sfa", "--S", "9", "--I", "16", "--output", "20")
         assert json.loads(out)["config"] == {"intercept": 0.0, "n": 1.0, "S": 9.0, "I": 16.0,

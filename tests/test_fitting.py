@@ -1,7 +1,11 @@
+import importlib
 import math
 import random
+import runpy
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,9 @@ from dcecon.fitting import (
     qp_solve,
     r_squared,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+output_digests = runpy.run_path(str(ROOT / "scripts" / "output_digests.py"))
 
 # raw-scale model y = -375.07 + 4.4871*x1 + 27.409*x2 evaluated at (60, 40):
 # -375.07 + 269.226 + 1096.36, exact decimal arithmetic
@@ -274,13 +281,38 @@ class TestQpSolve:
         assert certify_solution(qp, [0.0, 0.0])
         assert not certify_solution(qp, [np.nan, np.nan])
         assert not kkt_certificate(qp, np.array([np.inf, 0.0]), np.zeros(0))
-        # NaN multipliers make every tolerance compare False, which used to pass
+        # NaN multipliers make every tolerance compare False, which used to pass; the
+        # equality row y = 0 is the pair of rows 1 and 2
         qp = QuadraticProgram(H=np.eye(2), f=np.zeros(2), C=[[1.0, 0.0]], b=[1.0],
                               C_eq=[[0.0, 1.0]], b_eq=[0.0])
         zero = np.zeros(2)
-        assert kkt_certificate(qp, zero, np.zeros(1), np.zeros(1))
-        assert not kkt_certificate(qp, zero, np.array([np.nan]), np.zeros(1))
-        assert not kkt_certificate(qp, zero, np.zeros(1), np.array([np.nan]))
+        assert kkt_certificate(qp, zero, np.zeros(3))
+        assert not kkt_certificate(qp, zero, np.array([np.nan, 0.0, 0.0]))
+        assert not kkt_certificate(qp, zero, np.array([0.0, np.nan, 0.0]))
+
+    def test_equality_rows_join_c_as_row_pairs(self):
+        qp = QuadraticProgram(H=np.eye(2), f=np.zeros(2), C=[[1.0, 0.0]], b=[1.0],
+                              C_eq=[[0.0, 1.0], [2.0, 3.0]], b_eq=[0.5, -4.0])
+        assert qp.C == ((1.0, 0.0), (0.0, 1.0), (2.0, 3.0), (-0.0, -1.0), (-2.0, -3.0))
+        assert qp.b == (1.0, 0.5, -4.0, -0.5, 4.0)
+        assert qp.C.shape == (5, 2) and qp.C_eq is None
+        # a relaxation to some of the rows, as the solver builds, adds no pair again
+        relaxed = replace(qp, C=qp.C[1:3], b=qp.b[1:3])
+        assert (relaxed.C, relaxed.b) == (((0.0, 1.0), (2.0, 3.0)), (0.5, -4.0))
+        # rows without columns keep C's width
+        qp = QuadraticProgram(H=np.eye(2), f=np.zeros(2), C=np.zeros((0, 2)), b=[],
+                              C_eq=[[1.0, 1.0]], b_eq=[1.0])
+        assert (qp.C, qp.C.shape, qp.b) == (((1.0, 1.0), (-1.0, -1.0)), (2, 2), (1.0, -1.0))
+
+    def test_the_benchmark_reads_a_qp_with_its_pairs_as_rows(self, monkeypatch):
+        # perfbench/spans.py traces each qp_solve call from qp.C, qp.H and qp.C_eq
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        spans = importlib.import_module("spans")
+        qp = QuadraticProgram(H=np.eye(3), f=np.zeros(3), C=np.eye(3), b=np.ones(3),
+                              C_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0])
+        assert spans._qp_attrs((qp,), None) == {"m": 5, "n": 3, "n_eq": 0}
+        qp = QuadraticProgram(H=np.eye(2), f=np.zeros(2), C=np.zeros((0, 2)), b=[])
+        assert spans._qp_attrs((qp,), None) == {"m": 0, "n": 2, "n_eq": 0}
 
     def test_certificate_of_an_overflowing_point_warns_nothing(self):
         # 2 H x overflows to inf in the stationarity test, which numpy would warn about
@@ -313,22 +345,20 @@ def mask_order_qp_solve(qp):
     """
     n = qp.H.shape[0]
     m = qp.C.shape[0] if qp.C.size else 0
-    n_eq = qp.C_eq.shape[0] if qp.C_eq is not None else 0
     solve = fitting._kkt_solver(qp)
     best_x = None
     best_value = np.inf
     for mask in range(1 << m):
         active = [i for i in range(m) if mask >> i & 1]
-        if len(active) + n_eq > n:
+        if len(active) > n:
             continue
         solved = solve(active)
         if solved is None:
             continue
         x, multipliers = solved
         lam = np.zeros(m)
-        lam[active] = multipliers[n_eq:]
-        mu = multipliers[:n_eq] if n_eq else None
-        if kkt_certificate(qp, x, lam, mu) and qp.objective(x) < best_value:
+        lam[active] = multipliers
+        if kkt_certificate(qp, x, lam) and qp.objective(x) < best_value:
             best_x, best_value = tuple(x), qp.objective(x)
     if best_x is not None:
         return best_x
@@ -523,24 +553,15 @@ def test_multiplier_at_the_dual_tolerance_is_certified():
 
 
 def nnls_certify_solution(qp, x, nnls):
-    """Reference for certify_solution: the scipy version, lstsq with equalities, nnls without."""
+    """Reference for certify_solution: the scipy version, by nnls."""
     H, f, C, b = qp_arrays(qp)
     m = C.shape[0]
     grad = 2.0 * H @ x + f
     active = [i for i in range(m) if C[i] @ x - b[i] > -1e-8]
     lam = np.zeros(m)
-    mu = None
-    if qp.C_eq is not None:
-        C_eq = np.array(qp.C_eq)
-        stacked = np.hstack([C_eq.T] + ([C[active].T] if active else []))
-        sol, *_ = np.linalg.lstsq(stacked, -grad, rcond=None)
-        n_eq = C_eq.shape[0]
-        mu = sol[:n_eq]
-        if active:
-            lam[active] = np.maximum(sol[n_eq:], 0.0)
-    elif active:
+    if active:
         lam[active], _ = nnls(C[active].T, -grad)
-    return kkt_certificate(qp, x, lam, mu)
+    return kkt_certificate(qp, x, lam)
 
 
 def qp_arrays(qp):
@@ -559,8 +580,7 @@ def test_classification_and_certificates_match_scipy():
         _, _, C, b = qp_arrays(qp)
         # a zero objective: status 2 exactly when the constraint set is empty
         status = optimize.linprog(np.zeros(n), A_ub=C if C.size else None,
-                                  b_ub=b if C.size else None, A_eq=qp.C_eq,
-                                  b_eq=qp.b_eq, bounds=[(None, None)] * n,
+                                  b_ub=b if C.size else None, bounds=[(None, None)] * n,
                                   method="highs").status
         try:
             x = qp_solve(qp)
@@ -615,7 +635,8 @@ def test_a_bound_in_the_winning_working_set_fixes_its_coordinate_exactly():
     x = qp_solve(qp)
     assert x[2].hex() == "0x0.0p+0"
     assert certify_solution(qp, x)
-    # an equality row is in every working set: -3 alpha = -0.9 fixes alpha = -0.9 / -3
+    # the equality -3 alpha = -0.9 binds as one of its two rows, either of which fixes
+    # alpha = -0.9 / -3 = 0.9 / 3
     qp = QuadraticProgram(H=qp.H, f=qp.f, C=qp.C, b=qp.b, C_eq=[[0.0, -3.0, 0.0]], b_eq=[-0.9])
     x = qp_solve(qp)
     assert x[1] == -0.9 / -3.0
@@ -641,24 +662,20 @@ def raw_costs_with_a_bound_at_zero():
 
 
 def raw_costs_and_block(seed):
-    """S, P, y, C and b of a raw-scale fit, drawn from random.Random(seed) as
-    scripts/output_digests.py draws its fit_raw_large.csv: a, b uniform in -1-3; 20, 50 or
-    200 rows of costs uniform in 1e4-1e6 and y = 3 + a S + b P + N(0, 1e3); then 3, 6 or 12
-    constraint rows: alpha >= 0, beta >= 0, alpha + beta <= s and random rows."""
-    rng = random.Random(seed)
-    a, b = rng.uniform(-1, 3), rng.uniform(-1, 3)
-    n = rng.choice([20, 50, 200])
-    S = [rng.uniform(1e4, 1e6) for _ in range(n)]
-    P = [rng.uniform(1e4, 1e6) for _ in range(n)]
-    y = [3 + a * s + b * p + rng.gauss(0, 1e3) for s, p in zip(S, P)]
-    m = rng.choice([3, 6, 12])
-    rows = [(0.0, -1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0),
-            (0.0, 1.0, 1.0, round(rng.uniform(0.6, 1.0), 4))]
-    for _ in range(m - 3):
-        c = [round(rng.uniform(-1, 1), 4) for _ in range(3)]
-        rows.append((*c, round(rng.uniform(0.2, 2), 4)))
-    block = np.array(rows)
+    """S, P, y, C and b of scripts/output_digests.py's raw_costs_and_block(seed): a
+    raw-scale fit on 20, 50 or 200 rows of costs in 1e4-1e6 and a block of 3, 6 or 12
+    constraint rows (alpha >= 0, beta >= 0, alpha + beta <= s and random rows). Its CSV
+    texts are read back exactly, since a float's repr round-trips."""
+    fit, block = output_digests["raw_costs_and_block"](seed)
+    S, P, y = csv_columns(fit)
+    block = np.array(csv_columns(block)).T
     return S, P, y, block[:, :3], block[:, 3]
+
+
+def csv_columns(text):
+    """The columns of a CSV text of numbers under a header, as lists of floats."""
+    return [list(map(float, column))
+            for column in zip(*(line.split(",") for line in text.splitlines()[1:]))]
 
 
 class TestQpFit:
