@@ -59,7 +59,7 @@ class MarketShares:
 
 def hhi(shares: MarketShares) -> float:
     """Sum of squared included shares; 10000 is a monopoly."""
-    return sum(e.share ** 2 for e in shares.included_entries())
+    return sum((e.share ** 2 for e in shares.included_entries()), 0.0)
 
 
 def classify_hhi(value: float) -> Concentration:

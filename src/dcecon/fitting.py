@@ -12,8 +12,10 @@ solved as its whole KKT system by pivoted Gaussian elimination and one step of i
 refinement (a singular one, like every rank decision, by the Jacobi SVD). The working sets
 come from a pool of rows grown by constraint generation in one loop, whose last
 relaxation's winner is the answer, and from all sum_{k <= n} C(m, k) of them only when a
-relaxation has no point. The same path tells an infeasible QP from an unbounded one (by
-minimising ||x||^2 under the same constraints). One walk over working sets
+relaxation has no point. A certified point whose objective is not finite ranks after every
+finite one and grows the pool like any other; only qp_solve's answer raises
+NumericalOverflowError for it. The same path tells an infeasible QP from an unbounded one
+(by minimising ||x||^2 under the same constraints). One walk over working sets
 (_certified_working_sets) serves both the solver and the post-hoc certificate of a claimed
 solution against the KKT conditions.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, replace
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -66,15 +68,19 @@ class Matrix(tuple):
         return self.shape[0] * self.shape[1]
 
 
-def _vector(name: str, value) -> Tuple[float, ...]:
+def _vector(name: str, value, size: Optional[int] = None) -> Tuple[float, ...]:
     """value, a sequence of numbers other than a str, as a tuple of floats; raise
-    ParameterError naming it otherwise. Entries may be NaN or infinite."""
+    ParameterError naming it otherwise, or when a size is given and value has another
+    number of entries. Entries may be NaN or infinite."""
     if isinstance(value, str) or not hasattr(value, "__iter__"):
         raise ParameterError(f"{name} must be a sequence of numbers, got {type(value).__name__}")
     try:
-        return tuple(map(float, value))
+        vector = tuple(map(float, value))
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} has non-numeric entries") from None
+    if size is not None and len(vector) != size:
+        raise ParameterError(f"{name} has {len(vector)} entries, expected {size}")
+    return vector
 
 
 def _matrix(name: str, value) -> Matrix:
@@ -225,7 +231,7 @@ class QuadraticProgram:
         object.__setattr__(self, "b", b)
 
     def objective(self, x: Sequence[float]) -> float:
-        x = _vector("x", x)
+        x = _vector("x", x, len(self.f))
         return _dot(x, [_dot(row, x) for row in self.H]) + _dot(self.f, x)
 
 
@@ -330,9 +336,10 @@ def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[floa
     (DUAL_TOL), ||C_i|| ||x|| + |b_i| for a row's C_i x - b_i (FEASIBILITY_TOL) and |lam_i|
     times that for lam_i (C_i x - b_i) (DUAL_TOL). The row size is norm-wise: a computed
     C_i x rounds on the scale ||C_i|| ||x||, even on a bound row at 0. A non-finite x or
-    lam, residual or product is rejected.
+    lam, residual or product is rejected; an x without n entries or a lam without m raises
+    ParameterError.
     """
-    x, lam = _vector("x", x), _vector("lam", lam)
+    x, lam = _vector("x", x, len(qp.f)), _vector("lam", lam, len(qp.b))
     if not all(map(math.isfinite, (*x, *lam))):
         return False
     terms = [[2.0 * _dot(row, x) for row in qp.H], qp.f,
@@ -340,7 +347,7 @@ def kkt_certificate(qp: QuadraticProgram, x: Sequence[float], lam: Sequence[floa
     stationarity = math.hypot(*map(sum, zip(*terms))), sum(math.hypot(*term) for term in terms)
     if not _negligible(*stationarity, DUAL_TOL) or any(v < -DUAL_TOL for v in lam):
         return False
-    for (residual, size), v in zip(_row_residuals(qp.C, qp.b, x), chain(lam, repeat(0.0))):
+    for (residual, size), v in zip(_row_residuals(qp.C, qp.b, x), lam):
         if not (_negligible(max(residual, 0.0), size, FEASIBILITY_TOL)
                 and (not v or _negligible(v * residual, abs(v) * size, DUAL_TOL))):
             return False
@@ -448,20 +455,16 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple[
     """The certified KKT point with the least objective over the working sets of qp, each
     certified against every row, and the rows of C in its working set; or None.
 
-    Ties between equal objectives go to the working set with the least bit mask (sum of
-    2^i); a non-finite one never wins, and when every certified point has one,
-    NumericalOverflowError names it.
+    A non-finite objective ranks after every finite one, and ties go to the working set
+    with the least bit mask (sum of 2^i).
     """
     best = None  # (objective, bit mask, x, members)
-    overflowed = None  # a non-finite objective at a certified point
     for members, x in _certified_working_sets(qp, range(qp.C.shape[0]), _kkt_solver(qp)):
-        candidate = (qp.objective(x), sum(1 << i for i in members), x, members)
-        if not math.isfinite(candidate[0]):
-            overflowed = candidate[0]
-        elif best is None or candidate[:2] < best[:2]:
+        objective = qp.objective(x)
+        candidate = (objective if math.isfinite(objective) else math.inf,
+                     sum(1 << i for i in members), x, members)
+        if best is None or candidate[:2] < best[:2]:
             best = candidate
-    if best is None and overflowed is not None:
-        raise NumericalOverflowError(f"QP objective is {overflowed} at a certified KKT point")
     return None if best is None else best[2:]
 
 
@@ -471,20 +474,18 @@ def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple
     From an empty pool, kept in row order, the least KKT point of the QP relaxed to the
     pool's rows adds to the pool the row outside it that the point violates most
     (max(r, 0) / max(1, size), under the certificate's feasibility rule), or, when it
-    violates none, the rows active at it. A point that meets every row and whose active
-    rows are all in the pool is returned, as the certificate saw it: its working set's solve
-    and certificate are the whole QP's on the same floats, and its members are mapped back
-    to rows of C. Every working set is tried when a relaxation has no point although its
+    violates none, the rows active at it; a point whose objective is not finite grows the
+    pool too. A point that meets every row and whose active rows are all in the pool is
+    returned, as the certificate saw it: its working set's solve and certificate are the
+    whole QP's on the same floats, and its members are mapped back to rows of C, whatever
+    its objective. Every working set is tried when a relaxation has no point although its
     rows are feasible (as for a singular H); InfeasibleProblemError is raised when they
     are not.
     """
     pool = []
     while True:
         relaxed = replace(qp, C=[qp.C[i] for i in pool], b=[qp.b[i] for i in pool])
-        try:
-            point = _least_kkt_point(relaxed)
-        except NumericalOverflowError:  # the rows left out may still bound the objective
-            point = None
+        point = _least_kkt_point(relaxed)
         if point is None:
             _classify_failure(relaxed, _least_kkt_point)
             return _least_kkt_point(qp)
@@ -506,14 +507,17 @@ def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
     The sets come from _pooled_kkt_point's pool of rows, or from all sum_{k <= n} C(m, k)
     of them when a relaxation to that pool has no point. Ties between equal objectives go to the
     working set with the least bit mask (sum of 2^i over members), as over every working
-    set. In the winner, each coordinate that a working-set row with one nonzero
-    coefficient fixes is set to that row's exact value (never -0.0).
+    set. A winner whose objective is not finite raises NumericalOverflowError. In the
+    winner, each coordinate that a working-set row with one nonzero coefficient fixes is
+    set to that row's exact value (never -0.0).
     """
     point = _pooled_kkt_point(qp)
     if point is None:
         _classify_failure(qp)
         raise UnboundedProblemError("no KKT point over a non-empty feasible set")
     x, members = point
+    if not math.isfinite(objective := qp.objective(x)):
+        raise NumericalOverflowError(f"QP objective is {objective} at a certified KKT point")
     for i in members:
         nonzero = [j for j, c in enumerate(qp.C[i]) if c]
         if len(nonzero) == 1:
@@ -537,7 +541,7 @@ def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     certificate. A claimed optimum that fails this
     check for every working set is a defect.
     """
-    x = _vector("x", x)
+    x = _vector("x", x, len(qp.f))
     gradient = [-(2.0 * _dot(row, x) + fi) for row, fi in zip(qp.H, qp.f)]
 
     def solve(members):
@@ -549,15 +553,11 @@ def _classify_failure(qp: QuadraticProgram, least_point=_pooled_kkt_point) -> No
     """No certified KKT point exists; decide between infeasible and unbounded.
 
     min ||x||^2 under the same constraints is bounded below, so least_point finds a KKT
-    point of it exactly when the constraint set is non-empty.
+    point of it, whose ||x||^2 may overflow, exactly when the constraint set is non-empty.
     """
     n = qp.H.shape[0]
     nearest = replace(qp, H=[[float(i == j) for j in range(n)] for i in range(n)], f=[0.0] * n)
-    try:
-        point = least_point(nearest)
-    except NumericalOverflowError:  # a certified point whose ||x||^2 overflows is feasible
-        return
-    if point is None:
+    if least_point(nearest) is None:
         raise InfeasibleProblemError("constraint set is empty")
 
 

@@ -656,6 +656,14 @@ class TestHhiCommand:
         assert [row["included"] for row in payload["rows"]] == [True, False, True, False]
         assert payload["summary"]["hhi"] == 1300.0
 
+    def test_no_included_firm_prints_a_float_index(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("firm,share_percent,included\na,50,false\nb,30,no\n")
+        code, out, _ = run_cli(capsys, "hhi", "--input", str(path))
+        assert code == 0
+        assert '"hhi": 0.0,' in out
+        assert json.loads(out)["summary"] == {"hhi": 0.0, "classification": "competitive"}
+
     def test_included_shares_above_the_limit_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text("firm,share_percent\na,60\nb,50\n")

@@ -312,13 +312,16 @@ class TestFitting:
         with pytest.raises(ParameterError, match=f"^QP {name} "):
             fitting.QuadraticProgram(**args)
 
-    @pytest.mark.parametrize("value", NOT_VECTORS)
-    def test_certificates_reject_a_misshaped_point(self, value):
+    # x needs 2 entries and lam 1: a misshaped value, or a point and a multiplier list of
+    # the wrong length
+    @pytest.mark.parametrize("x, lam", [*((value, value) for value in NOT_VECTORS),
+                                        ([0.0], []), ([0.0, 0.0, 0.0], [0.0, 0.0])])
+    def test_certificates_reject_a_misshaped_point(self, x, lam):
         qp = fitting.QuadraticProgram(H=[[1.0, 0.0], [0.0, 1.0]], f=[0.0, 0.0], C=[[1.0, 0.0]],
                                       b=[1.0])
-        for call in (lambda: fitting.certify_solution(qp, value), lambda: qp.objective(value),
-                     lambda: fitting.kkt_certificate(qp, value, [0.0]),
-                     lambda: fitting.kkt_certificate(qp, [0.0, 0.0], value)):
+        for call in (lambda: fitting.certify_solution(qp, x), lambda: qp.objective(x),
+                     lambda: fitting.kkt_certificate(qp, x, [0.0]),
+                     lambda: fitting.kkt_certificate(qp, [0.0, 0.0], lam)):
             with pytest.raises(ParameterError, match="^(x|lam) "):
                 call()
 

@@ -1,6 +1,5 @@
 import importlib
 import math
-import random
 import runpy
 import warnings
 from dataclasses import replace
@@ -336,6 +335,19 @@ class TestQpSolve:
         qp = QuadraticProgram(H=[[1.0]], f=[-4e154], C=[[1.0]], b=[1e153])
         assert qp_solve(qp) == (1e153,)
 
+    def test_relaxation_whose_point_overflows_grows_the_pool(self, monkeypatch):
+        # the unconstrained point x = (1e5, 0) has objective 1e310 - 2e310 = inf - inf, NaN;
+        # it violates only x1 <= 1, whose relaxation gives the answer (1, 0) in 3 KKT
+        # solves, where walking every working set of the 40 rows takes 823
+        m = 40
+        qp = QuadraticProgram(H=np.eye(2) * 1e300, f=[-2e305, 0.0],
+                              C=[[1.0, 0.0]] + [[0.0, 1.0 + k / m] for k in range(1, m)],
+                              b=[1.0] + [1.0 + k for k in range(1, m)])
+        solved = kkt_solves(monkeypatch)
+        x = qp_solve(qp)
+        assert len(solved) == 3
+        assert x[0] == 1.0 and x[1] == 0.0
+
 
 def mask_order_qp_solve(qp):
     """Reference for qp_solve: walk all 2^m bit masks and solve those small enough.
@@ -649,18 +661,6 @@ RTS_CONSTRAINTS = (
 )
 
 
-def raw_costs_with_a_bound_at_zero():
-    """S, P and y of 50 rows of raw costs 1,000-9,000, y = 3 + a S + b P + noise, whose fit
-    under RTS_CONSTRAINTS has alpha >= 0 and alpha + beta <= 1 active."""
-    rng = random.Random(8)
-    a, b = rng.uniform(-1, 3), rng.uniform(-1, 3)
-    rows = []
-    for _ in range(50):
-        S, P = round(rng.uniform(1000, 9000)), round(rng.uniform(1000, 9000))
-        rows.append((S, P, round(3 + a * S + b * P + rng.gauss(0, 900), 2)))
-    return tuple(map(list, zip(*rows)))
-
-
 def raw_costs_and_block(seed):
     """S, P, y, C and b of scripts/output_digests.py's raw_costs_and_block(seed): a
     raw-scale fit on 20, 50 or 200 rows of costs in 1e4-1e6 and a block of 3, 6 or 12
@@ -718,10 +718,11 @@ class TestQpFit:
         # H = A^T A has entries near 1e9. At the optimum alpha = 0 and beta = 1, so
         # C_i x = 0 on the bound alpha >= 0, while its computed value rounds on the scale
         # ||C_i|| ||x|| (about 9e3): slackness sized by |C_i x| + |b_i| refused the point
-        S, P, y = raw_costs_with_a_bound_at_zero()
+        S, P, y = csv_columns(output_digests["raw_costs_with_a_bound_at_zero"]())
         design = DesignMatrix.raw_scale(S, P, y)
         fit = qp_fit(design, RTS_CONSTRAINTS)
-        intercept = float(sum(Fraction(v) - p for v, p in zip(y, P)) / len(y))  # mean(y - P)
+        # mean(y - P), exactly
+        intercept = float(sum(Fraction(v) - Fraction(p) for v, p in zip(y, P)) / len(y))
         assert fit.intercept == pytest.approx(intercept, rel=1e-9)
         assert fit.alpha.hex() == "0x0.0p+0"
         assert fit.alpha + fit.beta == pytest.approx(1.0, abs=1e-12)
