@@ -11,13 +11,14 @@ with H = A^T A and f = -2 A^T y, solved exactly over working sets of at most n r
 solved as its whole KKT system by pivoted Gaussian elimination and one step of iterative
 refinement (a singular one, like every rank decision, by the Jacobi SVD). The working sets
 come from a pool of rows grown by constraint generation in one loop, whose last
-relaxation's winner is the answer, and from all sum_{k <= n} C(m, k) of them only when a
-relaxation has no point. A certified point whose objective is not finite ranks after every
-finite one and grows the pool like any other; only qp_solve's answer raises
-NumericalOverflowError for it. The same path tells an infeasible QP from an unbounded one
-(by minimising ||x||^2 under the same constraints). One walk over working sets
-(_certified_working_sets) serves both the solver and the post-hoc certificate of a claimed
-solution against the KKT conditions.
+relaxation's winner is the answer. When a relaxation has no point, qp_solve alone takes
+over, feasibility first: the same loop on min ||x||^2 under the same constraints raises
+InfeasibleProblemError when it meets a relaxation without a point; else all
+sum_{k <= n} C(m, k) working sets are tried, and the QP is unbounded when none gives a
+point. A certified point whose objective is not finite ranks after every finite one and
+grows the pool like any other; only qp_solve's answer raises NumericalOverflowError for
+it. One walk over working sets (_certified_working_sets) serves both the solver and the
+post-hoc certificate of a claimed solution against the KKT conditions.
 
 The module runs on the standard library. A vector argument is a sequence of
 numbers and a matrix argument a sequence of such rows: lists, tuples and numpy
@@ -469,7 +470,7 @@ def _least_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple[
 
 
 def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple[int, ...]]]:
-    """_least_kkt_point(qp), found by constraint generation over a pool of rows.
+    """_least_kkt_point(qp), found by constraint generation over a pool of rows, or None.
 
     From an empty pool, kept in row order, the least KKT point of the QP relaxed to the
     pool's rows adds to the pool the row outside it that the point violates most
@@ -478,17 +479,14 @@ def _pooled_kkt_point(qp: QuadraticProgram) -> Optional[Tuple[List[float], Tuple
     pool too. A point that meets every row and whose active rows are all in the pool is
     returned, as the certificate saw it: its working set's solve and certificate are the
     whole QP's on the same floats, and its members are mapped back to rows of C, whatever
-    its objective. Every working set is tried when a relaxation has no point although its
-    rows are feasible (as for a singular H); InfeasibleProblemError is raised when they
-    are not.
+    its objective. None is returned as soon as a relaxation has no point (its rows cannot
+    be met, H is singular, or a solve misses); qp_solve decides what follows.
     """
     pool = []
     while True:
-        relaxed = replace(qp, C=[qp.C[i] for i in pool], b=[qp.b[i] for i in pool])
-        point = _least_kkt_point(relaxed)
+        point = _least_kkt_point(replace(qp, C=[qp.C[i] for i in pool], b=[qp.b[i] for i in pool]))
         if point is None:
-            _classify_failure(relaxed, _least_kkt_point)
-            return _least_kkt_point(qp)
+            return None
         x, members = point
         violated = {i: max(r, 0.0) / max(1.0, size)
                     for i, (r, size) in enumerate(_row_residuals(qp.C, qp.b, x))
@@ -504,16 +502,20 @@ def qp_solve(qp: QuadraticProgram) -> Tuple[float, ...]:
 
     Working sets of at most n rows are solved as whole KKT systems, and a point counts
     only if the full KKT certificate passes; the best one is the global minimum for PSD H.
-    The sets come from _pooled_kkt_point's pool of rows, or from all sum_{k <= n} C(m, k)
-    of them when a relaxation to that pool has no point. Ties between equal objectives go to the
-    working set with the least bit mask (sum of 2^i over members), as over every working
-    set. A winner whose objective is not finite raises NumericalOverflowError. In the
-    winner, each coordinate that a working-set row with one nonzero coefficient fixes is
-    set to that row's exact value (never -0.0).
+    The sets come from _pooled_kkt_point's pool of rows. When a relaxation to that pool
+    has no point, _classify_failure raises InfeasibleProblemError if the rows cannot be
+    met; else all sum_{k <= n} C(m, k) working sets are tried (_least_kkt_point), and
+    UnboundedProblemError is raised when none gives a point. Ties between equal
+    objectives go to the working set with the least bit mask (sum of 2^i over members),
+    as over every working set. A winner whose objective is not finite raises
+    NumericalOverflowError. In the winner, each coordinate that a working-set row with one
+    nonzero coefficient fixes is set to that row's exact value (never -0.0).
     """
     point = _pooled_kkt_point(qp)
     if point is None:
         _classify_failure(qp)
+        point = _least_kkt_point(qp)
+    if point is None:
         raise UnboundedProblemError("no KKT point over a non-empty feasible set")
     x, members = point
     if not math.isfinite(objective := qp.objective(x)):
@@ -549,15 +551,17 @@ def certify_solution(qp: QuadraticProgram, x: Sequence[float]) -> bool:
     return any(_certified_working_sets(qp, _active_rows(qp, x), solve))
 
 
-def _classify_failure(qp: QuadraticProgram, least_point=_pooled_kkt_point) -> None:
-    """No certified KKT point exists; decide between infeasible and unbounded.
+def _classify_failure(qp: QuadraticProgram) -> None:
+    """Raise InfeasibleProblemError when the rows of qp cannot all be met.
 
-    min ||x||^2 under the same constraints is bounded below, so least_point finds a KKT
-    point of it, whose ||x||^2 may overflow, exactly when the constraint set is non-empty.
+    min ||x||^2 under the same constraints is strictly convex, so each relaxation of it
+    to a pool of rows has a KKT point, whose ||x||^2 may overflow, exactly when those rows
+    can be met; _pooled_kkt_point on it meets a relaxation without a point, and returns
+    None, only when the constraint set is empty.
     """
     n = qp.H.shape[0]
     nearest = replace(qp, H=[[float(i == j) for j in range(n)] for i in range(n)], f=[0.0] * n)
-    if least_point(nearest) is None:
+    if _pooled_kkt_point(nearest) is None:
         raise InfeasibleProblemError("constraint set is empty")
 
 

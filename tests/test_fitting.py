@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import runpy
 import warnings
 from dataclasses import replace
@@ -259,11 +260,32 @@ class TestQpSolve:
         assert np.allclose(x, [0.5, 0.5], atol=1e-9)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^H must be square, got shape \(1, 2\)$"):
             QuadraticProgram(H=[[1.0, 2.0]], f=[0.0], C=[[1.0]], b=[0.0])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^H must be symmetric$"):
             QuadraticProgram(H=[[1.0, 0.5], [0.2, 1.0]], f=[0.0, 0.0],
                              C=np.zeros((0, 2)), b=[])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: QuadraticProgram(H=np.eye(2), f=[0.0, 0.0], C=[[1.0, 0.0], [1.0]],
+                                  b=[0.0, 0.0]), "QP C rows differ in length"),
+        (lambda: DesignMatrix(np.ones((3, 3)), [1.0, 2.0]),
+         "row mismatch: 3 design rows vs 2 outputs"),
+        (lambda: DesignMatrix.raw_scale([1.0, 2.0, 3.0], [1.0, 2.0], [1.0, 2.0, 3.0]),
+         "x1 has 3 entries but x2 has 2"),
+        (lambda: QuadraticProgram(H=np.eye(2), f=[0.0], C=np.zeros((0, 2)), b=[]),
+         "f length must match H dimension"),
+        (lambda: QuadraticProgram(H=np.eye(2), f=[0.0, 0.0], C=[[1.0, 0.0, 0.0]], b=[0.0]),
+         "C column count must match H dimension"),
+        (lambda: QuadraticProgram(H=np.eye(2), f=[0.0, 0.0], C=np.eye(2), b=[1.0]),
+         "C and b row counts differ"),
+        (lambda: QuadraticProgram(H=np.eye(2), f=[0.0, 0.0], C=np.zeros((0, 2)), b=[],
+                                  C_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0]),
+         "equality constraint shapes are inconsistent"),
+    ], ids=["C-rows", "design-rows", "x1-x2", "f-H", "C-H", "C-b", "C_eq-b_eq"])
+    def test_misshaped_inputs_are_refused(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
     @pytest.mark.parametrize("name", ["H", "f", "C", "b", "C_eq", "b_eq"])
     def test_non_finite_array_rejected_by_name(self, name):
@@ -347,6 +369,19 @@ class TestQpSolve:
         x = qp_solve(qp)
         assert len(solved) == 3
         assert x[0] == 1.0 and x[1] == 0.0
+
+    def test_infeasible_qp_with_an_unbounded_relaxation_skips_the_walk(self, monkeypatch):
+        # min -x2 with H = diag(1, 0) has no point without rows, so the first relaxation
+        # has none; x2 <= 1 and -x2 <= -2 cannot both hold, which the least-norm QP finds
+        # from there: 8 KKT solves in all, where walking every working set of the 200 rows
+        # first takes 20,114
+        C = [[1.0, 0.1 * k] for k in range(198)] + [[0.0, 1.0], [0.0, -1.0]]
+        b = [100.0 + k for k in range(198)] + [1.0, -2.0]
+        qp = QuadraticProgram(H=[[1.0, 0.0], [0.0, 0.0]], f=[0.0, -1.0], C=C, b=b)
+        solved = kkt_solves(monkeypatch)
+        with pytest.raises(InfeasibleProblemError, match="^constraint set is empty$"):
+            qp_solve(qp)
+        assert len(solved) <= 10
 
 
 def mask_order_qp_solve(qp):
@@ -547,7 +582,8 @@ def test_constrained_fit_matches_the_scipy_oracle(monkeypatch, seed, m, duplicat
 
 def test_infeasible_fit_is_refused_within_a_few_solves(monkeypatch):
     # alpha + beta <= -0.1 contradicts alpha >= 0 and beta >= 0: constraint generation
-    # meets a relaxation without a point, whose rows have no least-norm point either
+    # meets a relaxation without a point, and then the least-norm QP over every row grows
+    # its own pool to a relaxation without a point
     X, y, C, b = returns_to_scale_problem(1, 200, 0)
     b[2] = -0.1
     solved = kkt_solves(monkeypatch)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +241,15 @@ class TestNanAndOverflow:
         with pytest.raises(NumericalOverflowError,
                            match="^progress factor 1e\\+300 \\* .* overflows$"):
             progress(1e300, 1e300, 1e300, 0.5)
+
+    # r * power is 1e-300 * 1e-300, below the least subnormal
+    @pytest.mark.parametrize("progress, message", [
+        (harrod_progress, "r * L_star^beta1 * Gamma^(1-beta1) underflows to 0"),
+        (solow_progress, "r * K_star^alpha1 * Delta^(1-alpha1) underflows to 0"),
+    ])
+    def test_progress_product_underflow_is_domain_error(self, progress, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            progress(1e-300, 1e-300, 1e-300, 0.5)
 
     @pytest.mark.parametrize("call", [
         lambda: invert_harrod(math.inf, 1.0, 1.0, 0.5),

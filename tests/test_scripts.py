@@ -75,6 +75,26 @@ def test_code_lines_lists_every_module_with_totals():
                                 for name in modules)
 
 
+def test_qp_probe_quick_prints_each_problem_and_the_totals():
+    proc = run_script("qp_probe.py", "--quick")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    problems = [line.split(" ") for line in lines if not line.startswith("#")]
+    # six seeds of each of 12 families: random, 6 ill-conditioned, 4 returns-to-scale, raw
+    assert len(problems) == 72
+    assert problems[0][0] == "random_qp(0)" and problems[-1][0] == "raw_costs_and_block(5)"
+    hexes = re.compile(r"^-?0x[0-9a-f.]+p[+-]\d+(,-?0x[0-9a-f.]+p[+-]\d+)*$")
+    assert all(len(fields) == 3 and int(fields[2]) >= 0 for fields in problems)
+    assert all(hexes.match(outcome) or outcome.endswith("Error") for _, outcome, _ in problems)
+    kinds = {"solved" if hexes.match(outcome) else outcome for _, outcome, _ in problems}
+    assert kinds == {"solved", "InfeasibleProblemError", "UnboundedProblemError"}
+    totals = [re.match(r"^# (\S+): (\d+) problems, (\d+) KKT solves$", line)
+              for line in lines if line.startswith("#")]
+    assert all(totals) and [m.group(1) for m in totals] == sorted(kinds) + ["total"]
+    assert totals[-1].group(2, 3) == (str(len(problems)),
+                                      str(sum(int(fields[2]) for fields in problems)))
+
+
 def digest_stamp():
     """The platform line the digest baseline starts with; other platforms may round differently."""
     return (f"# {platform.system()} {platform.machine()}, "
