@@ -13,7 +13,7 @@ def run():
 
     Cyclic garbage collection is switched off before the CLI is imported: the
     few reference cycles one command leaves are freed when the process ends,
-    and the collector's passes during the imports only cost time. Forked trace
+    and the collector's passes during the imports only cost time. Forked
     children inherit the setting, so they stop copying parent pages to update
     GC headers.
 
@@ -22,7 +22,7 @@ def run():
     safe only because three things hold when `main` returns:
 
     - every trace file and spill file is closed;
-    - every forked trace child is reaped;
+    - every forked child, a trace writer's or a steady phase's, is reaped;
     - dcecon registers no `atexit` hook.
 
     An exception escaping `main`, or a flush that fails, takes the normal exit

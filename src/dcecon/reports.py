@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 
 from .errors import (DataValidationError, DomainError, EconModelError, ParameterError,
                      check_domain, first_non_finite)
-from .optimizers import OptimizerConfig, OptimResult, sga_revenue_max, sgd_cost_min
+from .optimizers import (OptimizerConfig, OptimResult, sga_revenue_max, sgd_cost_min,
+                         usable_cpus)
 from .production import CostRecord, linear_cost
 
 if TYPE_CHECKING:
@@ -212,15 +213,7 @@ def _write_trace(path: Path, points: Sequence[Tuple[float, float, float]]) -> No
 def _trace_slices(rows: int) -> int:
     """How many slices a trace of rows rows is formatted in: one per usable CPU,
     each of at least TRACE_SLICE_ROWS rows, and one where os.fork is missing."""
-    import os
-
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows // TRACE_SLICE_ROWS))
+    return max(1, min(usable_cpus(), rows // TRACE_SLICE_ROWS))
 
 
 def _write_rows(handle, points: Sequence[Tuple[float, float, float]],

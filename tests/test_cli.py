@@ -805,6 +805,15 @@ class TestProcessEntry:
             assert trace.count(b"\n") == 10_002
             assert trace == (tmp_path / "in_process" / name).read_bytes()
 
+    def test_forked_settles_match_an_in_process_run(self, tmp_path, capsys):
+        # each year's default 1M-iteration descent settles beta in a forked child
+        # wherever two CPUs are usable
+        argv = ("cost-min", "--input", str(DATA_DIR / "tables.csv"), "--seed", "7")
+        proc = run_module(*argv, cwd=tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stderr) == (code, err.encode()) == (0, b"")
+        assert proc.stdout == out.encode()
+
     def test_closed_stdout_exits_120(self, tmp_path):
         # the reader is gone before the command writes: the flush fails with
         # EPIPE, and the interpreter's own exit path reports it with status 120

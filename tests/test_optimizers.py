@@ -1,11 +1,22 @@
+import errno
+import json
 import math
+import os
 import random
 import re
+import signal
+import time
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from dcecon import optimizers
+from dcecon.cli import main
 from dcecon.errors import DataValidationError, NumericalOverflowError, ParameterError
 from dcecon.optimizers import (
+    SETTLE_FORK_STEPS,
     OptimizerConfig,
     OptimResult,
     Termination,
@@ -14,6 +25,7 @@ from dcecon.optimizers import (
 )
 from dcecon.production import CostRecord, evaluate_output
 from dcecon.reports import profit_table
+from test_reports import assert_no_children, forks, use_cpus  # noqa: F401 (forks is a fixture)
 
 # frozen terminal values from a reference run of the documented configs below
 GOLDEN_SGD_CONFIG = dict(learning_rate=0.01, init_alpha=0.5, init_beta=0.5,
@@ -28,6 +40,7 @@ GOLDEN_SGA = dict(alpha=0.9382287511943347, beta=0.8229790378232296,
                   terminated_by=Termination.CAP_REACHED)
 
 RECORD_1997 = CostRecord(1997, 65.0, 5.0)
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def rel_err(value, expected):
@@ -357,56 +370,62 @@ def random_kernel_cases(count: int):
         yield CostRecord(2000, L, K), config
 
 
+# records and configs at the kernel's edges; the untraced steady phases among them take
+# _settle_pair, which forks where SETTLE_FORK_STEPS allows
+EDGE_CASES = [
+    # L in [5, 6]: the descent reaches the subnormal fixed point (1.34e-321) within 1M steps
+    (CostRecord(2000, 5.5, 3.0), OptimizerConfig(seed=5, record_trajectory=False)),
+    # L < 1 with a trajectory: the fixed point (5e-324) within a few thousand steps
+    (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000,
+                                                 record_trajectory=True)),
+    # ln L = 0: the exp arguments reach -ln L only once beta * ln K underflows
+    (CostRecord(2000, 1.0, 7.0), OptimizerConfig(seed=3, max_iters=100_000,
+                                                 record_trajectory=False)),
+    (CostRecord(2000, 1.0, 1.0), OptimizerConfig(seed=3, max_iters=20_000,
+                                                 record_trajectory=True)),
+    # alpha ln L = -beta ln K: both exp arguments round to -ln L at the start, long
+    # before alpha - 1.0 rounds to -1.0, and stop doing so a few steps later
+    (CostRecord(2000, 8.936146760190548, 0.11190505559452972),
+     OptimizerConfig(learning_rate=0.19721992695321505, init_alpha=0.16049072518625881,
+                     init_beta=0.1604907251862588, max_iters=3000,
+                     record_trajectory=True)),
+    # an ascent from tiny elasticities starts where a descent's steady phase would
+    (CostRecord(2000, 0.5, 0.5), OptimizerConfig(learning_rate=0.3, init_alpha=1e-200,
+                                                 init_beta=1e-200, max_iters=3000,
+                                                 record_trajectory=True)),
+    # exp overflows in the ascent's trajectory point
+    (CostRecord(2000, 1e300, 1e300), OptimizerConfig(init_alpha=0.6, init_beta=0.6,
+                                                     record_trajectory=True)),
+    # untraced steady phases: learning_rate * exp(-ln L) just below 0.25 runs alpha
+    # and beta apart to their subnormal fixed points; just above it, alpha reaches 0
+    (CostRecord(2000, 2.0001, 3.0), OptimizerConfig(learning_rate=0.5, seed=1,
+                                                    max_iters=5000, record_trajectory=False)),
+    (CostRecord(2000, 1.9999, 3.0), OptimizerConfig(learning_rate=0.50001, seed=1,
+                                                    max_iters=5000, record_trajectory=False)),
+    # L < 1, so exp(-ln L) > 1, inside the bound
+    (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.1, seed=2, max_iters=5000,
+                                                 record_trajectory=False)),
+    # traced steady phases stay in the plain loop, inside and outside the bound
+    (CostRecord(2000, 6.9, 55.98), OptimizerConfig(seed=3, max_iters=80_000,
+                                                   record_trajectory=True)),
+    (CostRecord(2000, 1.9999, 3.0), OptimizerConfig(learning_rate=0.50001, seed=1,
+                                                    max_iters=5000, record_trajectory=True)),
+    # subnormal L: exp(-ln L) overflows, yet the first step already leaves the quadrant
+    (CostRecord(2000, 1e-310, 1.0), OptimizerConfig(seed=2, max_iters=5000,
+                                                    record_trajectory=False)),
+]
+EDGE_IDS = ["fixed-point-1M", "fixed-point-traced", "log-L-zero", "unit-costs",
+            "coinciding-arguments", "tiny-ascent", "overflow", "steady-inside-bound",
+            "steady-outside-bound", "steady-L-below-1", "steady-traced",
+            "steady-traced-outside-bound", "subnormal-L"]
+
+
 class TestKernelMatchesOracle:
     def test_seeded_records_both_modes(self):
         for record, config in random_kernel_cases(60):
             assert_kernel_matches_oracle(record, config)
 
-    @pytest.mark.parametrize("record, config", [
-        # L in [5, 6]: the descent reaches the subnormal fixed point (1.34e-321) within 1M steps
-        (CostRecord(2000, 5.5, 3.0), OptimizerConfig(seed=5, record_trajectory=False)),
-        # L < 1 with a trajectory: the fixed point (5e-324) within a few thousand steps
-        (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.3, seed=4, max_iters=5000,
-                                                     record_trajectory=True)),
-        # ln L = 0: the exp arguments reach -ln L only once beta * ln K underflows
-        (CostRecord(2000, 1.0, 7.0), OptimizerConfig(seed=3, max_iters=100_000,
-                                                     record_trajectory=False)),
-        (CostRecord(2000, 1.0, 1.0), OptimizerConfig(seed=3, max_iters=20_000,
-                                                     record_trajectory=True)),
-        # alpha ln L = -beta ln K: both exp arguments round to -ln L at the start, long
-        # before alpha - 1.0 rounds to -1.0, and stop doing so a few steps later
-        (CostRecord(2000, 8.936146760190548, 0.11190505559452972),
-         OptimizerConfig(learning_rate=0.19721992695321505, init_alpha=0.16049072518625881,
-                         init_beta=0.1604907251862588, max_iters=3000,
-                         record_trajectory=True)),
-        # an ascent from tiny elasticities starts where a descent's steady phase would
-        (CostRecord(2000, 0.5, 0.5), OptimizerConfig(learning_rate=0.3, init_alpha=1e-200,
-                                                     init_beta=1e-200, max_iters=3000,
-                                                     record_trajectory=True)),
-        # exp overflows in the ascent's trajectory point
-        (CostRecord(2000, 1e300, 1e300), OptimizerConfig(init_alpha=0.6, init_beta=0.6,
-                                                         record_trajectory=True)),
-        # untraced steady phases: learning_rate * exp(-ln L) just below 0.25 runs alpha
-        # and beta apart to their subnormal fixed points; just above it, alpha reaches 0
-        (CostRecord(2000, 2.0001, 3.0), OptimizerConfig(learning_rate=0.5, seed=1,
-                                                        max_iters=5000, record_trajectory=False)),
-        (CostRecord(2000, 1.9999, 3.0), OptimizerConfig(learning_rate=0.50001, seed=1,
-                                                        max_iters=5000, record_trajectory=False)),
-        # L < 1, so exp(-ln L) > 1, inside the bound
-        (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.1, seed=2, max_iters=5000,
-                                                     record_trajectory=False)),
-        # traced steady phases stay in the plain loop, inside and outside the bound
-        (CostRecord(2000, 6.9, 55.98), OptimizerConfig(seed=3, max_iters=80_000,
-                                                       record_trajectory=True)),
-        (CostRecord(2000, 1.9999, 3.0), OptimizerConfig(learning_rate=0.50001, seed=1,
-                                                        max_iters=5000, record_trajectory=True)),
-        # subnormal L: exp(-ln L) overflows, yet the first step already leaves the quadrant
-        (CostRecord(2000, 1e-310, 1.0), OptimizerConfig(seed=2, max_iters=5000,
-                                                        record_trajectory=False)),
-    ], ids=["fixed-point-1M", "fixed-point-traced", "log-L-zero", "unit-costs",
-            "coinciding-arguments", "tiny-ascent", "overflow", "steady-inside-bound",
-            "steady-outside-bound", "steady-L-below-1", "steady-traced",
-            "steady-traced-outside-bound", "subnormal-L"])
+    @pytest.mark.parametrize("record, config", EDGE_CASES, ids=EDGE_IDS)
     def test_edge_records(self, record, config):
         assert_kernel_matches_oracle(record, config)
 
@@ -429,3 +448,140 @@ class TestKernelMatchesOracle:
                                                record_trajectory=False))
         assert outside.terminated_by is Termination.BOUNDARY_ALPHA
         assert outside.alpha == 5e-324 and outside.iterations < 5000
+
+
+# default 1M-iteration descents of the kinds perfbench's compute-mix runs: two in the
+# L 30-65 range, whose steady phases begin 109k and 220k iterations in, and one on the
+# subnormal path (L in [5, 6]), whose steady phase begins 21k in
+PAPER_SCALE_CASES = [(CostRecord(2000, L, K), OptimizerConfig(seed=seed))
+                     for L, K, seed in ((30.9, 17.85, 66), (62.6, 27.95, 3913),
+                                        (5.78, 51.55, 8753))]
+PAPER_SCALE_IDS = ["L-30.9", "L-62.6", "L-5.78"]
+# an untraced descent whose steady phase begins at iteration 260
+EARLY_STEADY = (CostRecord(2000, 0.7, 0.4), OptimizerConfig(learning_rate=0.1, seed=2))
+EARLY_STEADY_START = 260
+
+
+def descent_outcome(record, config):
+    """_outcome of the descent, with an exception as its class and message."""
+    outcome = _outcome(sgd_cost_min, record, config)
+    return (type(outcome), str(outcome)) if isinstance(outcome, Exception) else outcome
+
+
+def in_process_outcome(monkeypatch, record, config):
+    """descent_outcome with both elasticities settled in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizers, "SETTLE_FORK_STEPS", config.max_iters)
+        return descent_outcome(record, config)
+
+
+class TestForkedSteadyPhase:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+
+    @pytest.mark.parametrize("record, config", EDGE_CASES + PAPER_SCALE_CASES,
+                             ids=EDGE_IDS + PAPER_SCALE_IDS)
+    def test_forked_and_in_process_agree_bit_for_bit(self, monkeypatch, forks, request,
+                                                     record, config):
+        expected = in_process_outcome(monkeypatch, record, config)
+        assert forks == []
+        # every steady phase forks, however short
+        monkeypatch.setattr(optimizers, "SETTLE_FORK_STEPS", 0)
+        assert descent_outcome(record, config) == expected
+        steady = request.node.callspec.id in {"fixed-point-1M", "steady-inside-bound",
+                                              "steady-L-below-1", *PAPER_SCALE_IDS}
+        assert len(forks) == steady
+        assert_no_children()
+
+    @pytest.mark.parametrize("record, config", PAPER_SCALE_CASES, ids=PAPER_SCALE_IDS)
+    def test_a_default_descent_forks_once(self, monkeypatch, forks, record, config):
+        expected = in_process_outcome(monkeypatch, record, config)
+        assert descent_outcome(record, config) == expected
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_only_a_steady_phase_above_the_fork_steps_forks(self, monkeypatch, forks):
+        record, config = EARLY_STEADY
+        shortest = replace(config, max_iters=EARLY_STEADY_START + SETTLE_FORK_STEPS + 1)
+        sgd_cost_min(record, shortest)
+        assert len(forks) == 1
+        sgd_cost_min(record, replace(shortest, max_iters=shortest.max_iters - 1))
+        assert len(forks) == 1
+        use_cpus(monkeypatch, 1)
+        sgd_cost_min(record, shortest)
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_traced_ascent_and_analytic_runs_never_fork(self, monkeypatch, forks):
+        monkeypatch.setattr(optimizers, "SETTLE_FORK_STEPS", 0)
+        record, config = EARLY_STEADY
+        config = replace(config, max_iters=5000)
+        sgd_cost_min(record, config)
+        assert len(forks) == 1
+        sgd_cost_min(record, replace(config, record_trajectory=True))
+        sgd_cost_min(record, replace(config, mode="analytic"))
+        sga_revenue_max(CostRecord(2000, 0.5, 0.5),
+                        OptimizerConfig(learning_rate=0.3, init_alpha=1e-200,
+                                        init_beta=1e-200, max_iters=3000))
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failure", ["no-fork", "fork-raises", "pipe-raises",
+                                         "child-exits-1", "child-killed"])
+    def test_a_failed_fork_gives_the_same_bits(self, monkeypatch, forks, failure):
+        record, config = PAPER_SCALE_CASES[0]
+        expected = in_process_outcome(monkeypatch, record, config)
+        parent = os.getpid()
+        settle = optimizers._settle
+
+        def dying(x, step, factor, count):
+            if os.getpid() != parent:
+                if failure == "child-killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("the child fails before its answer")
+            return settle(x, step, factor, count)
+
+        def refused(*args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        if failure == "no-fork":  # as on Windows
+            monkeypatch.delattr(os, "fork")
+        elif failure == "fork-raises":
+            monkeypatch.setattr(os, "fork", refused)
+        elif failure == "pipe-raises":
+            monkeypatch.setattr(os, "pipe", refused)
+        else:
+            monkeypatch.setattr(optimizers, "_settle", dying)
+        assert descent_outcome(record, config) == expected
+        assert len(forks) == failure.startswith("child")
+        assert_no_children()
+
+    def test_an_error_here_kills_and_reaps_the_child(self, monkeypatch, forks):
+        parent = os.getpid()
+        settle = optimizers._settle
+
+        class Interrupted(Exception):
+            pass
+
+        def stalling(x, step, factor, count):
+            if os.getpid() != parent:
+                time.sleep(60)  # only a kill ends the child within the test
+                return settle(x, step, factor, count)
+            raise Interrupted
+        monkeypatch.setattr(optimizers, "_settle", stalling)
+        started = time.monotonic()
+        with pytest.raises(Interrupted):
+            sgd_cost_min(*PAPER_SCALE_CASES[0])
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_forked_cost_min_reports_no_warning(self, forks, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["cost-min", "--input", str(DATA_DIR / "tables.csv"), "--seed", "7"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["warnings"] == []
+        assert len(forks) == 4  # one per year
+        assert_no_children()
