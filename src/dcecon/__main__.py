@@ -22,7 +22,9 @@ def run():
     safe only because three things hold when `main` returns:
 
     - every trace file and spill file is closed;
-    - every forked child, a trace writer's or a steady phase's, is reaped;
+    - every forked child is reaped: dcecon forks only by
+      `optimizers.fork_child`, inside `optimizers.reaping`, which kills and
+      reaps every child its caller has not;
     - dcecon registers no `atexit` hook.
 
     An exception escaping `main`, or a flush that fails, takes the normal exit

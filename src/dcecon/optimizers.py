@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import os
 import random
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
-from typing import List, Literal, Optional, Tuple, get_args
+from typing import Callable, Iterator, List, Literal, Optional, Tuple, get_args
 
 from .errors import ParameterError, check_domain, overflow_as_error
 from .production import CostRecord, evaluate_output
@@ -214,59 +215,76 @@ def _settle_pair(alpha: float, beta: float, step: float, factor: float,
 
     A child is forked only where usable_cpus() > 1 and count > SETTLE_FORK_STEPS.
     It writes beta.hex() to a pipe while this process settles alpha, and
-    float.fromhex reads the same bits back. A pipe or fork that fails, or a child
-    that does not exit 0 (which it does only once its whole answer is written),
-    leaves beta to settle here: that changes the time taken, never the result.
-    The child is reaped before this returns, and on an error here first killed.
+    float.fromhex reads the same bits back. A pipe, fork or child that fails
+    (the child exits 0 only once its whole answer is written) leaves both to
+    settle here: that changes the time taken, never the result. The child is
+    reaped before this returns (see fork_child).
     """
-    forked = (_fork_settle(beta, step, factor, count)
-              if count > SETTLE_FORK_STEPS and usable_cpus() > 1 else None)
-    if forked is None:
-        return _settle(alpha, step, factor, count), _settle(beta, step, factor, count)
-    pid, read_fd = forked
-    try:
-        with open(read_fd, "rb") as pipe:
-            alpha = _settle(alpha, step, factor, count)
-            answer = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    if status == 0:
-        return alpha, float.fromhex(answer.decode())
-    return alpha, _settle(beta, step, factor, count)
+    if count > SETTLE_FORK_STEPS and usable_cpus() > 1:
+        try:
+            read_fd, write_fd = os.pipe()
+            with open(read_fd, "rb") as pipe, reaping() as pids:
+                try:
+                    # a write of at most PIPE_BUF bytes to a pipe is never partial
+                    pids.append(fork_child(lambda: os.write(
+                        write_fd, _settle(beta, step, factor, count).hex().encode())))
+                finally:
+                    os.close(write_fd)
+                settled = _settle(alpha, step, factor, count)
+                answer = pipe.read()
+                wait_child(pids.pop())
+            return settled, float.fromhex(answer.decode())
+        except OSError:
+            pass
+    return _settle(alpha, step, factor, count), _settle(beta, step, factor, count)
 
 
-def _fork_settle(x: float, step: float, factor: float,
-                 count: int) -> Optional[Tuple[int, int]]:
-    """Fork a child that writes _settle(x, ...).hex() to a pipe and exits 0.
+def fork_child(work: Callable[..., object], *args) -> int:
+    """Fork a child that runs work(*args) and leaves by os._exit; return its pid.
 
-    Returns the child's pid and the pipe's read end, or None when the pipe or the
-    fork fails. The child leaves by os._exit, with status 1 on any failure.
+    The child's exit status is 0 once work returns, the errno of an OSError it
+    raised where that is below 255, and 255 for any other failure. Fork inside
+    reaping(), and reap by wait_child, so that no child outlives its caller.
     """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
+    pid = os.fork()
     if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
+        return pid
+    status = 255
     try:
-        # a write of at most PIPE_BUF bytes to a pipe is never partial
-        os.write(write_fd, _settle(x, step, factor, count).hex().encode())
+        work(*args)
         status = 0
+    except OSError as exc:
+        if exc.errno and exc.errno < 255:
+            status = exc.errno
     finally:
         os._exit(status)
+
+
+@contextmanager
+def reaping() -> Iterator[List[int]]:
+    """A list for the pids of forked children that are not yet reaped; when the
+    block ends, every child still listed is killed and reaped."""
+    pids: List[int] = []
+    try:
+        yield pids
+    finally:
+        if pids:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                with suppress(OSError):  # a killed child's status
+                    wait_child(pid)
+
+
+def wait_child(pid: int) -> None:
+    """Reap the child pid; an exit status other than 0 raises OSError, with the
+    status as errno where that is one (see fork_child)."""
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if 0 < status < 255:
+        raise OSError(status, os.strerror(status))
+    if status:
+        raise OSError(f"forked process ended with status {status}")
 
 
 def usable_cpus() -> int:

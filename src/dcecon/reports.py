@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 
 from .errors import (DataValidationError, DomainError, EconModelError, ParameterError,
                      check_domain, first_non_finite)
-from .optimizers import (OptimizerConfig, OptimResult, sga_revenue_max, sgd_cost_min,
-                         usable_cpus)
+from .optimizers import (OptimizerConfig, OptimResult, fork_child, reaping, sga_revenue_max,
+                         sgd_cost_min, usable_cpus, wait_child)
 from .production import CostRecord, linear_cost
 
 if TYPE_CHECKING:
@@ -232,57 +232,31 @@ def _write_slices(handle, spill_dir: Path, points: Sequence[Tuple[float, float, 
 
     A child writes its slice into an unnamed spill file in spill_dir; the
     spills are appended in order once their children exit. Every child is
-    reaped, and on an error in this process first killed. One slice forks nothing.
+    reaped, and on an error first killed (see optimizers.fork_child). One slice
+    forks nothing.
     """
-    import os
     import shutil
-    import signal
     import tempfile
 
+    def write_spill(spill, start, stop):
+        _write_rows(spill, points, start, stop)
+        spill.flush()  # the child leaves by os._exit, which flushes nothing
+
     bounds = [len(points) * k // slices for k in range(slices + 1)]
-    spills, pids = [], []  # pids holds the children not yet reaped
+    spills = []
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            spills.append(tempfile.TemporaryFile(dir=spill_dir))
-            pids.append(_fork_rows(spills[-1], points, start, stop))
-        _write_rows(handle, points, 0, bounds[1])
-        for spill in spills:
-            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
-            if 0 < status < 255:
-                raise OSError(status, os.strerror(status))
-            if status != 0:
-                raise OSError(f"trace formatting process ended with status {status}")
-            spill.seek(0)
-            shutil.copyfileobj(spill, handle)
+        with reaping() as pids:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                spills.append(tempfile.TemporaryFile(dir=spill_dir))
+                pids.append(fork_child(write_spill, spills[-1], start, stop))
+            _write_rows(handle, points, 0, bounds[1])
+            for spill in spills:
+                wait_child(pids.pop(0))
+                spill.seek(0)
+                shutil.copyfileobj(spill, handle)
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         for spill in spills:
             spill.close()
-
-
-def _fork_rows(spill, points: Sequence[Tuple[float, float, float]], start: int, stop: int) -> int:
-    """Fork a child that writes rows start..stop-1 into spill; return its pid.
-
-    The child leaves by os._exit, with status 0, the errno of an OSError it
-    met, or 255 for any other failure.
-    """
-    import os
-
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 255
-    try:
-        _write_rows(spill, points, start, stop)
-        spill.flush()
-        status = 0
-    except OSError as exc:
-        if exc.errno and exc.errno < 255:
-            status = exc.errno
-    finally:
-        os._exit(status)
 
 
 def run_year(runner, record: CostRecord, config: OptimizerConfig, command: str,

@@ -527,7 +527,7 @@ class TestForkedSteadyPhase:
         assert len(forks) == 1
 
     @pytest.mark.parametrize("failure", ["no-fork", "fork-raises", "pipe-raises",
-                                         "child-exits-1", "child-killed"])
+                                         "child-raises", "child-killed"])
     def test_a_failed_fork_gives_the_same_bits(self, monkeypatch, forks, failure):
         record, config = PAPER_SCALE_CASES[0]
         expected = in_process_outcome(monkeypatch, record, config)

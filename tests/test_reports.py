@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -421,12 +422,36 @@ class TestParallelTraceWriter:
         assert list(trace_dir.iterdir()) == []
         assert_no_children()
 
-    def test_failing_parent_kills_and_reaps_children(self, tmp_path, monkeypatch):
+    def test_child_killed_by_a_signal_is_one_line_data_error(self, tmp_path, monkeypatch,
+                                                              capsys):
         use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        write_rows = reports._write_rows
+
+        def killed(handle, points, start, stop):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_rows(handle, points, start, stop)
+        monkeypatch.setattr(reports, "_write_rows", killed)
+        costs = write(tmp_path, "costs.csv", "year,new_server_cost,power_cooling_cost\n1997,65,5\n")
+        trace_dir = tmp_path / "trace"
+        code = main(["cost-min", "--input", str(costs), "--trace", str(trace_dir),
+                     "--max-iters", str(2 * TRACE_SLICE_ROWS)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (f"data error: cannot write trace {trace_dir / 'cost_min_1997.csv'}: "
+                       f"forked process ended with status {-signal.SIGKILL}\n")
+        assert list(trace_dir.iterdir()) == []
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failing_parent_kills_and_reaps_children(self, tmp_path, monkeypatch, forks, cpus):
+        use_cpus(monkeypatch, cpus)
         full_disk(monkeypatch, in_children=False)
-        config = OptimizerConfig(seed=3, max_iters=2 * TRACE_SLICE_ROWS)
+        config = OptimizerConfig(seed=3, max_iters=cpus * TRACE_SLICE_ROWS)
         with pytest.raises(DataValidationError, match="No space left on device$"):
             run_table("cost_min", [self.RECORD], config, trace_dir=tmp_path)
+        assert len(forks) == cpus - 1
         assert list(tmp_path.iterdir()) == []
         assert_no_children()
 

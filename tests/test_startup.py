@@ -42,9 +42,9 @@ def test_import_loads_neither_numpy_nor_scipy():
 
 
 def test_import_cli_leaves_trace_writer_modules_unloaded():
-    # the trace writer imports all three when it runs, and a forked steady-phase
-    # settle imports signal on its error path; -S skips site, which on some
-    # installs imports tempfile itself
+    # the trace writer imports tempfile and shutil when it runs, and
+    # optimizers.reaping imports signal only to kill a child; -S skips site,
+    # which on some installs imports tempfile itself
     out = run_python("-S", "-c", "import sys\nimport dcecon.cli\n"
                      "print(sorted({'tempfile', 'shutil', 'signal'} & set(sys.modules)))").stdout
     assert out.strip() == "[]"
