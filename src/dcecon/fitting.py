@@ -257,7 +257,9 @@ def _least_squares(columns: List[Sequence[float]], rhs: Sequence[float]) -> Tupl
             for q in range(p + 1, n_cols):
                 up, uq = U[p], U[q]
                 a, b, c = _dot(up, up), _dot(uq, uq), _dot(up, uq)
-                if c == 0.0 or abs(c) <= EPS * math.sqrt(a * b):
+                # a column of norm at most EPS^2 times the other's falls to the rank cut
+                # anyway; it shrinks only about EPS a sweep, so the first test never passes
+                if abs(c) <= EPS * math.sqrt(a * b) or min(a, b) <= EPS ** 4 * max(a, b):
                     continue
                 rotated = True
                 zeta = (b - a) / (2.0 * c)

@@ -203,17 +203,11 @@ def _write_trace(path: Path, points: Sequence[Tuple[float, float, float]]) -> No
     with path.open("wb") as handle:
         try:
             handle.write(b"iteration,alpha,beta,objective\n")
-            _write_slices(handle, path.parent, points, _trace_slices(len(points)))
+            _write_slices(handle, path.parent, points)
             handle.flush()
         except BaseException:
             path.unlink(missing_ok=True)
             raise
-
-
-def _trace_slices(rows: int) -> int:
-    """How many slices a trace of rows rows is formatted in: one per usable CPU,
-    each of at least TRACE_SLICE_ROWS rows, and one where os.fork is missing."""
-    return max(1, min(usable_cpus(), rows // TRACE_SLICE_ROWS))
 
 
 def _write_rows(handle, points: Sequence[Tuple[float, float, float]],
@@ -226,14 +220,14 @@ def _write_rows(handle, points: Sequence[Tuple[float, float, float]],
         handle.write("".join([f"{i},{a!r},{b!r},{o!r}\n" for i, (a, b, o) in rows]).encode())
 
 
-def _write_slices(handle, spill_dir: Path, points: Sequence[Tuple[float, float, float]],
-                  slices: int) -> None:
+def _write_slices(handle, spill_dir: Path, points: Sequence[Tuple[float, float, float]]) -> None:
     """Write all rows in equal slices: the first here, each other one by a forked child.
 
-    A child writes its slice into an unnamed spill file in spill_dir; the
-    spills are appended in order once their children exit. Every child is
-    reaped, and on an error first killed (see optimizers.fork_child). One slice
-    forks nothing.
+    There is one slice per usable CPU, each of at least TRACE_SLICE_ROWS rows,
+    and one where os.fork is missing. A child writes its slice into an unnamed
+    spill file in spill_dir; the spills are appended in order once their
+    children exit. Every child is reaped, and on an error first killed (see
+    optimizers.fork_child). One slice forks nothing.
     """
     import shutil
     import tempfile
@@ -242,6 +236,7 @@ def _write_slices(handle, spill_dir: Path, points: Sequence[Tuple[float, float, 
         _write_rows(spill, points, start, stop)
         spill.flush()  # the child leaves by os._exit, which flushes nothing
 
+    slices = max(1, min(usable_cpus(), len(points) // TRACE_SLICE_ROWS))
     bounds = [len(points) * k // slices for k in range(slices + 1)]
     spills = []
     try:
@@ -263,13 +258,13 @@ def run_year(runner, record: CostRecord, config: OptimizerConfig, command: str,
              trace_dir=None) -> OptimResult:
     """runner(record, config) with the year prefixed to its errors.
 
-    When trace_dir is given the run records its trajectory, which is written to
-    trace_dir/<command>_<year>.csv and not returned: the result's trajectory is
-    empty. An OSError from creating the directory or writing the file is raised
-    as a DataValidationError naming the path.
+    The run records its trajectory exactly when trace_dir is given, whatever
+    config.record_trajectory says; the trajectory is written to
+    trace_dir/<command>_<year>.csv and not returned, so the result's trajectory
+    is empty. An OSError from creating the directory or writing the file is
+    raised as a DataValidationError naming the path.
     """
-    if trace_dir is not None:
-        config = dataclasses.replace(config, record_trajectory=True)
+    config = dataclasses.replace(config, record_trajectory=trace_dir is not None)
     try:
         result = runner(record, config)
     except EconModelError as exc:
@@ -284,6 +279,16 @@ def run_year(runner, record: CostRecord, config: OptimizerConfig, command: str,
                 f"cannot write trace {exc.filename or path}: {exc.strerror or exc}") from None
         result.trajectory = []
     return result
+
+
+def _by_year(records: Sequence[CostRecord]) -> List[CostRecord]:
+    """records sorted by year; no records, or a year given twice, is a ParameterError."""
+    if not records:
+        raise ParameterError("records must be non-empty")
+    records = sorted(records, key=lambda r: r.year)
+    if repeated := sorted({a.year for a, b in zip(records, records[1:]) if a.year == b.year}):
+        raise ParameterError(f"records repeat years {repeated}")
+    return records
 
 
 def profit_row(max_rev: float, min_cost: float, min_cost_linear: float) -> Dict[str, float]:
@@ -307,15 +312,14 @@ def profit_table(records: Sequence[CostRecord], config: OptimizerConfig,
 
     linear_weights maps year -> (w1, w2) for the linear comparison column. With
     trace_dir, each run's trace is written there as revenue_max_<year>.csv or
-    cost_min_<year>.csv (see run_year).
+    cost_min_<year>.csv (see run_year). Each year may appear once.
     """
-    if not records:
-        raise ParameterError("records must be non-empty")
+    records = _by_year(records)
     missing = [r.year for r in records if r.year not in linear_weights]
     if missing:
         raise DataValidationError(f"linear weights missing for years {missing}")
     rows: Dict[int, Dict[str, float]] = {}
-    for record in sorted(records, key=lambda r: r.year):
+    for record in records:
         revenue = run_year(sga_revenue_max, record, config, "revenue_max", trace_dir)
         cost = run_year(sgd_cost_min, record, config, "cost_min", trace_dir)
         w1, w2 = linear_weights[record.year]
@@ -329,17 +333,16 @@ def run_table(command: str, records: Sequence[CostRecord], config: OptimizerConf
               trace_dir=None) -> RunReport:
     """Run one optimizer command over a year series and assemble the report.
 
-    command is one of cost_min, revenue_max, profit. Traces are written as one
-    CSV per run and year when trace_dir is given. For profit, linear_weights
-    defaults to the bundled reference weights for reference years.
+    command is one of cost_min, revenue_max, profit, and each year may appear
+    once. The runs record trajectories exactly when trace_dir is given, as one
+    trace CSV per run and year (see run_year), and the report's config says so.
+    For profit, linear_weights defaults to the bundled reference weights for
+    reference years.
     """
     from . import reference
 
-    if not records:
-        raise ParameterError("records must be non-empty")
-    records = sorted(records, key=lambda r: r.year)
-    if trace_dir is not None:
-        config = dataclasses.replace(config, record_trajectory=True)
+    records = _by_year(records)
+    config = dataclasses.replace(config, record_trajectory=trace_dir is not None)
     resolved = dataclasses.asdict(config.resolved())
 
     if command in ("cost_min", "revenue_max"):

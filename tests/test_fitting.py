@@ -188,6 +188,21 @@ class TestLinearAlgebraKernels:
             assert got_rank == rank == 3
             assert [v.hex() for v in got] == [math.ldexp(v, -k).hex() for v in x]
 
+    def test_least_squares_stops_once_a_column_falls_to_the_rank_cut(self, monkeypatch):
+        # both rows of the equality pair x1 + 2 x2 = 1 make the KKT system singular; its
+        # dropped column shrinks by only about EPS a sweep, so the relative orthogonality
+        # test alone never passes and would run all JACOBI_SWEEPS (1,087 dots)
+        qp = QuadraticProgram(H=[[1.0, 0.0], [0.0, 1.0]], f=(-2.0, -4.0), C=[], b=[],
+                              C_eq=[(1.0, 2.0)], b_eq=[1.0])
+        solve, dot, dots = fitting._kkt_solver(qp), fitting._dot, []
+        monkeypatch.setattr(fitting, "_dot", lambda a, b: dots.append(1) or dot(a, b))
+        x, multipliers = solve((0, 1))
+        assert len(dots) == 97
+        # the bits of the sweep cap's answer: x = (0.2, 0.4), least-norm multipliers
+        assert [v.hex() for v in x] == ["0x1.9999999999994p-3", "0x1.9999999999994p-2"]
+        assert [v.hex() for v in multipliers] == ["0x1.999999999999cp-1",
+                                                  "-0x1.999999999999cp-1"]
+
     def test_least_squares_of_a_zero_or_non_finite_matrix(self):
         assert fitting._least_squares([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0]) == ([0.0, 0.0], 0)
         x, rank = fitting._least_squares([[1.0, math.inf], [0.0, 1.0]], [1.0, 2.0])

@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,40 @@ class TestRunTable:
     def test_empty_records_rejected(self):
         with pytest.raises(ParameterError):
             run_table("cost_min", [], FAST_CONFIG)
+
+    @pytest.mark.parametrize("command", ["cost_min", "revenue_max", "profit"])
+    def test_repeated_years_are_refused_before_any_run(self, tmp_path, command):
+        # a run per record would give one year two rows, or two traces in one file
+        records = [CostRecord(2002, 5, 5), CostRecord(1997, 5, 5), CostRecord(2002, 6, 6),
+                   CostRecord(2009, 5, 5), CostRecord(1997, 4, 4)]
+        with pytest.raises(ParameterError, match=r"^records repeat years \[1997, 2002\]$"):
+            run_table(command, records, FAST_CONFIG, trace_dir=tmp_path / "trace")
+        weights = {year: (1.0, 1.0) for year in (1997, 2002, 2009)}
+        with pytest.raises(ParameterError, match=r"^records repeat years \[1997, 2002\]$"):
+            reports.profit_table(records, FAST_CONFIG, weights, trace_dir=tmp_path / "trace")
+        assert not (tmp_path / "trace").exists()
+
+    def test_a_trajectory_is_recorded_only_for_a_trace(self, monkeypatch, forks):
+        # record_trajectory=True without a trace_dir is ignored: a default 1M-step
+        # descent on two CPUs still settles its steady phase in a forked child
+        use_cpus(monkeypatch, 2)
+        record = self.records()[0]
+        asked = OptimizerConfig(seed=7, record_trajectory=True)
+        plain = replace(asked, record_trajectory=False)
+        report = run_table("cost_min", [record], asked)
+        assert len(forks) == 1
+        assert report.config["record_trajectory"] is False
+        assert report == run_table("cost_min", [record], plain)
+        result = reports.run_year(sgd_cost_min, record, asked, "cost_min")
+        assert result.trajectory == []
+        assert result == sgd_cost_min(record, plain)
+        assert len(forks) == 4
+        records = self.records()[:2]
+        weights = {r.year: reference.LINEAR_COST_TABLE[r.year][:2] for r in records}
+        assert (reports.profit_table(records, asked, weights)
+                == reports.profit_table(records, plain, weights))
+        assert len(forks) == 8
+        assert_no_children()
 
     def test_note_absent_for_foreign_years(self):
         report = run_table("cost_min", [CostRecord(1890, 5.0, 4.0)], FAST_CONFIG)

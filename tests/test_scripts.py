@@ -14,10 +14,12 @@ from test_acceptance import check_revenue_run
 from dcecon import reference
 
 ROOT = Path(__file__).resolve().parent.parent
-# the lines of `scripts/output_digests.py --quick` under a first line stamping the
-# platform they were made on (see digest_stamp); a change that alters output on
-# purpose regenerates the lines and lists each changed one in CHANGES.md
+# the lines of `scripts/output_digests.py --quick` and of `scripts/qp_probe.py --quick`,
+# each under a first line stamping the platform they were made on (see platform_stamp);
+# a change that alters output on purpose regenerates the lines and lists each changed
+# one in CHANGES.md
 DIGEST_BASELINE = ROOT / "tests" / "data" / "output_digests_quick.txt"
+QP_PROBE_BASELINE = ROOT / "tests" / "data" / "qp_probe_quick.txt"
 
 
 def run_script(name, *args):
@@ -75,10 +77,15 @@ def test_code_lines_lists_every_module_with_totals():
                                 for name in modules)
 
 
-def test_qp_probe_quick_prints_each_problem_and_the_totals():
+@pytest.fixture(scope="module")
+def quick_probe():
     proc = run_script("qp_probe.py", "--quick")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_qp_probe_quick_prints_each_problem_and_the_totals(quick_probe):
+    lines = quick_probe
     problems = [line.split(" ") for line in lines if not line.startswith("#")]
     # six seeds of each of 12 families: random, 6 ill-conditioned, 4 returns-to-scale, raw
     assert len(problems) == 72
@@ -95,8 +102,12 @@ def test_qp_probe_quick_prints_each_problem_and_the_totals():
                                       str(sum(int(fields[2]) for fields in problems)))
 
 
-def digest_stamp():
-    """The platform line the digest baseline starts with; other platforms may round differently."""
+def test_qp_probe_quick_matches_baseline(quick_probe):
+    assert_matches_baseline(QP_PROBE_BASELINE, quick_probe)
+
+
+def platform_stamp():
+    """The platform line a baseline starts with; other platforms may round differently."""
     return (f"# {platform.system()} {platform.machine()}, "
             f"Python {platform.python_version()}, numpy {np.__version__}")
 
@@ -121,10 +132,15 @@ def test_output_digests_covers_every_subcommand(quick_digests):
     assert any(m.group(1) != "-" for m in matches)
 
 
-def test_output_digests_match_baseline(quick_digests):
-    stamp, *baseline = DIGEST_BASELINE.read_text().splitlines()
-    if stamp != digest_stamp():
-        pytest.skip(f"baseline made on {stamp[2:]!r}, this is {digest_stamp()[2:]!r}")
-    changed = [f"{old}\n  now {new}" for old, new in zip(baseline, quick_digests) if old != new]
-    assert len(quick_digests) == len(baseline)
+def assert_matches_baseline(path, lines):
+    """lines are the baseline's at path, line for line; skip on another platform."""
+    stamp, *baseline = path.read_text().splitlines()
+    if stamp != platform_stamp():
+        pytest.skip(f"baseline made on {stamp[2:]!r}, this is {platform_stamp()[2:]!r}")
+    changed = [f"{old}\n  now {new}" for old, new in zip(baseline, lines) if old != new]
+    assert len(lines) == len(baseline)
     assert not changed, "\n".join(changed)
+
+
+def test_output_digests_match_baseline(quick_digests):
+    assert_matches_baseline(DIGEST_BASELINE, quick_digests)
